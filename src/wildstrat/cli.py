@@ -10,11 +10,8 @@ diagrams).  Exit codes: 0 success, 2 validation error, 3 claim violation
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .linalg import frac, frac_str
@@ -42,6 +39,8 @@ def _to_frac(x):
 def _load_config(path):
     with open(path) as fh:
         data = json.load(fh, parse_float=_reject_float)
+    if not isinstance(data, dict):
+        raise ValidationError("config: the top-level JSON value must be an object")
     return data
 
 
@@ -69,32 +68,6 @@ def _emit_text(args, text, suffix):
         print(text)
 
 
-# -- cache ------------------------------------------------------------------
-
-
-def _cache_path(key):
-    root = os.environ.get("WILDSTRAT_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(root, f"wildstrat-{digest}.json")
-
-
-def _cached(key, compute):
-    path = _cache_path(key)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            stored = json.load(fh)
-        if stored.get("key") == key:
-            return stored["value"]
-    value = compute()
-    if path:
-        with open(path, "w") as fh:
-            json.dump({"key": key, "value": value}, fh, sort_keys=True)
-    return value
-
-
 # -- shared parsing ------------------------------------------------------------
 
 
@@ -107,7 +80,11 @@ def _root_datum(args):
 
 def _parse_filtration(rd, spec, depth, parabolic=True):
     """spec: list of root-index lists, or the preset 'borel'."""
+    if depth is not None and (type(depth) is not int or depth < 0):
+        raise ValidationError("depth: must be a nonnegative integer")
     if spec == "borel" or spec is None:
+        if depth is None:
+            raise ValidationError("depth: required when no filtration is given")
         masks = [strat.mask_from_indices(rd.positive)] * depth
     else:
         if not isinstance(spec, list) or not all(isinstance(x, list) for x in spec):
@@ -124,8 +101,8 @@ def _parse_filtration(rd, spec, depth, parabolic=True):
 
 
 def _parse_formal_type(rd, data, depth):
-    if data is None:
-        raise ValidationError("a formal_type is required")
+    if not isinstance(data, dict):
+        raise ValidationError("formal_type: an object is required")
     lams = [[_to_frac(x) for x in lam] for lam in data.get("lambdas", [])]
     for lam in lams:
         if len(lam) != rd.dim_t:
@@ -175,7 +152,7 @@ def cmd_levi(args):
             } for s in strata]
         return payload
 
-    payload = _cached(f"levi:{rd.label}:{args.depth}", compute)
+    payload = compute()
     _emit(args, payload, suffix=".json" if args.out else None)
     if args.dot or args.out:
         _emit_text(args, strat.LeviPoset(rd).hasse_dot(), ".dot")
@@ -197,7 +174,7 @@ def cmd_parabolic(args):
             payload["filtration_count"] = len(parab.enumerate_parabolic_filtrations(rd, args.depth))
         return payload
 
-    _emit(args, _cached(f"parabolic:{rd.label}:{args.depth}", compute))
+    _emit(args, compute())
     return 0
 
 
@@ -266,31 +243,21 @@ def cmd_shapovalov(args):
     mod = SingularityModule(pf, ft)
     weights = mod.weights_up_to(args.height)
     # the zero-weight block is the line through the cyclic vector
-    zero_block = {
+    blocks = [{
         "weight": ["0"] * rd.dim_t,
         "dim": 1, "rank": 1, "radical_dim": 0,
         "determinant": "1", "matrix": [["1"]],
-    }
-    blocks = []
-
-    def handle(mu):
+    }]
+    for mu in weights:
         blk = mod.shapovalov_block(mu)
-        entry = {
+        blocks.append({
             "weight": [frac_str(x) for x in mu],
             "dim": blk.dim(),
             "rank": blk.rank(),
             "radical_dim": blk.dim() - blk.rank(),
             "determinant": frac_str(blk.determinant()) if blk.dim() else "1",
             "matrix": [[frac_str(v) for v in row] for row in blk.matrix],
-        }
-        return entry
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            blocks = list(pool.map(handle, weights))
-    else:
-        blocks = [handle(mu) for mu in weights]
-    blocks.insert(0, zero_block)
+        })
     payload = {
         "type": rd.label,
         "depth": pf.depth,
@@ -394,8 +361,6 @@ def build_parser():
             sp.add_argument("--order", "-N", dest="order", type=int, default=2)
         sp.add_argument("--config", help="JSON config file (rationals as 'p/q' strings)")
         sp.add_argument("--out", help="output path prefix")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("levi", help="Levi poset and filtration counts")
     common(sp)
@@ -431,10 +396,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
     try:
+        for field in ("depth", "height", "order"):
+            if getattr(args, field, 0) < 0:
+                raise ValidationError(f"--{field} must be nonnegative")
         return args.func(args)
     except (ValidationError, InadmissibleCharacter, SingularCharacterError,
             quant.UnbalancedFiltration, quant.TruncationError, RootDatumError,

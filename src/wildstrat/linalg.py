@@ -216,7 +216,6 @@ def minimal_polynomial(m):
     """Minimal polynomial of a square matrix, monic, as a coefficient list."""
     n = len(m)
     power = identity(n)
-    seen = []  # rref rows of the flattened powers
     flats = []
     while True:
         flat = [x for row in power for x in row]
@@ -228,7 +227,6 @@ def minimal_polynomial(m):
             coeffs = solve(prev, flat)
             poly = [-c for c in coeffs] + [One]
             return poly_trim(poly)
-        seen = red
         power = mat_mul(power, m)
 
 
@@ -378,13 +376,3 @@ def _as_cpoly(x):
     if isinstance(x, (int, Fraction)):
         return CPoly.const(x)
     return None
-
-
-def coeff_zero(ring):
-    return CPoly() if ring is CPoly else Zero
-
-
-def coeff_is_zero(x):
-    if isinstance(x, CPoly):
-        return not x
-    return x == 0

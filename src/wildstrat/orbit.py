@@ -299,7 +299,6 @@ def centralizer(x: TcElement) -> CentralizerReport:
     rd = x.rd
     r = x.depth
     n = rd.dim_g * r
-    rows = []
     basis_elems = list(TcElement.basis(rd, r))
     cols = [x.bracket(b).coords() for b in basis_elems]
     mat = [[cols[j][i] for j in range(n)] for i in range(n)]

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import CPoly, One, Zero, inverse
+from .linalg import CPoly, One, inverse
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible)
 from .singmod import SingularityModule, factorize_block
-from .uea import UEAContext, shuffle_coproduct
+from .uea import UEAContext, acc, all_letters, shuffle_coproduct
 
 
 class UnbalancedFiltration(ValueError):
@@ -72,7 +72,7 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
     ctx = UEAContext(pf, layout=("neg", "pos", "levi"))
     terms = {0: {((), ()): One}}
     per_weight = {}
-    for mu in weights_min_length(mod, N):
+    for mu in mod.root_sums(N):
         block = mod.dual_block(mu, duals)
         finv = _invert_block(block, N)
         per_weight[mu] = (block, finv)
@@ -88,31 +88,11 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
                         h = -deg
                         if h > N:
                             continue
-                        _acc(terms.setdefault(h, {}), (left, rword), cv * rc)
+                        acc(terms.setdefault(h, {}), (left, rword), cv * rc)
     for h in list(terms):
         if not terms[h]:
             del terms[h]
     return InverseShapovalov(pf, ft, N, terms, per_weight)
-
-
-def weights_min_length(mod, N):
-    """Weights expressible as sums of at most N generator roots."""
-    rd = mod.rd
-    zero = tuple([Zero] * rd.dim_t)
-    seen = {zero}
-    frontier = [zero]
-    out = []
-    for _ in range(N):
-        nxt = []
-        for mu in frontier:
-            for a in mod.nu0:
-                cand = tuple(x + y for x, y in zip(mu, rd.roots[a]))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    out.append(cand)
-        frontier = nxt
-    return out
 
 
 def _invert_block(block, N):
@@ -171,21 +151,13 @@ def _expand_dual_mono(mod, ctx, duals, mono):
         new = {}
         for word, c in dist.items():
             for c2, letter in duals[(a, i)]:
-                _acc(new, word + (letter,), c * c2)
+                acc(new, word + (letter,), c * c2)
         dist = new
     out = {}
     for word, c in dist.items():
         for w, c2 in ctx.normal_form(word).items():
-            _acc(out, w, c * c2)
+            acc(out, w, c * c2)
     return out
-
-
-def _acc(d, k, v):
-    nv = d.get(k, 0) + v
-    if nv == 0:
-        d.pop(k, None)
-    else:
-        d[k] = nv
 
 
 # -- Poisson bivector and the first-order check ----------------------------------
@@ -201,8 +173,8 @@ def poisson_bivector(pf, ft):
     for (a, i), combo in duals.items():
         x_letter = ("E", pf.rd.neg[a], i)
         for c, y_letter in combo:
-            _acc(out, ((x_letter,), (y_letter,)), c)
-            _acc(out, ((y_letter,), (x_letter,)), -c)
+            acc(out, ((x_letter,), (y_letter,)), c)
+            acc(out, ((y_letter,), (x_letter,)), -c)
     return out
 
 
@@ -211,8 +183,8 @@ def first_order_check(series: InverseShapovalov):
     f1 = series.terms.get(1, {})
     skew = {}
     for (lw, rw), c in f1.items():
-        _acc(skew, (lw, rw), c)
-        _acc(skew, (rw, lw), -c)
+        acc(skew, (lw, rw), c)
+        acc(skew, (rw, lw), -c)
     pi = poisson_bivector(series.pf, series.ft)
     return skew == pi
 
@@ -235,19 +207,15 @@ class V0Context:
             neg, pos, levi = self.ctx.split_word(w)
             if levi:
                 continue
-            _acc(out, neg + pos, c)
+            acc(out, neg + pos, c)
         return out
 
     def project(self, element):
         out = {}
         for word, c in element.items():
             for w, c2 in self.project_word(word).items():
-                _acc(out, w, c * c2)
+                acc(out, w, c * c2)
         return out
-
-    def multiply_classes(self, w1, w2):
-        """Product of two V0 classes via canonical lifts, reprojected."""
-        return self.project_word(w1 + w2)
 
 
 def star_bidiff(series: InverseShapovalov):
@@ -263,7 +231,7 @@ def star_bidiff(series: InverseShapovalov):
         for (lw, rw), c in d.items():
             for wl, cl in v0.project_word(lw).items():
                 for wr, cr in v0.project_word(rw).items():
-                    _acc(out, (wl, wr), c * cl * cr)
+                    acc(out, (wl, wr), c * cl * cr)
         if out:
             terms[h] = out
     return StarBidiff(series.pf, series.ft, series.order, terms, v0)
@@ -308,7 +276,7 @@ def associativity_check(bid: StarBidiff, N=None, return_sides=False):
                             continue
                         for w1, cc1 in s1.items():
                             for w2, cc2 in s2.items():
-                                _acc(left.setdefault(h, {}), (w1, w2, b), c * cc1 * cc2)
+                                acc(left.setdefault(h, {}), (w1, w2, b), c * cc1 * cc2)
                     # B^(1,23): Delta on the second slot of the outer factor
                     for b_i, b_j in shuffle_coproduct(b):
                         s2 = v0.project_word(b_i + x)
@@ -319,7 +287,7 @@ def associativity_check(bid: StarBidiff, N=None, return_sides=False):
                             continue
                         for w2, cc2 in s2.items():
                             for w3, cc3 in s3.items():
-                                _acc(right.setdefault(h, {}), (a, w2, w3), c * cc2 * cc3)
+                                acc(right.setdefault(h, {}), (a, w2, w3), c * cc2 * cc3)
     left = {h: d for h, d in left.items() if d}
     right = {h: d for h, d in right.items() if d}
     if return_sides:
@@ -356,8 +324,7 @@ def check_invariance(series: InverseShapovalov, letters=None):
     rd = pf.rd
     duals = mod_plus.dual_letters()
     if letters is None:
-        letters = ([("H", t, i) for t in range(rd.dim_t) for i in range(pf.depth)]
-                   + [("E", b, i) for b in range(rd.num_roots) for i in range(pf.depth)])
+        letters = all_letters(rd, pf.depth)
     # rebuild F per weight: left slot X w^+ in M^+, right slot Y w^- in M^-
     weights = set(series.per_weight)
     pairs = []
@@ -372,20 +339,20 @@ def check_invariance(series: InverseShapovalov, letters=None):
     pairs.append(({(): CPoly.const(1)}, {(): CPoly.const(1)}, CPoly.const(1)))
     ok = True
     for g in letters:
-        acc = {}
+        total = {}
         for xv, yv, series_cf in pairs:
             gx = mod_plus.apply_letter(g, xv)
             gy = mod_minus.apply_letter(g, yv)
             for wx, cx in gx.items():
                 for wy, cy in yv.items():
-                    _acc_poly(acc, (wx, wy), cx * cy * series_cf)
+                    acc(total, (wx, wy), cx * cy * series_cf)
             for wx, cx in xv.items():
                 for wy, cy in gy.items():
-                    _acc_poly(acc, (wx, wy), cx * cy * series_cf)
+                    acc(total, (wx, wy), cx * cy * series_cf)
         # restrict to covered components: both slot weights must be computed
-        for (wl, wr), val in acc.items():
-            mul = _word_weight(mod_plus, wl)
-            mur = tuple(-x for x in _word_weight(mod_minus, wr))
+        for (wl, wr), val in total.items():
+            mul = mod_plus.weight_of_word(wl)
+            mur = tuple(-x for x in mod_minus.weight_of_word(wr))
             if mul != mur:
                 continue
             if mul not in weights and any(x != 0 for x in mul):
@@ -404,23 +371,6 @@ def _dual_vector(mod_plus, mod_minus, duals, mono):
         new = {}
         for c, letter in duals[(a, i)]:
             for w, cv in mod_minus.apply_letter(letter, vec).items():
-                _acc_poly(new, w, c * cv)
+                acc(new, w, c * cv)
         vec = new
     return vec
-
-
-def _word_weight(mod, word):
-    rd = mod.rd
-    tot = [Zero] * rd.dim_t
-    for g in word:
-        a, _ = mod.gens[g]
-        tot = [x + y for x, y in zip(tot, rd.roots[a])]
-    return tuple(tot)
-
-
-def _acc_poly(d, k, v):
-    nv = d.get(k, CPoly()) + v
-    if not nv:
-        d.pop(k, None)
-    else:
-        d[k] = nv

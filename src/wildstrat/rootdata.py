@@ -167,15 +167,10 @@ class RootDatum:
                 if k is not None:
                     possums.add(k)
         self.simple = tuple(sorted(i for i in pos if i not in possums))
-        self.cartan_matrix = [[int(self.cartan_integer(self.roots.index(self.roots[i]),
-                                                       j))
-                               for j in self.simple] for i in self.simple]
-        # actually store <alpha_i|alpha_j^v> over the base
+        # <alpha_i|alpha_j^v> over the base
         self.cartan_matrix = [[self._as_int(self.cartan_integer(i, j)) for j in self.simple]
                               for i in self.simple]
-        gens = [self._reflection(i) for i in self.simple]
-        self._weyl_gens = gens
-        self.weyl = self._generate_weyl(gens)
+        self.weyl = self._generate_weyl([self._reflection(i) for i in self.simple])
         self._weyl_index = {w.perm: t for t, w in enumerate(self.weyl)}
 
     @staticmethod
@@ -204,8 +199,6 @@ class RootDatum:
                 raise RootDatumError("reflection does not permute the roots")
             perm.append(k)
         n = self.dim_t
-        tmat = [[(One if r == c else Zero) - al[r] * co[c] if True else Zero
-                 for c in range(n)] for r in range(n)]
         # s(H) = H - <alpha|H> alpha^v ; entry (r,c) = delta - coroot[r]*alpha[c]
         tmat = [[(One if r == c else Zero) - co[r] * al[c] for c in range(n)]
                 for r in range(n)]

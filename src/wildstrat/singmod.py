@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import CPoly, One, Zero, coeff_is_zero, inverse, nullspace, rank
+from .linalg import CPoly, One, Zero, inverse, nullspace, rank
 from .strat import indices
 from . import parab
 from .parab import (FormalType, ParabolicFiltration, require_admissible,
                     triangular_split)
+from .uea import acc, all_letters, letter_bracket
 
 
 class SingularityModule:
@@ -41,7 +42,6 @@ class SingularityModule:
         self.gen_pos = self.split.gen_pos
         self.levels = self.split.levels
         self.nu0 = self.split.nu0
-        self._levi_masks = [self.split.levi.mask(i) for i in range(self.depth)]
         self._apply_cache = {}
         self._lmul_cache = {}
 
@@ -88,7 +88,7 @@ class SingularityModule:
         out = {}
         for word, c in vec.items():
             for w2, c2 in self._apply(letter, word).items():
-                _acc(out, w2, c * c2)
+                acc(out, w2, c * c2)
         return out
 
     def apply_tc(self, x, vec):
@@ -98,10 +98,10 @@ class SingularityModule:
             for t, cv in enumerate(g.cartan):
                 if cv != 0:
                     for w, c in self.apply_letter(("H", t, i), vec).items():
-                        _acc(out, w, cv * c)
+                        acc(out, w, cv * c)
             for ridx, cv in g.root.items():
                 for w, c in self.apply_letter(("E", ridx, i), vec).items():
-                    _acc(out, w, cv * c)
+                    acc(out, w, cv * c)
         return out
 
     def _apply(self, letter, word):
@@ -117,7 +117,7 @@ class SingularityModule:
                 result = {(self.gen_pos[g],): self._one()}
             elif cls == "levi":
                 val = self.character(letter)
-                result = {} if coeff_is_zero(val) else {(): val}
+                result = {(): val} if val else {}
             else:
                 result = {}
         else:
@@ -126,11 +126,11 @@ class SingularityModule:
             inner = self._apply(letter, rest)
             for w2, c2 in inner.items():
                 for w3, c3 in self._lmul(g0, w2).items():
-                    _acc(result, w3, c2 * c3)
+                    acc(result, w3, c2 * c3)
             lt0 = self.gen_letter(self.gens[g0])
-            for coeff, b2 in self._bracket(letter, lt0):
+            for coeff, b2 in letter_bracket(self.rd, self.depth, letter, lt0):
                 for w2, c2 in self._apply(b2, rest).items():
-                    _acc(result, w2, coeff * c2)
+                    acc(result, w2, coeff * c2)
         self._apply_cache[key] = result
         return result
 
@@ -145,42 +145,14 @@ class SingularityModule:
         y, rest = word[0], word[1:]
         result = {}
         for w2, c2 in self._lmul(g, rest).items():
-            _acc(result, (y,) + w2, c2)
-        for coeff, b2 in self._bracket(self.gen_letter(self.gens[g]),
-                                       self.gen_letter(self.gens[y])):
+            acc(result, (y,) + w2, c2)
+        for coeff, b2 in letter_bracket(self.rd, self.depth,
+                                        self.gen_letter(self.gens[g]),
+                                        self.gen_letter(self.gens[y])):
             for w2, c2 in self._apply(b2, rest).items():
-                _acc(result, w2, coeff * c2)
+                acc(result, w2, coeff * c2)
         self._lmul_cache[key] = result
         return result
-
-    def _bracket(self, a, b):
-        """[a, b] on letters, coefficients in the module's coefficient ring."""
-        rd = self.rd
-        out = []
-        ka, ia = a[0], a[2]
-        kb, ib = b[0], b[2]
-        deg = ia + ib
-        if deg >= self.depth:
-            return out
-        if ka == "H" and kb == "E":
-            c = rd.roots[b[1]][a[1]]
-            if c != 0:
-                out.append((c, ("E", b[1], deg)))
-        elif ka == "E" and kb == "H":
-            c = rd.roots[a[1]][b[1]]
-            if c != 0:
-                out.append((-c, ("E", a[1], deg)))
-        elif ka == "E" and kb == "E":
-            i, j = a[1], b[1]
-            if j == rd.neg[i]:
-                for t, c in enumerate(rd.coroots[i]):
-                    if c != 0:
-                        out.append((c, ("H", t, deg)))
-            else:
-                n = rd.nsc.get((i, j))
-                if n is not None:
-                    out.append((n, ("E", rd.root_sum[(i, j)], deg)))
-        return out
 
     # -- monomials and weights ----------------------------------------------------
 
@@ -205,24 +177,29 @@ class SingularityModule:
             tot = [x + y for x, y in zip(tot, rd.roots[a])]
         return tuple(tot)
 
-    def weights_up_to(self, K):
-        """All monoid elements of relative height <= K, sorted deterministically."""
+    def root_sums(self, n):
+        """Nonzero sums of at most n generator roots, in breadth-first discovery order."""
         rd = self.rd
-        seen = {tuple([Zero] * rd.dim_t): 0}
-        frontier = [tuple([Zero] * rd.dim_t)]
-        for _ in range(K):
+        zero = tuple([Zero] * rd.dim_t)
+        seen = {zero: None}
+        frontier = [zero]
+        for _ in range(n):
             nxt = []
             for mu in frontier:
                 for a in self.nu0:
                     cand = tuple(x + y for x, y in zip(mu, rd.roots[a]))
                     if cand not in seen:
-                        seen[cand] = 1
+                        seen[cand] = None
                         nxt.append(cand)
             frontier = nxt
+        return list(seen)[1:]
+
+    def weights_up_to(self, K):
+        """All monoid elements of relative height <= K, sorted deterministically."""
         out = []
-        for mu in seen:
-            h = parab.relative_height(rd, self.nu0, mu, self.split.xi)
-            if h <= K and any(x != 0 for x in mu):
+        for mu in self.root_sums(K):
+            h = parab.relative_height(self.rd, self.nu0, mu, self.split.xi)
+            if h <= K:
                 out.append((h, mu))
         out.sort()
         return [mu for _, mu in out]
@@ -336,7 +313,7 @@ class SingularityModule:
             new = {}
             for coeff, letter in duals[(a, i)]:
                 for w, c in self.apply_letter(letter, vecs).items():
-                    _acc(new, w, coeff * c)
+                    acc(new, w, coeff * c)
             vecs = new
             if not vecs:
                 return self._zero()
@@ -360,14 +337,6 @@ def _multisets(k, d):
 
     rec(0, [])
     return out
-
-
-def _acc(d, k, v):
-    nv = d.get(k, 0) + v
-    if coeff_is_zero(nv):
-        d.pop(k, None)
-    else:
-        d[k] = nv
 
 
 class ShapovalovBlock:
@@ -516,7 +485,7 @@ def truncated_quotient_saturation(pf, ft, k, K):
             if c:
                 f = c / basis_vec[lead]
                 for w, cv in basis_vec.items():
-                    _acc(vec, w, -f * cv)
+                    acc(vec, w, -f * cv)
         return vec
 
     def insert(vec):
@@ -531,8 +500,7 @@ def truncated_quotient_saturation(pf, ft, k, K):
     for g in gens:
         if insert(dict(g)):
             frontier.append(dict(g))
-    letters = ([("H", t, i) for t in range(rd.dim_t) for i in range(pf.depth)]
-               + [("E", b, i) for b in range(rd.num_roots) for i in range(pf.depth)])
+    letters = all_letters(rd, pf.depth)
     while frontier:
         new_frontier = []
         for vec in frontier:

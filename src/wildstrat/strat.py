@@ -49,14 +49,19 @@ def weyl_mask(w, mask):
 # -- Levi subsystems ---------------------------------------------------------
 
 
-def span_closure(rd, mask):
-    """Phi_S: the roots inside the Q-span of the subset."""
-    rows = [list(rd.roots[i]) for i in indices(mask)]
+def _span_closure(vectors, mask):
+    """Mask of the vectors lying in the Q-span of the masked ones."""
+    rows = [list(vectors[i]) for i in indices(mask)]
     out = 0
-    for i in range(rd.num_roots):
-        if in_row_span(rows, list(rd.roots[i])):
+    for i, v in enumerate(vectors):
+        if in_row_span(rows, list(v)):
             out |= 1 << i
     return out
+
+
+def span_closure(rd, mask):
+    """Phi_S: the roots inside the Q-span of the subset."""
+    return _span_closure(rd.roots, mask)
 
 
 def is_levi(rd, mask):
@@ -364,12 +369,7 @@ def _out_acts_freely_on_sample(rd, filt, setwise, pointwise, samples=3):
 
 def coroot_span_closure(rd, mask):
     """Coroots inside the Q-span of the masked coroots (dual-side span test)."""
-    rows = [list(rd.coroots[i]) for i in indices(mask)]
-    out = 0
-    for i in range(rd.num_roots):
-        if in_row_span(rows, list(rd.coroots[i])):
-            out |= 1 << i
-    return out
+    return _span_closure(rd.coroots, mask)
 
 
 def is_levi_dual(rd, mask):

@@ -6,6 +6,10 @@ polarisation and a block layout such as (neg, levi, pos) or (neg, pos, levi) -
 and rewrites arbitrary words into the corresponding PBW normal form with
 exact rational coefficients.  Used by the quantisation (V0 reduction) and as
 the independent straightening oracle for the module action.
+
+The letter algebra shared with singmod and quant also lives here: the
+bracket of two letters (letter_bracket), the list of all letters and the
+coefficient accumulator (acc).
 """
 
 from __future__ import annotations
@@ -76,37 +80,12 @@ class UEAContext:
     # -- Lie brackets of letters -------------------------------------------
 
     def bracket(self, a, b):
-        """[a, b] as a list of (coeff, letter)."""
+        """[a, b] as a list of (coeff, letter), cached per context."""
         key = (a, b)
         hit = self._bracket_cache.get(key)
-        if hit is not None:
-            return hit
-        rd = self.rd
-        out = []
-        ka, ia = a[0], a[2]
-        kb, ib = b[0], b[2]
-        deg = ia + ib
-        if deg < self.depth:
-            if ka == "H" and kb == "E":
-                c = rd.roots[b[1]][a[1]]
-                if c != 0:
-                    out.append((c, ("E", b[1], deg)))
-            elif ka == "E" and kb == "H":
-                c = rd.roots[a[1]][b[1]]
-                if c != 0:
-                    out.append((-c, ("E", a[1], deg)))
-            elif ka == "E" and kb == "E":
-                i, j = a[1], b[1]
-                if j == rd.neg[i]:
-                    for t, c in enumerate(rd.coroots[i]):
-                        if c != 0:
-                            out.append((c, ("H", t, deg)))
-                else:
-                    n = rd.nsc.get((i, j))
-                    if n is not None:
-                        out.append((n, ("E", rd.root_sum[(i, j)], deg)))
-        self._bracket_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._bracket_cache[key] = letter_bracket(self.rd, self.depth, a, b)
+        return hit
 
     # -- normal ordering ------------------------------------------------------
 
@@ -126,10 +105,10 @@ class UEAContext:
             result = {}
             swapped = word[:k] + (b, a) + word[k + 2:]
             for w, c in self.normal_form(swapped).items():
-                _acc(result, w, c)
+                acc(result, w, c)
             for coeff, letter in self.bracket(a, b):
                 for w, c in self.normal_form(word[:k] + (letter,) + word[k + 2:]).items():
-                    _acc(result, w, coeff * c)
+                    acc(result, w, coeff * c)
         self._nf_cache[word] = result
         return result
 
@@ -138,7 +117,7 @@ class UEAContext:
         out = {}
         for word, c in element.items():
             for w, c2 in self.normal_form(word).items():
-                _acc(out, w, c * c2)
+                acc(out, w, c * c2)
         return out
 
     def multiply(self, x, y):
@@ -147,7 +126,7 @@ class UEAContext:
         for wx, cx in x.items():
             for wy, cy in y.items():
                 for w, c in self.normal_form(wx + wy).items():
-                    _acc(out, w, cx * cy * c)
+                    acc(out, w, cx * cy * c)
         return out
 
     def split_word(self, word):
@@ -158,12 +137,55 @@ class UEAContext:
         return tuple(blocks["neg"]), tuple(blocks["pos"]), tuple(blocks["levi"])
 
 
-def _acc(d, k, v):
-    nv = d.get(k, 0) + v
-    if nv == 0:
-        d.pop(k, None)
-    else:
+def letter_bracket(rd, depth, a, b):
+    """[a, b] of two g_r letters as a list of (coeff, letter).
+
+    Empty when the epsilon degrees add up to depth or more (e^r = 0).
+    """
+    deg = a[2] + b[2]
+    if deg >= depth:
+        return []
+    out = []
+    ka, kb = a[0], b[0]
+    if ka == "H" and kb == "E":
+        c = rd.roots[b[1]][a[1]]
+        if c != 0:
+            out.append((c, ("E", b[1], deg)))
+    elif ka == "E" and kb == "H":
+        c = rd.roots[a[1]][b[1]]
+        if c != 0:
+            out.append((-c, ("E", a[1], deg)))
+    elif ka == "E" and kb == "E":
+        i, j = a[1], b[1]
+        if j == rd.neg[i]:
+            for t, c in enumerate(rd.coroots[i]):
+                if c != 0:
+                    out.append((c, ("H", t, deg)))
+        else:
+            n = rd.nsc.get((i, j))
+            if n is not None:
+                out.append((n, ("E", rd.root_sum[(i, j)], deg)))
+    return out
+
+
+def all_letters(rd, depth):
+    """Every basis letter of g_r: Cartan letters first, then root letters."""
+    return ([("H", t, i) for t in range(rd.dim_t) for i in range(depth)]
+            + [("E", b, i) for b in range(rd.num_roots) for i in range(depth)])
+
+
+def acc(d, k, v):
+    """d[k] += v, dropping k when the sum vanishes.
+
+    Values are Fractions, ints or CPolys; all three are false exactly when
+    zero, and all are treated as immutable, so v may be stored as is.
+    """
+    old = d.get(k)
+    nv = v if old is None else old + v
+    if nv:
         d[k] = nv
+    else:
+        d.pop(k, None)
 
 
 def shuffle_coproduct(word):
@@ -182,5 +204,5 @@ def antipode(element):
     out = {}
     for word, c in element.items():
         sign = -1 if len(word) % 2 else 1
-        _acc(out, tuple(reversed(word)), sign * c)
+        acc(out, tuple(reversed(word)), sign * c)
     return out

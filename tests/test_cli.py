@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -188,24 +187,26 @@ def test_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_cache_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("WILDSTRAT_CACHE_DIR", str(tmp_path / "cache"))
-    code, out1, _ = run_cli(capsys, "levi", "--type", "gl3")
-    assert code == 0
-    files = list((tmp_path / "cache").glob("*.json"))
-    assert files
-    code, out2, _ = run_cli(capsys, "levi", "--type", "gl3")
-    assert code == 0 and out1 == out2
+@pytest.mark.parametrize("config, argv, field", [
+    (None, ("levi", "--type", "gl2", "--depth", "-1"), "depth"),
+    (None, ("quantize", "--type", "sl2", "--depth", "1", "--order", "-1"), "order"),
+    ([{"tuple": [["1"], ["0"]]}], ("classify", "--type", "sl2"), "config"),
+    (None, ("shapovalov", "--type", "sl2", "--depth", "0"), "depth"),
+    ({"formal_type": [["1"]]}, ("shapovalov", "--type", "sl2", "--depth", "1"), "formal_type"),
+], ids=["negative-depth", "negative-order", "array-config", "no-depth-no-filtration",
+        "array-formal-type"])
+def test_input_errors_exit_2(tmp_path, capsys, config, argv, field):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ("--config", str(cfg))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and field in err and "Traceback" not in err
 
 
-def test_workers_flag_deterministic(tmp_path, capsys):
-    cfg = tmp_path / "w.json"
-    cfg.write_text(json.dumps({
-        "filtration": "borel",
-        "formal_type": {"depth": 2, "lambdas": [["5"], ["7"]]},
-    }))
-    base = ("shapovalov", "--type", "sl2", "--depth", "2", "--height", "3",
-            "--config", str(cfg))
-    code1, out1, _ = run_cli(capsys, *base, "--workers", "1")
-    code2, out2, _ = run_cli(capsys, *base, "--workers", "2")
-    assert code1 == code2 == 0 and out1 == out2
+@pytest.mark.parametrize("flag", ["--workers", "--seed"])
+def test_removed_flags_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["levi", "--type", "sl2", flag, "1"])
+    assert exc.value.code == 2

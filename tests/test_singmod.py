@@ -489,3 +489,39 @@ def test_antipode_is_antihomomorphism(sl2):
             rhs = ctx.multiply(ctx.normal_form_of(uea.antipode(b)),
                                ctx.normal_form_of(uea.antipode(a)))
             assert lhs == rhs
+
+
+def _letter_element(rd, r, letter):
+    kind, idx, i = letter
+    if kind == "H":
+        g = GElement.cartan_vec(rd, tuple(int(k == idx) for k in range(rd.dim_t)))
+    else:
+        g = GElement.root_vec(rd, idx)
+    return TcElement.pure(rd, r, i, g)
+
+
+def test_letter_algebra_oracle(gl3, b2):
+    """letter_bracket agrees with the TcElement bracket on every pair of
+    letters (including the zero brackets at degree >= r), and acc drops keys
+    whose sum vanishes."""
+    r = 2
+    for rd in (gl3, b2):
+        letters = uea.all_letters(rd, r)
+        assert len(letters) == rd.dim_g * r
+        for a in letters:
+            for b in letters:
+                terms = uea.letter_bracket(rd, r, a, b)
+                got = TcElement(rd, r)
+                for c, letter in terms:
+                    got = got + _letter_element(rd, r, letter).scale(c)
+                expected = _letter_element(rd, r, a).bracket(_letter_element(rd, r, b))
+                assert got == expected, (rd.label, a, b)
+                if a[2] + b[2] >= r:
+                    assert terms == []
+    for one in (Fraction(1, 3), CPoly({-1: 2, 1: Fraction(1, 3)})):
+        d = {"k": one, "other": one}
+        uea.acc(d, "k", -one)
+        assert d == {"other": one}
+        uea.acc(d, "new", one)
+        uea.acc(d, "new", -one)
+        assert d == {"other": one}
