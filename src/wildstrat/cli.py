@@ -89,6 +89,10 @@ def _parse_filtration(rd, spec, depth, parabolic=True):
     else:
         if not isinstance(spec, list) or not all(isinstance(x, list) for x in spec):
             raise ValidationError("filtration must be a list of root-index lists")
+        for i in (i for ix in spec for i in ix):
+            if type(i) is not int or not 0 <= i < rd.num_roots:
+                raise ValidationError(f"filtration: root index {i!r} is not an integer "
+                                      f"in 0..{rd.num_roots - 1}")
         masks = [strat.mask_from_indices(ix) for ix in spec]
         if depth and len(masks) != depth:
             raise ValidationError("filtration length does not match the depth")
@@ -114,13 +118,23 @@ def _parse_formal_type(rd, data, depth):
 
 def _parse_element(rd, data):
     try:
-        if "coeffs" in data:
-            return TcElement.from_json(rd, data)
-        tup = data["tuple"]
-        coeffs = [GElement.cartan_vec(rd, tuple(_to_frac(x) for x in row)) for row in tup]
-        return TcElement(rd, len(coeffs), coeffs)
+        field = "coeffs" if "coeffs" in data else "tuple"
+        if field == "coeffs":
+            x = TcElement.from_json(rd, data)
+        else:
+            tup = data["tuple"]
+            coeffs = [GElement.cartan_vec(rd, tuple(_to_frac(x) for x in row)) for row in tup]
+            x = TcElement(rd, len(coeffs), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad element spec: {exc}") from exc
+    for g in x.coeffs:
+        if len(g.cartan) != rd.dim_t:
+            raise ValidationError(f"{field}: a Cartan part has {len(g.cartan)} entries, "
+                                  f"{rd.label} needs {rd.dim_t}")
+        for i in g.root:
+            if not 0 <= i < rd.num_roots:
+                raise ValidationError(f"{field}: root index {i} is not in 0..{rd.num_roots - 1}")
+    return x
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -128,53 +142,44 @@ def _parse_element(rd, data):
 
 def cmd_levi(args):
     rd = _root_datum(args)
-
-    def compute():
-        poset = strat.LeviPoset(rd)
-        payload = {
-            "type": rd.label,
-            "nodes": len(poset.elements),
-            "ranks": sorted(poset.rank.values()),
-            "covers": len(poset.covers()),
-        }
-        if args.depth:
-            filts = strat.enumerate_filtrations(rd, args.depth)
-            payload["depth"] = args.depth
-            payload["filtration_count"] = len(filts)
-            payload["cardinality_bound"] = strat.cardinality_bound(rd, args.depth)
-            strata, _ = strat.weyl_orbits_and_quotient(rd, args.depth)
-            payload["strata"] = [{
-                "filtration": [sorted(strat.indices(m)) for m in s.orbit[0].masks],
-                "dimension": s.orbit[0].dimension(),
-                "orbit_size": len(s.orbit),
-                "stabilizer_order": s.setwise_order,
-                "out_order": s.out_order,
-            } for s in strata]
-        return payload
-
-    payload = compute()
+    poset = strat.LeviPoset(rd)
+    payload = {
+        "type": rd.label,
+        "nodes": len(poset.elements),
+        "ranks": sorted(poset.rank.values()),
+        "covers": len(poset.covers()),
+    }
+    if args.depth:
+        filts = strat.enumerate_filtrations(rd, args.depth)
+        payload["depth"] = args.depth
+        payload["filtration_count"] = len(filts)
+        payload["cardinality_bound"] = strat.cardinality_bound(rd, args.depth)
+        strata, _ = strat.weyl_orbits_and_quotient(rd, args.depth)
+        payload["strata"] = [{
+            "filtration": [sorted(strat.indices(m)) for m in s.orbit[0].masks],
+            "dimension": s.orbit[0].dimension(),
+            "orbit_size": len(s.orbit),
+            "stabilizer_order": s.setwise_order,
+            "out_order": s.out_order,
+        } for s in strata]
     _emit(args, payload, suffix=".json" if args.out else None)
     if args.dot or args.out:
-        _emit_text(args, strat.LeviPoset(rd).hasse_dot(), ".dot")
+        _emit_text(args, poset.hasse_dot(), ".dot")
     return 0
 
 
 def cmd_parabolic(args):
     rd = _root_datum(args)
-
-    def compute():
-        ps = parab.enumerate_parabolic(rd)
-        payload = {
-            "type": rd.label,
-            "parabolic_subsets": len(ps),
-            "weyl_classes": len(parab.weyl_classes(rd, ps)),
-        }
-        if args.depth:
-            payload["depth"] = args.depth
-            payload["filtration_count"] = len(parab.enumerate_parabolic_filtrations(rd, args.depth))
-        return payload
-
-    _emit(args, compute())
+    ps = parab.enumerate_parabolic(rd)
+    payload = {
+        "type": rd.label,
+        "parabolic_subsets": len(ps),
+        "weyl_classes": len(parab.weyl_classes(rd, ps)),
+    }
+    if args.depth:
+        payload["depth"] = args.depth
+        payload["filtration_count"] = len(parab.enumerate_parabolic_filtrations(rd, args.depth))
+    _emit(args, payload)
     return 0
 
 

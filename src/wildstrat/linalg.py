@@ -55,8 +55,13 @@ def mat_mul(a, b):
     return out
 
 
+def dot(u, v):
+    """sum of u_i v_i over the entries where both are nonzero."""
+    return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), Zero)
+
+
 def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c != 0 and x != 0), Zero) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def transpose(m):

@@ -149,18 +149,8 @@ class ParabolicFiltration:
 def enumerate_parabolic_filtrations(rd, r, parabolics=None):
     if parabolics is None:
         parabolics = enumerate_parabolic(rd)
-    out = []
-
-    def extend(chain):
-        if len(chain) == r:
-            out.append(ParabolicFiltration(rd, chain))
-            return
-        for m in parabolics:
-            if not chain or (chain[-1] | m) == m:
-                extend(chain + [m])
-
-    extend([])
-    return out
+    return [ParabolicFiltration(rd, chain)
+            for chain in strat.nondecreasing_chains(parabolics, r)]
 
 
 # -- relative heights and decompositions ---------------------------------------

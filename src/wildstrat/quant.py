@@ -13,10 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import CPoly, One, inverse
+from .rootdata import all_letters
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible)
 from .singmod import SingularityModule, factorize_block
-from .uea import UEAContext, acc, all_letters, shuffle_coproduct
+from .uea import UEAContext, acc, shuffle_coproduct
 
 
 class UnbalancedFiltration(ValueError):

@@ -9,6 +9,9 @@ and the classical series B/C/D via the standard antidiagonal bilinear
 forms), so every structure constant comes out of an honest matrix
 commutator.  The Chevalley axioms and the Jacobi identity are verified at
 construction time and a violation raises immediately.
+
+The bracket of g_r = g (x) C[e]/e^r basis letters (letter_bracket) reads these
+tables; at depth 1 it is the bracket of g that the Jacobi check uses.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import (One, Zero, frac, frac_str, identity, mat_mul,
+from .linalg import (One, Zero, dot, frac, frac_str, identity, mat_mul,
                      nullspace, rank, solve, transpose)
 
 
@@ -44,6 +47,10 @@ def _mscale(a, c):
 
 def _commutator(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
+
+
+def _flat(m):
+    return [x for row in m for x in row]
 
 
 class WeylElement:
@@ -100,55 +107,42 @@ class RootDatum:
 
     # -- construction ------------------------------------------------------
 
-    def _coords(self, mat):
-        """Express a matrix in the (t, roots) basis; raises if not in the algebra."""
-        cols = [[x for row in m for x in row] for m in self._t_mats + self._root_mats]
-        target = [x for row in mat for x in row]
-        sol = solve(transpose(cols), target)
-        if sol is None:
-            raise RootDatumError("matrix not inside the realized Lie algebra")
-        return sol
-
     def _build_tables(self):
-        # coroots: [E_a, E_{-a}] expressed on the t basis
+        mats = self._root_mats
+        flat = [_flat(m) for m in mats]
+        # coroots: [E_a, E_{-a}] solved on the Cartan matrices alone
+        cartan = transpose([_flat(m) for m in self._t_mats])
         self.coroots = []
-        nsc = {}
         for i in range(self.num_roots):
-            h = _commutator(self._root_mats[i], self._root_mats[self.neg[i]])
-            coords = self._coords(h)
-            if any(x != 0 for x in coords[self.dim_t:]):
+            co = solve(cartan, _flat(_commutator(mats[i], mats[self.neg[i]])))
+            if co is None:
                 raise RootDatumError("[E_a, E_{-a}] not in the Cartan subalgebra")
-            self.coroots.append(tuple(coords[:self.dim_t]))
-        for i in range(self.num_roots):
-            for j in range(self.num_roots):
-                if j == self.neg[i]:
-                    continue
-                s = tuple(a + b for a, b in zip(self.roots[i], self.roots[j]))
-                k = self.root_index.get(s)
-                br = _commutator(self._root_mats[i], self._root_mats[j])
-                coords = self._coords(br)
-                if k is None:
-                    if any(x != 0 for x in coords):
-                        raise RootDatumError("bracket escapes the root decomposition")
-                    continue
-                c = coords[self.dim_t + k]
-                check = list(coords)
-                check[self.dim_t + k] = Zero
-                if any(x != 0 for x in check):
-                    raise RootDatumError("bracket not a multiple of a single root vector")
-                if c != 0:
-                    nsc[(i, j)] = c
-        self.nsc = nsc
+            self.coroots.append(tuple(co))
+        # N(a,b) is read off one nonzero entry of E_{a+b}, then checked on every entry
+        nsc = {}
         self.root_sum = {}
         for i in range(self.num_roots):
             for j in range(self.num_roots):
                 s = tuple(a + b for a, b in zip(self.roots[i], self.roots[j]))
-                self.root_sum[(i, j)] = self.root_index.get(s)
+                k = self.root_sum[(i, j)] = self.root_index.get(s)
+                if j == self.neg[i]:
+                    continue
+                br = _flat(_commutator(mats[i], mats[j]))
+                if k is None:
+                    if any(br):
+                        raise RootDatumError("bracket escapes the root decomposition")
+                    continue
+                p = next((t for t, x in enumerate(flat[k]) if x), None)
+                c = None if p is None else br[p] / flat[k][p]
+                if c is None or any(x != c * y for x, y in zip(br, flat[k])):
+                    raise RootDatumError("bracket not a multiple of a single root vector")
+                if c != 0:
+                    nsc[(i, j)] = c
+        self.nsc = nsc
 
     def pair(self, root_idx, cartan_vec):
         """<alpha | H> for a Cartan coordinate vector."""
-        r = self.roots[root_idx]
-        return sum((a * h for a, h in zip(r, cartan_vec) if a != 0 and h != 0), Zero)
+        return dot(self.roots[root_idx], cartan_vec)
 
     def cartan_integer(self, i, j):
         """<alpha_i | coroot_j>."""
@@ -302,55 +296,19 @@ class RootDatum:
                 if self.nsc.get((self.neg[i], self.neg[j])) != -c:
                     raise RootDatumError("N(-a,-b) != -N(a,b)")
 
-    def _basis_bracket(self, a, b):
-        """Bracket of basis elements, as {basis index: coeff}.
-
-        Basis indices: 0..dim_t-1 are the Cartan basis, dim_t+k is root k.
-        """
-        out = {}
-        ta, tb = a < self.dim_t, b < self.dim_t
-        if ta and tb:
-            return out
-        if ta and not tb:
-            j = b - self.dim_t
-            c = self.roots[j][a]
-            if c != 0:
-                out[b] = c
-            return out
-        if tb and not ta:
-            i = a - self.dim_t
-            c = self.roots[i][b]
-            if c != 0:
-                out[a] = -c
-            return out
-        i, j = a - self.dim_t, b - self.dim_t
-        if j == self.neg[i]:
-            for t, c in enumerate(self.coroots[i]):
-                if c != 0:
-                    out[t] = c
-            return out
-        k = self.root_sum[(i, j)]
-        if k is not None and (i, j) in self.nsc:
-            out[self.dim_t + k] = self.nsc[(i, j)]
-        return out
-
     def _verify_jacobi(self):
+        # the depth-1 letters are the (t, roots) basis, in that order
+        basis = all_letters(self, 1)
         dim = self.dim_g
         for a in range(dim):
             for b in range(a + 1, dim):
-                ab = self._basis_bracket(a, b)
                 for c in range(b + 1, dim):
                     # [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
                     acc = {}
-                    for x, co in ab.items():
-                        for y, co2 in self._basis_bracket(x, c).items():
-                            acc[y] = acc.get(y, Zero) + co * co2
-                    for x, co in self._basis_bracket(b, c).items():
-                        for y, co2 in self._basis_bracket(x, a).items():
-                            acc[y] = acc.get(y, Zero) + co * co2
-                    for x, co in self._basis_bracket(c, a).items():
-                        for y, co2 in self._basis_bracket(x, b).items():
-                            acc[y] = acc.get(y, Zero) + co * co2
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        for co, w in letter_bracket(self, 1, basis[x], basis[y]):
+                            for co2, v in letter_bracket(self, 1, w, basis[z]):
+                                acc[v] = acc.get(v, Zero) + co * co2
                     if any(v != 0 for v in acc.values()):
                         raise RootDatumError(f"Jacobi identity fails on basis triple {(a, b, c)}")
 
@@ -381,6 +339,43 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.label}, {self.num_roots} roots, rank t = {self.dim_t})"
+
+
+def letter_bracket(rd, depth, a, b):
+    """[a, b] of two g_r letters as a list of (coeff, letter).
+
+    Empty when the epsilon degrees add up to depth or more (e^r = 0).
+    """
+    deg = a[2] + b[2]
+    if deg >= depth:
+        return []
+    out = []
+    ka, kb = a[0], b[0]
+    if ka == "H" and kb == "E":
+        c = rd.roots[b[1]][a[1]]
+        if c != 0:
+            out.append((c, ("E", b[1], deg)))
+    elif ka == "E" and kb == "H":
+        c = rd.roots[a[1]][b[1]]
+        if c != 0:
+            out.append((-c, ("E", a[1], deg)))
+    elif ka == "E" and kb == "E":
+        i, j = a[1], b[1]
+        if j == rd.neg[i]:
+            for t, c in enumerate(rd.coroots[i]):
+                if c != 0:
+                    out.append((c, ("H", t, deg)))
+        else:
+            n = rd.nsc.get((i, j))
+            if n is not None:
+                out.append((n, ("E", rd.root_sum[(i, j)], deg)))
+    return out
+
+
+def all_letters(rd, depth):
+    """Every basis letter of g_r: Cartan letters first, then root letters."""
+    return ([("H", t, i) for t in range(rd.dim_t) for i in range(depth)]
+            + [("E", b, i) for b in range(rd.num_roots) for i in range(depth)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ criterion and the simplicity probe all live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .linalg import CPoly, One, Zero, inverse, nullspace, rank
+from .rootdata import all_letters, letter_bracket
 from .strat import indices
 from . import parab
 from .parab import (FormalType, ParabolicFiltration, require_admissible,
                     triangular_split)
-from .uea import acc, all_letters, letter_bracket
+from .uea import acc
 
 
 class SingularityModule:
@@ -216,11 +218,10 @@ class SingularityModule:
 
     def _spread_exponents(self, f):
         """All ways to give epsilon degrees to a root multiset."""
-        out = {()}
         results = [[]]
         for mult, a in zip(f, self.nu0):
             d = self.levels[a]
-            choices = _multisets(mult, d)
+            choices = list(combinations_with_replacement(range(d), mult))
             new = []
             for base in results:
                 for ch in choices:
@@ -320,23 +321,6 @@ class SingularityModule:
         sign = -1 if len(y_gens) % 2 else 1
         val = vecs.get((), self._zero())
         return val if sign == 1 else -val
-
-
-def _multisets(k, d):
-    """Nondecreasing sequences of length k with entries in {0..d-1}."""
-    if k == 0:
-        return [()]
-    out = []
-
-    def rec(start, acc):
-        if len(acc) == k:
-            out.append(tuple(acc))
-            return
-        for v in range(start, d):
-            rec(v, acc + [v])
-
-    rec(0, [])
-    return out
 
 
 class ShapovalovBlock:

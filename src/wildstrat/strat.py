@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Zero, in_row_span, nullspace, rank
+from .linalg import Zero, dot, in_row_span, nullspace, rank
 
 
 # -- bitmask helpers ---------------------------------------------------------
@@ -104,9 +104,14 @@ def levi_witness(rd, mask):
             raise ValueError("no witness point: subset is not Levi")
 
 
+def _vanishing_mask(vectors, x):
+    """Mask of the vectors v with <v|x> = 0."""
+    return mask_from_indices(i for i, v in enumerate(vectors) if dot(v, x) == 0)
+
+
 def levi_of_point(rd, x):
     """phi_X = {a in Phi : <a|X> = 0}; always a Levi subsystem."""
-    return mask_from_indices(i for i in range(rd.num_roots) if rd.pair(i, x) == 0)
+    return _vanishing_mask(rd.roots, x)
 
 
 def enumerate_levi(rd):
@@ -226,15 +231,7 @@ def stratum_of_tuple(rd, xs):
     j >= i.  Orbit-side data enters through the duality swap X_i = A_{r-i};
     see the classification helpers for that convention.
     """
-    s = len(xs)
-    pointwise = [levi_of_point(rd, x) for x in xs]
-    masks = []
-    for i in range(s):
-        m = full_mask(rd)
-        for j in range(i, s):
-            m &= pointwise[j]
-        masks.append(m)
-    filt = LeviFiltration(rd, masks)
+    filt = LeviFiltration(rd, _suffix_vanishing_masks(rd, rd.roots, xs))
     if not stratum_contains(filt, xs):
         raise AssertionError("membership re-verification failed")
     return filt
@@ -242,15 +239,29 @@ def stratum_of_tuple(rd, xs):
 
 def stratum_contains(filt, xs):
     """Exact membership in the product stratum (kernel and avoided hyperplanes)."""
-    rd = filt.rd
+    return _in_stratum(filt.rd.roots, filt, xs)
+
+
+def _suffix_vanishing_masks(rd, vectors, xs):
+    """phi_i = {v : <v|x_j> = 0 for all j >= i}, one mask per x_i."""
+    masks = []
+    m = full_mask(rd)
+    for x in reversed(xs):
+        m &= _vanishing_mask(vectors, x)
+        masks.append(m)
+    return masks[::-1]
+
+
+def _in_stratum(vectors, filt, xs):
+    """On each x_i the vectors of phi_i vanish and those of phi_{i+1} - phi_i do not."""
     if len(xs) != filt.depth:
         return False
     for i, x in enumerate(xs):
         for a in indices(filt.mask(i)):
-            if rd.pair(a, x) != 0:
+            if dot(vectors[a], x) != 0:
                 return False
         for a in indices(filt.mask(i + 1) & ~filt.mask(i)):
-            if rd.pair(a, x) == 0:
+            if dot(vectors[a], x) == 0:
                 return False
     return True
 
@@ -265,13 +276,18 @@ def enumerate_filtrations(rd, s, levis=None):
     """All depth-bounded Levi filtrations phi_0 <= ... <= phi_{s-1} (phi_s = Phi)."""
     if levis is None:
         levis = enumerate_levi(rd)
+    return [LeviFiltration(rd, chain) for chain in nondecreasing_chains(levis, s)]
+
+
+def nondecreasing_chains(masks, s):
+    """All chains m_0 <= ... <= m_{s-1} (as subsets) drawn from masks, in list order."""
     out = []
 
     def extend(chain):
         if len(chain) == s:
-            out.append(LeviFiltration(rd, chain))
+            out.append(chain)
             return
-        for m in levis:
+        for m in masks:
             if not chain or (chain[-1] | m) == m:
                 extend(chain + [m])
 
@@ -378,23 +394,13 @@ def is_levi_dual(rd, mask):
 
 def covector_pair(rd, lam, coroot_idx):
     """<lambda | a^v> for a covector on the t basis."""
-    co = rd.coroots[coroot_idx]
-    return sum((l * c for l, c in zip(lam, co) if l != 0 and c != 0), Zero)
+    return dot(lam, rd.coroots[coroot_idx])
 
 
 def dual_stratum_of_covector(rd, lams):
     """phi^v_i = {a^v : <lambda_j | a^v> = 0 for all j >= i}, as a filtration."""
-    r = len(lams)
-    pointwise = [mask_from_indices(i for i in range(rd.num_roots)
-                                   if covector_pair(rd, lam, i) == 0) for lam in lams]
-    masks = []
-    for i in range(r):
-        m = full_mask(rd)
-        for j in range(i, r):
-            m &= pointwise[j]
-        masks.append(m)
-    filt = LeviFiltration(rd, masks)
-    for m in masks:
+    filt = LeviFiltration(rd, _suffix_vanishing_masks(rd, rd.coroots, lams))
+    for m in filt.masks:
         if not is_levi_dual(rd, m):
             raise AssertionError("dual stratum mask is not a dual Levi subsystem")
     return filt
@@ -402,16 +408,7 @@ def dual_stratum_of_covector(rd, lams):
 
 def dual_stratum_contains(rd, filt, lams):
     """Membership of a covector tuple in the dual stratum of the filtration."""
-    if len(lams) != filt.depth:
-        return False
-    for i, lam in enumerate(lams):
-        for a in indices(filt.mask(i)):
-            if covector_pair(rd, lam, a) != 0:
-                return False
-        for a in indices(filt.mask(i + 1) & ~filt.mask(i)):
-            if covector_pair(rd, lam, a) == 0:
-                return False
-    return True
+    return _in_stratum(rd.coroots, filt, lams)
 
 
 # -- stratification axioms -----------------------------------------------------

@@ -7,15 +7,17 @@ and rewrites arbitrary words into the corresponding PBW normal form with
 exact rational coefficients.  Used by the quantisation (V0 reduction) and as
 the independent straightening oracle for the module action.
 
-The letter algebra shared with singmod and quant also lives here: the
-bracket of two letters (letter_bracket), the list of all letters and the
-coefficient accumulator (acc).
+The coefficient accumulator (acc) shared with singmod and quant also lives
+here; the bracket of two letters (letter_bracket) and the list of all letters
+(all_letters) live in rootdata, next to the tables they read, and are
+imported from there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .rootdata import all_letters, letter_bracket
 from .strat import indices
 from .parab import ParabolicFiltration, triangular_split
 
@@ -135,43 +137,6 @@ class UEAContext:
         for letter in word:
             blocks[self.block[letter]].append(letter)
         return tuple(blocks["neg"]), tuple(blocks["pos"]), tuple(blocks["levi"])
-
-
-def letter_bracket(rd, depth, a, b):
-    """[a, b] of two g_r letters as a list of (coeff, letter).
-
-    Empty when the epsilon degrees add up to depth or more (e^r = 0).
-    """
-    deg = a[2] + b[2]
-    if deg >= depth:
-        return []
-    out = []
-    ka, kb = a[0], b[0]
-    if ka == "H" and kb == "E":
-        c = rd.roots[b[1]][a[1]]
-        if c != 0:
-            out.append((c, ("E", b[1], deg)))
-    elif ka == "E" and kb == "H":
-        c = rd.roots[a[1]][b[1]]
-        if c != 0:
-            out.append((-c, ("E", a[1], deg)))
-    elif ka == "E" and kb == "E":
-        i, j = a[1], b[1]
-        if j == rd.neg[i]:
-            for t, c in enumerate(rd.coroots[i]):
-                if c != 0:
-                    out.append((c, ("H", t, deg)))
-        else:
-            n = rd.nsc.get((i, j))
-            if n is not None:
-                out.append((n, ("E", rd.root_sum[(i, j)], deg)))
-    return out
-
-
-def all_letters(rd, depth):
-    """Every basis letter of g_r: Cartan letters first, then root letters."""
-    return ([("H", t, i) for t in range(rd.dim_t) for i in range(depth)]
-            + [("E", b, i) for b in range(rd.num_roots) for i in range(depth)])
 
 
 def acc(d, k, v):

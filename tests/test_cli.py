@@ -193,8 +193,20 @@ def test_deterministic_output(tmp_path, capsys):
     ([{"tuple": [["1"], ["0"]]}], ("classify", "--type", "sl2"), "config"),
     (None, ("shapovalov", "--type", "sl2", "--depth", "0"), "depth"),
     ({"formal_type": [["1"]]}, ("shapovalov", "--type", "sl2", "--depth", "1"), "formal_type"),
+    ({"depth": 1, "filtration": [[7]], "formal_type": {"lambdas": [["1"]]}},
+     ("shapovalov", "--type", "sl2"), "filtration"),
+    ({"depth": 1, "filtration": [[-1]], "formal_type": {"lambdas": [["1"]]}},
+     ("quantize", "--type", "sl2"), "filtration"),
+    ({"depth": 1, "filtration": [["a"]], "formal_type": {"lambdas": [["1"]]}},
+     ("shapovalov", "--type", "sl2"), "filtration"),
+    ({"tuple": [["1", "2", "3"]]}, ("classify", "--type", "sl2"), "tuple"),
+    ({"depth": 1, "coeffs": [{"cartan": ["1", "2", "3"]}]}, ("classify", "--type", "sl2"),
+     "coeffs"),
+    ({"depth": 1, "coeffs": [{"cartan": ["1"], "roots": {"9": "1"}}]},
+     ("classify", "--type", "sl2"), "coeffs"),
 ], ids=["negative-depth", "negative-order", "array-config", "no-depth-no-filtration",
-        "array-formal-type"])
+        "array-formal-type", "filtration-index-range", "filtration-index-negative",
+        "filtration-index-type", "tuple-width", "coeffs-width", "coeffs-root-range"])
 def test_input_errors_exit_2(tmp_path, capsys, config, argv, field):
     if config is not None:
         cfg = tmp_path / "cfg.json"

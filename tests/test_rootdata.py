@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wildstrat.linalg import mat_mul
-from wildstrat.rootdata import RootDatumError, parse_type, root_datum
+from wildstrat.rootdata import RootDatum, RootDatumError, parse_type, root_datum
 from conftest import gl_root_index
 
 
@@ -48,7 +48,7 @@ def test_gl3_bracket_matches_matrix_commutator(gl3):
 
 def test_structure_constants_vs_defining_rep(gl3, b2):
     """Every table entry reproduces the honest matrix commutator."""
-    for rd in (gl3, b2):
+    for rd in (gl3, b2, root_datum("C", 3), root_datum("D", 4)):
         for (i, j), n in rd.nsc.items():
             k = rd.root_sum[(i, j)]
             lhs = _commutator(rd.defining_matrix(rd.dim_t + i), rd.defining_matrix(rd.dim_t + j))
@@ -121,3 +121,58 @@ def test_parse_type():
         parse_type("E8x")
     with pytest.raises(RootDatumError):
         root_datum("Z", 2)
+
+
+def _unit(i, j):
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    m[i][j] = Fraction(1)
+    return m
+
+
+def _plus(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+_IDENTITY = _plus(_plus(_unit(0, 0), _unit(1, 1)), _unit(2, 2))
+
+
+def _gl3_realisation(tamper=None):
+    """The gl3 realisation as RootDatum arguments, some roots replaced.
+
+    tamper maps "ij" (the root e_i - e_j with matrix E_ij) to a pair
+    (covector, matrix); None in the pair keeps the gl3 value.
+    """
+    roots = []
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                cov = tuple(1 if k == i else (-1 if k == j else 0) for k in range(3))
+                new_cov, new_mat = (tamper or {}).get(f"{i}{j}", (None, None))
+                roots.append((new_cov or cov, new_mat or _unit(i, j)))
+    return {"t_mats": [_unit(i, i) for i in range(3)], "root_list": roots}
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # [E_12, E_21 + E_11] = E_11 - E_22 - E_12 leaves the Cartan subalgebra
+    ({"10": (None, _plus(_unit(1, 0), _unit(0, 0)))}, "not in the Cartan subalgebra"),
+    # relabelling +-(e1 - e3) as +-2(e1 - e3): [E_12, E_23] = E_13 but e1 - e3 is no root
+    ({"02": ((2, 0, -2), None), "20": ((-2, 0, 2), None)},
+     "bracket escapes the root decomposition"),
+    # E_13 + 1 still has a Cartan coroot, but [E_12, E_23] = E_13 is no multiple of it
+    ({"02": (None, _plus(_unit(0, 2), _IDENTITY))},
+     "bracket not a multiple of a single root vector"),
+], ids=["coroot", "escapes", "not-a-multiple"])
+def test_tampered_realisation_rejected(tamper, message):
+    with pytest.raises(RootDatumError, match=message):
+        RootDatum("gl", 3, **_gl3_realisation(tamper))
+
+
+def test_tampered_structure_constants_fail_jacobi():
+    """Flipping N(a,b) and N(-a,-b) keeps every Chevalley check but breaks Jacobi."""
+    rd = RootDatum("gl", 3, **_gl3_realisation())
+    i12, i23 = gl_root_index(rd, 0, 1), gl_root_index(rd, 1, 2)
+    for i, j in ((i12, i23), (rd.neg[i12], rd.neg[i23])):
+        rd.nsc[(i, j)] = -rd.nsc[(i, j)]
+    rd._verify_chevalley()
+    with pytest.raises(RootDatumError, match="Jacobi"):
+        rd.verify()
