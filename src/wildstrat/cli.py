@@ -117,8 +117,8 @@ def _parse_formal_type(rd, data, depth):
 
 
 def _parse_element(rd, data):
+    field = "coeffs" if isinstance(data, dict) and "coeffs" in data else "tuple"
     try:
-        field = "coeffs" if "coeffs" in data else "tuple"
         if field == "coeffs":
             x = TcElement.from_json(rd, data)
         else:
@@ -126,11 +126,8 @@ def _parse_element(rd, data):
             coeffs = [GElement.cartan_vec(rd, tuple(_to_frac(x) for x in row)) for row in tup]
             x = TcElement(rd, len(coeffs), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad element spec: {exc}") from exc
+        raise ValidationError(f"{field}: bad element spec: {exc}") from exc
     for g in x.coeffs:
-        if len(g.cartan) != rd.dim_t:
-            raise ValidationError(f"{field}: a Cartan part has {len(g.cartan)} entries, "
-                                  f"{rd.label} needs {rd.dim_t}")
         for i in g.root:
             if not 0 <= i < rd.num_roots:
                 raise ValidationError(f"{field}: root index {i} is not in 0..{rd.num_roots - 1}")

@@ -21,7 +21,9 @@ class GElement:
 
     def __init__(self, rd, cartan=None, root=None):
         self.rd = rd
-        self.cartan = tuple(frac(x) for x in (cartan or (0,) * rd.dim_t))
+        self.cartan = tuple(frac(x) for x in cartan) if cartan is not None else (Zero,) * rd.dim_t
+        if len(self.cartan) != rd.dim_t:
+            raise ValueError(f"Cartan part has width {len(self.cartan)}, expected {rd.dim_t}")
         self.root = {i: frac(c) for i, c in (root or {}).items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -176,6 +178,19 @@ class GElement:
         n = rd.dim_g
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
+    def defining_matrix(self):
+        """Matrix of x in the defining representation: sum of c_i rd.defining_matrix(i)."""
+        rd = self.rd
+        n = len(rd.defining_matrix(0))
+        out = [[Zero] * n for _ in range(n)]
+        for idx, c in enumerate(self.coords()):
+            if c != 0:
+                for orow, mrow in zip(out, rd.defining_matrix(idx)):
+                    for j, v in enumerate(mrow):
+                        if v != 0:
+                            orow[j] += c * v
+        return out
+
     def __repr__(self):
         rd = self.rd
         parts = []
@@ -189,8 +204,17 @@ class GElement:
 
 
 def is_semisimple(x: GElement) -> bool:
-    """True iff the minimal polynomial of ad_x is squarefree over Q."""
-    return is_squarefree(minimal_polynomial(x.ad_matrix()))
+    """True iff ad_x is semisimple, tested on the n x n defining matrix of x.
+
+    The test is that the minimal polynomial of x.defining_matrix() is
+    squarefree over Q.  It agrees with the same test on the dim g x dim g
+    matrix of ad_x under an assumption that every root datum of ``rootdata``
+    meets: g is realised faithfully by matrices, and is semisimple or gl_n.
+    Jordan decomposition commutes with a faithful representation of a
+    semisimple algebra, and on gl_n the centre acts by scalars, so ad_x is
+    semisimple iff the matrix of x is.
+    """
+    return is_squarefree(minimal_polynomial(x.defining_matrix()))
 
 
 class NotSemisimpleError(ValueError):

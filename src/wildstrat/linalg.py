@@ -218,21 +218,32 @@ def poly_gcd(p, q):
 
 
 def minimal_polynomial(m):
-    """Minimal polynomial of a square matrix, monic, as a coefficient list."""
+    """Minimal polynomial of a square matrix, monic, as a coefficient list.
+
+    One pass over the powers I, m, m^2, ...: each flattened power is reduced
+    against an echelon basis of the earlier ones, and every basis row keeps
+    the combination of powers it stands for.  The first power that reduces to
+    zero gives the polynomial as that combination.
+    """
     n = len(m)
     power = identity(n)
-    flats = []
+    basis = []  # (pivot, row with 1 at the pivot, coefficients over the powers)
+    k = 0
     while True:
-        flat = [x for row in power for x in row]
-        flats.append(flat)
-        red, piv = rref(flats)
-        if len(piv) < len(flats):
-            # last power is a combination of the previous ones: solve for it
-            prev = transpose(flats[:-1])
-            coeffs = solve(prev, flat)
-            poly = [-c for c in coeffs] + [One]
-            return poly_trim(poly)
+        row = [x for r in power for x in r]
+        comb = [Zero] * k + [One]
+        for p, brow, bcomb in basis:
+            f = row[p]
+            if f != 0:
+                row = [a - f * b for a, b in zip(row, brow)]
+                comb = [a - f * b for a, b in zip(comb, bcomb)] + comb[len(bcomb):]
+        p = next((i for i, x in enumerate(row) if x != 0), None)
+        if p is None:
+            return comb
+        inv = One / row[p]
+        basis.append((p, [x * inv for x in row], [x * inv for x in comb]))
         power = mat_mul(power, m)
+        k += 1
 
 
 def is_squarefree(p):

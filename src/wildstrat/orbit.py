@@ -13,7 +13,7 @@ from fractions import Fraction
 from .linalg import One, Zero, nullspace, solve
 from .elements import (GElement, TcElement, exp_ad, is_semisimple,
                        semisimple_split)
-from .strat import LeviFiltration, full_mask, indices, levi_of_point
+from .strat import LeviFiltration, _suffix_vanishing_masks, indices
 
 
 class BirkhoffNormalForm:
@@ -41,21 +41,6 @@ class BirkhoffNormalForm:
         return exp_ad(self.gauge_log, self.input) == self.normal
 
 
-def _subalgebra_basis(rd, constraints):
-    """Basis of the common centraliser of the given GElements, as GElements."""
-    if not constraints:
-        return [GElement.from_coords(rd, v) for v in _std_basis(rd)]
-    rows = []
-    for x in constraints:
-        rows.extend(x.ad_matrix())
-    return [GElement.from_coords(rd, v) for v in nullspace(rows, cols=rd.dim_g)]
-
-
-def _std_basis(rd):
-    n = rd.dim_g
-    return [[One if i == j else Zero for j in range(n)] for i in range(n)]
-
-
 def _restrict_ad(rd, x: GElement, sub_basis):
     """Matrix of ad_x on span(sub_basis), in sub_basis coordinates."""
     cols = [b.coords() for b in sub_basis]
@@ -77,7 +62,7 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
     cur = x
     factors = []  # gauge elements Y e^j, applied left to right
     s = 0
-    sub_basis = [GElement.from_coords(rd, v) for v in _std_basis(rd)]
+    sub_basis = list(GElement.basis(rd))
     while s < r:
         xs = cur.coeffs[s]
         if not is_semisimple(xs):
@@ -267,12 +252,7 @@ def marking_filtration(x: TcElement, s=None) -> LeviFiltration:
     rd = x.rd
     if s is None:
         s = marking_index(x)
-    masks = []
-    for i in range(s):
-        m = full_mask(rd)
-        for j in range(s - i):
-            m &= levi_of_point(rd, x.coeffs[j].cartan)
-        masks.append(m)
+    masks = _suffix_vanishing_masks(rd, rd.roots, [g.cartan for g in reversed(x.coeffs[:s])])
     return LeviFiltration(rd, masks)
 
 
@@ -333,14 +313,12 @@ def _structural_basis(x):
         rows.extend(g.ad_matrix())
     for v in nullspace(rows, cols=rd.dim_g):
         out.append(TcElement.pure(rd, r, 0, GElement.from_coords(rd, v)))
+    masks = _suffix_vanishing_masks(rd, rd.roots, [g.cartan for g in reversed(x.coeffs[:r - 1])])
     for k in range(1, r):
-        m = full_mask(rd)
-        for j in range(r - k):
-            m &= levi_of_point(rd, x.coeffs[j].cartan)
         for t in range(rd.dim_t):
             out.append(TcElement.pure(rd, r, k, GElement.cartan_vec(
                 rd, tuple(One if a == t else Zero for a in range(rd.dim_t)))))
-        for b in indices(m):
+        for b in indices(masks[k - 1]):
             out.append(TcElement.pure(rd, r, k, GElement.root_vec(rd, b)))
     return out
 

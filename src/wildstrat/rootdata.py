@@ -332,7 +332,7 @@ class RootDatum:
         return nullspace([list(r) for r in self.roots], cols=self.dim_t)
 
     def defining_matrix(self, basis_index):
-        """Matrix of a basis element in the defining representation (test oracle)."""
+        """Matrix of a basis element (t basis, then roots) in the defining representation."""
         if basis_index < self.dim_t:
             return self._t_mats[basis_index]
         return self._root_mats[basis_index - self.dim_t]

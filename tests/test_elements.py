@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from wildstrat.elements import (GElement, NotSemisimpleError, TcElement,
                                 antipode_sign, exp_ad, is_semisimple,
                                 pairing_invariance_defect, semisimple_split)
 from wildstrat.linalg import Zero, mat_mul, minimal_polynomial, is_squarefree, nullspace
+from wildstrat.rootdata import root_datum
 from conftest import gl_root_index
 
 
@@ -19,19 +21,6 @@ def rand_gelement(rd, rng, cartan=True, roots=True):
         for i in range(rd.num_roots):
             g = g + GElement.root_vec(rd, i, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
     return g
-
-
-def defining_matrix_of(rd, g):
-    n = len(rd.defining_matrix(0))
-    out = [[Zero] * n for _ in range(n)]
-    for idx, c in enumerate(g.cartan):
-        if c != 0:
-            m = rd.defining_matrix(idx)
-            out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
-    for i, c in g.root.items():
-        m = rd.defining_matrix(rd.dim_t + i)
-        out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
-    return out
 
 
 def test_sl2_defining_relations(sl2, sl2_efh):
@@ -52,10 +41,10 @@ def test_gl3_bracket_oracle(gl3):
     for _ in range(10):
         x, y = rand_gelement(gl3, rng), rand_gelement(gl3, rng)
         z = x.bracket(y)
-        mx, my = defining_matrix_of(gl3, x), defining_matrix_of(gl3, y)
+        mx, my = x.defining_matrix(), y.defining_matrix()
         comm = [[a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(mat_mul(mx, my), mat_mul(my, mx))]
-        assert defining_matrix_of(gl3, z) == comm
+        assert z.defining_matrix() == comm
 
 
 def test_bracket_bilinear_antisymmetric(gl3):
@@ -95,13 +84,13 @@ def test_bracket_gr_polynomial_matrix_oracle(gl3):
         for l in range(r):
             acc = None
             for i in range(l + 1):
-                mx = defining_matrix_of(gl3, x.coeffs[i])
-                my = defining_matrix_of(gl3, y.coeffs[l - i])
+                mx = x.coeffs[i].defining_matrix()
+                my = y.coeffs[l - i].defining_matrix()
                 comm = [[a - b for a, b in zip(ra, rb)]
                         for ra, rb in zip(mat_mul(mx, my), mat_mul(my, mx))]
                 acc = comm if acc is None else [[a + b for a, b in zip(ra, rb)]
                                                 for ra, rb in zip(acc, comm)]
-            assert defining_matrix_of(gl3, z.coeffs[l]) == acc
+            assert z.coeffs[l].defining_matrix() == acc
 
 
 def test_is_semisimple(sl2, sl2_efh):
@@ -117,6 +106,41 @@ def test_is_semisimple(sl2, sl2_efh):
     p = minimal_polynomial(ad)
     assert is_squarefree(p)
     assert is_semisimple(E + F)
+
+
+@pytest.mark.parametrize("lie_type, n", [
+    ("gl", 2), ("gl", 3), ("gl", 4), ("sl", 2), ("sl", 3),
+    ("B", 2), ("C", 2), ("C", 3), ("D", 3)])
+def test_is_semisimple_matches_ad_oracle(lie_type, n):
+    """The defining-matrix test agrees with the squarefree test on ad_x."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(f"semisimple:{rd.label}".encode()))
+
+    def c():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    draws = [(rand_gelement(rd, rng), None) for _ in range(2)]
+    for _ in range(3):
+        a = rng.randrange(rd.num_roots)
+        # h + E_a with <a|h> = 0: [h, E_a] = 0, so E_a is the nilpotent part
+        h = [Zero] * rd.dim_t
+        for v in nullspace([list(rd.roots[a])], cols=rd.dim_t):
+            k = c()
+            h = [x + k * y for x, y in zip(h, v)]
+        draws.append((GElement.cartan_vec(rd, h) + GElement.root_vec(rd, a, c()), False))
+        # E_a + E_{-a} spans a split torus of the sl2 through a
+        draws.append((GElement.root_vec(rd, a, c()) + GElement.root_vec(rd, rd.neg[a], c()), True))
+    for x, known in draws:
+        ss = is_semisimple(x)
+        assert ss == is_squarefree(minimal_polynomial(x.ad_matrix())), x
+        assert known is None or ss == known, x
+
+
+def test_cartan_width_checked(gl3):
+    with pytest.raises(ValueError, match="width 2, expected 3"):
+        GElement(gl3, (1, 2))
+    with pytest.raises(ValueError, match="width 4, expected 3"):
+        GElement.cartan_vec(gl3, (1, 2, 3, 4))
 
 
 def test_semisimple_split(sl2, gl3, sl2_efh):

@@ -1,3 +1,6 @@
+import itertools
+import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildstrat import linalg
+from wildstrat.elements import GElement
 from wildstrat.linalg import CPoly, frac
+from wildstrat.rootdata import root_datum
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=6)
@@ -55,6 +60,78 @@ def test_minimal_polynomial_diagonal():
     assert linalg.minimal_polynomial(n) == [frac(0), frac(0), frac(1)]
     assert linalg.is_squarefree([frac(-2), frac(1)])
     assert not linalg.is_squarefree([frac(0), frac(0), frac(1)])
+
+
+def stacked_minimal_polynomial(m):
+    """Oracle: re-rref the stack of all flattened powers at every step, then
+    solve for the first power that depends on the earlier ones."""
+    power = linalg.identity(len(m))
+    flats = []
+    while True:
+        flat = [x for row in power for x in row]
+        flats.append(flat)
+        if len(linalg.rref(flats)[1]) < len(flats):
+            coeffs = linalg.solve(linalg.transpose(flats[:-1]), flat)
+            return linalg.poly_trim([-c for c in coeffs] + [frac(1)])
+        power = linalg.mat_mul(power, m)
+
+
+def sympy_minimal_polynomial(m):
+    """Oracle: the least-degree monic divisor of sympy's characteristic
+    polynomial that annihilates m."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    mat = sympy.Matrix(m)
+    _, factors = sympy.factor_list(mat.charpoly(t).as_expr(), t)
+    best = None
+    for exps in itertools.product(*(range(1, e + 1) for _, e in factors)):
+        p = sympy.Poly(sympy.prod([f ** k for (f, _), k in zip(factors, exps)]), t)
+        if best is not None and p.degree() >= best.degree():
+            continue
+        value = sympy.zeros(*mat.shape)
+        for coeff in p.all_coeffs():
+            value = value * mat + coeff * sympy.eye(mat.rows)
+        if value.is_zero_matrix:
+            best = p
+    best = best.monic()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(best.all_coeffs())]
+
+
+def minimal_polynomial_cases():
+    """ad_x and defining matrices of seeded elements of sl2, gl3 and B2, plus
+    nilpotent, diagonal and scalar matrices."""
+    cases = []
+    for lie_type, n in (("sl", 2), ("gl", 3), ("B", 2)):
+        rd = root_datum(lie_type, n)
+        rng = random.Random(zlib.crc32(f"minpoly:{rd.label}".encode()))
+        for trial in range(3):
+            x = GElement(rd, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(rd.dim_t)],
+                         {i: Fraction(rng.randint(-2, 2)) for i in range(rd.num_roots)
+                          if trial == 0 or rng.random() < 0.4})
+            cases += [x.ad_matrix(), x.defining_matrix()]
+    f = frac
+    cases += [
+        [[f(0), f(1), f(0)], [f(0), f(0), f(1)], [f(0), f(0), f(0)]],  # one Jordan block
+        [[f(0), f(1), f(0)], [f(0), f(0), f(0)], [f(0), f(0), f(0)]],  # x^2
+        [[f(0)] * 3 for _ in range(3)],                                # zero matrix
+        [[f(2), f(0), f(0)], [f(0), Fraction(-1, 2), f(0)], [f(0), f(0), f(2)]],  # repeated diagonal
+        [[f(3) if i == j else f(0) for j in range(4)] for i in range(4)],  # scalar
+        [[f(1), f(1), f(0)], [f(0), f(1), f(0)], [f(0), f(0), f(5)]],  # Jordan block + eigenvalue
+    ]
+    return cases
+
+
+def test_minimal_polynomial_vs_stacked_oracle():
+    for m in minimal_polynomial_cases():
+        p = linalg.minimal_polynomial(m)
+        assert p == stacked_minimal_polynomial(m), m
+        assert p[-1] == 1
+
+
+def test_minimal_polynomial_vs_sympy():
+    for m in minimal_polynomial_cases():
+        assert linalg.minimal_polynomial(m) == sympy_minimal_polynomial(m), m
 
 
 def test_poly_gcd():

@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from wildstrat.orbit import (birkhoff_normalize, centralizer, classify_marked,
                              classify_unmarked, kks_matrix, marking_filtration,
                              marking_index, strictness_index,
                              structural_centralizer_dim)
-from wildstrat.strat import LeviFiltration, full_mask, mask_from_indices
+from wildstrat.rootdata import root_datum
+from wildstrat.strat import LeviFiltration, full_mask, indices, mask_from_indices
 from conftest import gl_root_index
 
 
@@ -23,6 +25,14 @@ def rand_g(rd, rng, bound=4):
 
 def rand_birkhoff(rd, rng, depth):
     return TcElement(rd, depth, [GElement.zero(rd)] + [rand_g(rd, rng) for _ in range(depth - 1)])
+
+
+def rand_levi(rd, rng, mask):
+    g = GElement.cartan_vec(rd, tuple(
+        Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rd.dim_t)))
+    for i in indices(mask):
+        g = g + GElement.root_vec(rd, i, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return g
 
 
 def test_depth_one_trivial(sl2, sl2_efh):
@@ -93,6 +103,45 @@ def test_strict_index_with_nonsemisimple_tail(sl2, gl3, sl2_efh):
     nf = birkhoff_normalize(x)
     assert nf.strictness == 1
     assert nf.irregular_type() == TcElement.pure(gl3, 1, 0, GElement.cartan_vec(gl3, (1, 1, 0)))
+
+
+@pytest.mark.parametrize("lie_type, r", [("B", 2), ("B", 3), ("C", 2), ("C", 3)])
+def test_birkhoff_recovery_non_gl(lie_type, r):
+    """Criterion-06 recipe on B2 and C2, without the Weyl twist: a normal form
+    of constructed strictness s, gauged by exp(ad Y) with Y in eps*g_r."""
+    rd = root_datum(lie_type, 2)
+    rng = random.Random(zlib.crc32(f"{rd.label}:{r}".encode()))
+    levis = [m for m in strat.enumerate_levi(rd) if m != 0]
+
+    def cartan(basis):
+        coords = [Fraction(0)] * rd.dim_t
+        for b in basis:
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            coords = [a + c * v for a, v in zip(coords, b)]
+        return GElement.cartan_vec(rd, coords)
+
+    std = [[Fraction(int(i == j)) for j in range(rd.dim_t)] for i in range(rd.dim_t)]
+    for trial in range(24):
+        s = trial % (r + 1)
+        if s < r:
+            mask = levis[trial % len(levis)]
+            ker = strat.kernel_basis(rd, mask)
+            prefix = [cartan(ker) for _ in range(s)]
+            common = full_mask(rd)
+            for g in prefix:
+                common &= strat.levi_of_point(rd, g.cartan)
+            stop = GElement.root_vec(rd, rng.choice(indices(mask))) + cartan(ker)
+            tail = [stop] + [rand_levi(rd, rng, common) for _ in range(r - s - 1)]
+        else:
+            prefix = [cartan(std) for _ in range(r)]
+            tail = []
+        normal0 = TcElement(rd, r, prefix + tail)
+        gauge = TcElement(rd, r, [GElement.zero(rd)] + [
+            rand_levi(rd, rng, full_mask(rd)) for _ in range(r - 1)])
+        nf = birkhoff_normalize(exp_ad(gauge, normal0))
+        assert nf.strictness == s, (rd.label, r, trial)
+        assert nf.verify_round_trip()
+        assert nf.irregular_type() == normal0.truncate(s), (rd.label, r, trial)
 
 
 def test_centralizer_examples(sl2, gl2, sl2_efh):
