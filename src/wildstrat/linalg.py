@@ -139,6 +139,24 @@ def inverse(m):
     return [row[n:] for row in red]
 
 
+def unit_lower_inverse(m):
+    """Inverse of a unit lower triangular matrix by forward substitution:
+    row i of the inverse is e_i - sum_{k<i} m[i][k] (row k), no division."""
+    n = len(m)
+    if any(m[i][j] != (1 if i == j else 0) for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not unit lower triangular")
+    out = identity(n)
+    for i in range(n):
+        row = out[i]
+        for k in range(i):
+            c = m[i][k]
+            if c != 0:
+                for j, v in enumerate(out[k][:k + 1]):
+                    if v != 0:
+                        row[j] -= c * v
+    return out
+
+
 def det(m):
     m = mat_copy(m)
     n = len(m)
@@ -323,6 +341,8 @@ class CPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CPoly({d: v * other for d, v in self.c.items()})
         other = _as_cpoly(other)
         if other is None:
             return NotImplemented

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import One, Zero, nullspace, solve
+from .linalg import One, Zero, mat_mul, mat_vec, nullspace, solve
 from .elements import (GElement, TcElement, exp_ad, is_semisimple,
                        semisimple_split)
 from .strat import LeviFiltration, _suffix_vanishing_masks, indices
@@ -69,6 +69,7 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
             break
         # clean the deeper coefficients: make them commute with X_s too
         ad = _restrict_ad(rd, xs, sub_basis)
+        sq = mat_mul(ad, ad)
         ker_vecs, img_vecs = semisimple_split(ad, [b.coords() for b in sub_basis])
 
         def lift(coords):
@@ -88,7 +89,7 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
                             for i in range(rd.dim_g)], target)
             if coords is None:
                 raise AssertionError("coefficient escaped the iterated centraliser")
-            img_part = _project_onto(ad, coords)
+            img_part = _project_onto(ad, sq, coords)
             if img_part is None:
                 continue
             # exp(ad_{z e^{k-s}}) changes X_k by [z, X_s] = -ad_{X_s}(z)
@@ -107,19 +108,16 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
     return nf
 
 
-def _project_onto(ad, coords):
+def _project_onto(ad, sq, coords):
     """Solve ad * z = image-component of coords; None when coords is already
-    in the kernel.  Decomposes coords = ker + ad(z) and returns z."""
-    n = len(ad)
+    in the kernel.  Decomposes coords = ker + ad(z) and returns z.  sq is
+    ad * ad, formed once per Birkhoff step by the caller."""
     # solve ad*z = v with v = coords - kernelpart: equivalently find z with
     # ad(ad(z)) = ad(coords) using that ad restricted to its image is invertible.
-    rhs = [sum(ad[i][j] * coords[j] for j in range(n)) for i in range(n)]
-    sq = [[sum(ad[i][k] * ad[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    z = solve(sq, rhs)
+    z = solve(sq, mat_vec(ad, coords))
     if z is None:
         raise AssertionError("semisimple split failed")
-    img = [sum(ad[i][j] * z[j] for j in range(n)) for i in range(n)]
-    if all(v == 0 for v in img):
+    if all(v == 0 for v in mat_vec(ad, z)):
         return None
     return z
 

@@ -10,9 +10,7 @@ All coefficients are rational and every comparison is an exact identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import CPoly, One, inverse
+from .linalg import CPoly, One, Zero, identity, unit_lower_inverse
 from .rootdata import all_letters
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible)
@@ -97,46 +95,45 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
 
 
 def _invert_block(block, N):
-    """A^{-1} = Qtilde^{-1} C^{-1} D^{-1} truncated at hbar^N, exact."""
+    """A^{-1} = Qtilde^{-1} C^{-1} D^{-1} truncated at hbar^N, exact.
+
+    With Qtilde = Id + sum_{k>=1} Q_k hbar^k (Q_k rational), the inverse is
+    sum_k F_k hbar^k with F_0 = Id and F_k = -sum_{j=1..k} Q_j F_{k-j}.  Column
+    j of D^{-1} is hbar^{l_j} / d_j, so entry (i, j) of A^{-1} has the
+    coefficient (F_k C^{-1})[i][j] / d_j at hbar^{k + l_j}, kept for
+    k + l_j <= N.
+    """
     d, c, qt = factorize_block(block)
     n = block.dim()
     lengths = block.lengths()
-    cinv = inverse(c)
-    # Neumann series Qtilde^{-1} = sum_k (-Q)^k with Q = Qtilde - Id: every
-    # entry of Q has only negative powers of c, so the sum truncates exactly
-    q = [[qt[i][j] - (CPoly.const(1) if i == j else CPoly()) for j in range(n)]
-         for i in range(n)]
-    negq = [[-q[i][j] for j in range(n)] for i in range(n)]
-    acc = [[CPoly.const(1) if i == j else CPoly() for j in range(n)] for i in range(n)]
-    power = acc
-    for _ in range(N):
-        power = _mat_mul_trunc(power, negq, N)
-        if all(not power[i][j] for i in range(n) for j in range(n)):
-            break
-        acc = [[acc[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-    out = [[CPoly() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = CPoly()
-            for k in range(n):
-                if cinv[k][j] != 0:
-                    val = val + acc[i][k] * Fraction(cinv[k][j], 1)
-            # multiply by D^{-1} on the right: column j scales by d_j^{-1} c^{-l_j}
-            out[i][j] = (val * Fraction(1, block.matrix[j][j].coeff(lengths[j]))
-                         ).shift(-lengths[j]).truncate_below(-N)
-    return out
-
-
-def _mat_mul_trunc(a, b, N):
-    n = len(a)
-    out = [[CPoly() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = CPoly()
-            for k in range(n):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc.truncate_below(-N)
+    top = N - min(lengths, default=N)
+    # Q_k as sparse rows: q[k][i] = [(l, Q_k[i][l]) for nonzero entries]
+    q = [None] + [[[(l, e.c[-k]) for l, e in enumerate(row) if -k in e.c] for row in qt]
+                  for k in range(1, top + 1)]
+    f = [identity(n)]
+    for k in range(1, top + 1):
+        fk = [[Zero] * n for _ in range(n)]
+        for j in range(1, k + 1):
+            prev = f[k - j]
+            for i, row in enumerate(q[j]):
+                dst = fk[i]
+                for l, v in row:
+                    for t, p in enumerate(prev[l]):
+                        if p:
+                            dst[t] -= v * p
+        f.append(fk)
+    cinv = unit_lower_inverse(c)
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        col = [(t, cinv[t][j]) for t in range(n) if cinv[t][j] != 0]
+        scale = 1 / d[j][j].coeff(lengths[j])
+        for i in range(n):
+            coeffs = {}
+            for k in range(N - lengths[j] + 1):
+                v = sum((f[k][i][t] * x for t, x in col), Zero)
+                if v:
+                    coeffs[-(k + lengths[j])] = v * scale
+            out[i][j] = CPoly(coeffs)
     return out
 
 
@@ -200,15 +197,26 @@ class V0Context:
         _require_balanced(pf)
         self.pf = pf
         self.ctx = UEAContext(pf, layout=("neg", "pos", "levi"))
+        self._proj_cache = {}
 
     def project_word(self, word):
-        """p of a single product of letters: {v0_word: coeff}."""
+        """p of a single product of letters: {v0_word: coeff}.
+
+        Cached per context by the word tuple: the dict returned is shared
+        between calls, and every caller (project, star_bidiff,
+        associativity_check) only reads it.
+        """
+        word = tuple(word)
+        hit = self._proj_cache.get(word)
+        if hit is not None:
+            return hit
         out = {}
-        for w, c in self.ctx.normal_form(tuple(word)).items():
+        for w, c in self.ctx.normal_form(word).items():
             neg, pos, levi = self.ctx.split_word(w)
             if levi:
                 continue
             acc(out, neg + pos, c)
+        self._proj_cache[word] = out
         return out
 
     def project(self, element):

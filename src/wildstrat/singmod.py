@@ -13,10 +13,9 @@ criterion and the simplicity probe all live here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .linalg import CPoly, One, Zero, inverse, nullspace, rank
+from .linalg import CPoly, One, Zero, nullspace, rank, unit_lower_inverse
 from .rootdata import all_letters, letter_bracket
 from .strat import indices
 from . import parab
@@ -294,33 +293,37 @@ class SingularityModule:
         return out
 
     def dual_block(self, mu, duals=None):
-        """Matrix S_c(Y_{f,i} w^-, X_{g,j} w^+) over the mutually dual bases."""
+        """Matrix S_c(Y_{f,i} w^-, X_{g,j} w^+) over the mutually dual bases.
+
+        Entry (y, x) is (-1)^len(y) times the coefficient of w in Y_{f_k} ...
+        Y_{f_1} X w^+ for the word f_1 ... f_k of y, the dual letters applied
+        first to last.  For each column x the vectors of all word prefixes are
+        kept, so a y-word costs one dual-letter step past its longest prefix
+        already reached.
+        """
         if duals is None:
             duals = self.dual_letters()
         basis = self.weight_basis(mu)
-        mat = []
-        for y in basis:
-            row = []
-            y_gens = self.word_of(y)
-            for x in basis:
-                row.append(self._dual_entry(y_gens, x, duals))
-            mat.append(row)
+        words = [self.word_of(y) for y in basis]
+        zero = self._zero()
+        mat = [[zero] * len(basis) for _ in basis]
+        for col, x in enumerate(basis):
+            memo = {(): {self.word_of(x): self._one()}}
+            for row, word in enumerate(words):
+                start = len(word)
+                while word[:start] not in memo:
+                    start -= 1
+                vec = memo[word[:start]]
+                for k in range(start, len(word)):
+                    new = {}
+                    if vec:
+                        for coeff, letter in duals[self.gens[word[k]]]:
+                            for w, c in self.apply_letter(letter, vec).items():
+                                acc(new, w, coeff * c)
+                    vec = memo[word[:k + 1]] = new
+                val = vec.get((), zero)
+                mat[row][col] = -val if len(word) % 2 else val
         return ShapovalovBlock(mu, basis, mat, self, dual=True)
-
-    def _dual_entry(self, y_gens, mono_x, duals):
-        vecs = {self.word_of(mono_x): self._one()}
-        for g in y_gens:
-            a, i = self.gens[g]
-            new = {}
-            for coeff, letter in duals[(a, i)]:
-                for w, c in self.apply_letter(letter, vecs).items():
-                    acc(new, w, coeff * c)
-            vecs = new
-            if not vecs:
-                return self._zero()
-        sign = -1 if len(y_gens) % 2 else 1
-        val = vecs.get((), self._zero())
-        return val if sign == 1 else -val
 
 
 class ShapovalovBlock:
@@ -397,22 +400,21 @@ def factorize_block(block: ShapovalovBlock):
             if i < j and dij != 0:
                 raise FactorisationError("upper-triangular leading coefficient is nonzero")
             cmat[i][j] = dij / d[i]
-    # Qtilde = C^{-1} D^{-1} A over Laurent polynomials
-    cinv = inverse(cmat)
-    qt = [[CPoly() for _ in range(n)] for _ in range(n)]
+    # Qtilde = C^{-1} D^{-1} A: entry (i, j) gathers cinv[i][k] / d[k] times
+    # the coefficients of a[k][j], each degree shifted down by l_k
+    cinv = unit_lower_inverse(cmat)
+    qt = [[None] * n for _ in range(n)]
     for i in range(n):
+        scales = [(k, cinv[i][k] / d[k]) for k in range(n) if cinv[i][k] != 0]
         for j in range(n):
-            acc = CPoly()
-            for k in range(n):
-                if cinv[i][k] != 0:
-                    acc = acc + a[k][j].shift(-lengths[k]) * Fraction(cinv[i][k], d[k])
-            qt[i][j] = acc
-    for i in range(n):
-        for j in range(n):
-            entry = qt[i][j] - (CPoly.const(1) if i == j else CPoly())
-            deg = entry.degree()
-            if deg is not None and deg >= 0:
+            coeffs = {}
+            for k, f in scales:
+                shift = lengths[k]
+                for deg, v in a[k][j].c.items():
+                    acc(coeffs, deg - shift, f * v)
+            if coeffs.get(0, 0) != (1 if i == j else 0) or any(deg > 0 for deg in coeffs):
                 raise FactorisationError("Qtilde - Id has a nonnegative power of c")
+            qt[i][j] = CPoly(coeffs)
     return dmat, cmat, qt
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,31 @@ def test_deterministic_output(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# sha256 of stdout on the survey configs: the depth-2 nongeneric gl3 chain of
+# the README and the depth-2 sl2 Borel case; any change to these bytes is an
+# output change, not a refactor
+GOLDEN = {
+    "gl3": ({"filtration": [[0, 1, 3], [0, 1, 2, 3]],
+             "formal_type": {"depth": 2, "lambdas": [["1", "2", "4"], ["6", "6", "3"]]}},
+            ("quantize", "--type", "gl3", "--depth", "2", "--order", "2", "--height", "2"),
+            "82ecd15d7f82b2adec6c6d984cc67d9fa536c806ea235e365f86bb8a3ceda555"),
+    "sl2": ({"filtration": [[0], [0]],
+             "formal_type": {"depth": 2, "lambdas": [["5"], ["7"]]}},
+            ("shapovalov", "--type", "sl2", "--depth", "2", "--height", "8"),
+            "8b7d12ab33f2beaa6c5cd4ff00b6209f7c96a098e436635463469e48a1c0f595"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_stdout(tmp_path, capsys, name):
+    config, argv, digest = GOLDEN[name]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("config, argv, field", [

@@ -43,6 +43,22 @@ def test_inverse_and_det():
     assert linalg.det([[frac(1), frac(2)], [frac(2), frac(4)]]) == 0
 
 
+def test_unit_lower_inverse_vs_inverse():
+    """Forward substitution against the rref inverse on seeded sparse unit
+    lower triangular matrices; anything else is rejected."""
+    rng = random.Random(5)
+    for n in range(9):
+        for _ in range(4):
+            m = [[frac(1) if i == j else
+                  (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if j < i and rng.random() < 0.5
+                   else frac(0))
+                  for j in range(n)] for i in range(n)]
+            assert linalg.unit_lower_inverse(m) == linalg.inverse(m)
+    for bad in ([[frac(2)]], [[frac(1), frac(1)], [frac(0), frac(1)]]):
+        with pytest.raises(ValueError):
+            linalg.unit_lower_inverse(bad)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=3, max_size=3),
        st.lists(fracs, min_size=3, max_size=3))
