@@ -396,6 +396,19 @@ def build_parser():
 
 
 def main(argv=None):
+    # exact answers may run past CPython's int-to-str digit limit; lift it for
+    # this call only, so that in-process callers keep their own setting
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

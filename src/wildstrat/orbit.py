@@ -13,7 +13,8 @@ from fractions import Fraction
 from .linalg import One, Zero, mat_mul, mat_vec, nullspace, solve
 from .elements import (GElement, TcElement, exp_ad, is_semisimple,
                        semisimple_split)
-from .strat import LeviFiltration, _suffix_vanishing_masks, indices
+from .strat import (ClaimViolation, LeviFiltration, _suffix_vanishing_masks,
+                    indices)
 
 
 class BirkhoffNormalForm:
@@ -88,7 +89,8 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
             coords = solve([[sub_cols[j][i] for j in range(len(sub_basis))]
                             for i in range(rd.dim_g)], target)
             if coords is None:
-                raise AssertionError("coefficient escaped the iterated centraliser")
+                raise ClaimViolation(f"coefficient {k} of {cur!r} escaped the iterated "
+                                     f"centraliser of the first {s}")
             img_part = _project_onto(ad, sq, coords)
             if img_part is None:
                 continue
@@ -104,7 +106,8 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
     gauge_log = _compose_gauge_logs(rd, r, factors)
     nf = BirkhoffNormalForm(x, s, cur, gauge_log, factors)
     if not nf.verify_round_trip():
-        raise AssertionError("gauge log round trip failed")
+        raise ClaimViolation(f"gauge log round trip failed: exp(ad {gauge_log!r}) of "
+                             f"{x!r} is not {cur!r}")
     return nf
 
 
@@ -116,7 +119,7 @@ def _project_onto(ad, sq, coords):
     # ad(ad(z)) = ad(coords) using that ad restricted to its image is invertible.
     z = solve(sq, mat_vec(ad, coords))
     if z is None:
-        raise AssertionError("semisimple split failed")
+        raise ClaimViolation(f"semisimple split failed: ad = {ad!r}, coordinates {coords!r}")
     if all(v == 0 for v in mat_vec(ad, z)):
         return None
     return z
@@ -183,13 +186,14 @@ def _compose_gauge_logs(rd, r, factors):
     for k in range(r):
         cart = solve(cartan_rows[k], cartan_rhs[k])
         if cart is None:
-            raise AssertionError("gauge log reconstruction failed")
+            raise ClaimViolation(f"gauge log reconstruction failed at e^{k} for the "
+                                 f"factors {factors!r}")
         # kill the central component for canonicity (it acts trivially)
         cart = _remove_center(rd, cart)
         ys.append(GElement(rd, cart, root_coeffs[k]))
     y = TcElement(rd, r, ys)
     if not y.in_birkhoff():
-        raise AssertionError("gauge log has a constant term")
+        raise ClaimViolation(f"gauge log {y!r} has a constant term")
     return y
 
 
@@ -291,7 +295,9 @@ def centralizer(x: TcElement) -> CentralizerReport:
         verified = (len(kernel) == predicted) and all(
             x.bracket(v).is_zero() for v in predicted_basis)
         if not verified:
-            raise AssertionError("centraliser does not match the structural description")
+            raise ClaimViolation(
+                f"centraliser of {x!r} does not match the structural description: "
+                f"kernel dimension {len(kernel)}, predicted {predicted}")
         return CentralizerReport(len(kernel), kernel, s, filt, predicted, verified)
     contained = _kernel_in_envelope(x, kernel, filt, s)
     return CentralizerReport(len(kernel), kernel, s, filt, None, contained)
@@ -371,26 +377,3 @@ def classify_unmarked(x: TcElement, y: TcElement):
             return True
     return False
 
-
-def kks_matrix(rd, lams, split):
-    """omega_lambda on u^+ (x) u^-: direct evaluation <lambda | [Y, Y']>.
-
-    lambda is extended by zero off the Cartan part; this must agree with the
-    B-pairing matrix of the polarisation (cross-module consistency).
-    """
-    up = split.u_plus_basis()
-    um = split.u_minus_basis()
-    r = split.depth
-    out = []
-    for yp in up:
-        row = []
-        for ym in um:
-            br = yp.bracket(ym)
-            val = Zero
-            for k in range(r):
-                if k < len(lams):
-                    val += sum((l * h for l, h in zip(lams[k], br.coeffs[k].cartan)
-                                if l != 0 and h != 0), Zero)
-            row.append(val)
-        out.append(row)
-    return out

@@ -13,12 +13,8 @@ from __future__ import annotations
 from .linalg import One, Zero, frac, frac_str, inverse, rank, solve
 from .elements import GElement, TcElement
 from . import strat
-from .strat import (LeviFiltration, full_mask, indices, mask_from_indices,
-                    negate_mask, weyl_mask)
-
-
-class ClaimViolation(RuntimeError):
-    """A verified statement of the underlying theory failed on actual data."""
+from .strat import (ClaimViolation, LeviFiltration, full_mask, indices,
+                    mask_from_indices, negate_mask, weyl_mask)
 
 
 # -- parabolic subsets --------------------------------------------------------
@@ -349,7 +345,7 @@ def character_space_dim(pf):
 
 def is_admissible(pf, ft: FormalType):
     """lambda_i must annihilate span{H_a : a in phi_i} for every i."""
-    if ft.depth != pf.depth:
+    if ft.depth != pf.depth or any(len(lam) != pf.rd.dim_t for lam in ft.lams):
         return False
     lf = pf.levi_filtration()
     for i in range(pf.depth):
@@ -368,64 +364,49 @@ def require_admissible(pf, ft):
 # -- the nonsingularity pairing B -------------------------------------------------
 
 
-def levi_projection(rd, levi_mask, g: GElement) -> GElement:
-    """pi_phi: keep the Cartan part and the phi-root coordinates."""
-    return GElement(rd, g.cartan, {i: c for i, c in g.root.items() if (levi_mask >> i) & 1})
+def b_pairing_blocks(pf, ft):
+    """B on u^+ x u^-, one Hankel block H_a per root a in nu_0.
 
-
-def character_value(rd, levi_mask, lam, g: GElement):
-    """chi(pi_phi(g)): extension of lambda by zero on the root part."""
-    proj = levi_projection(rd, levi_mask, g)
-    return sum((l * h for l, h in zip(lam, proj.cartan) if l != 0 and h != 0), Zero)
-
-
-def b_pairing(pf, ft, y_plus: TcElement, y_minus: TcElement):
-    """B(Y, Y') = sum_k <chi_k | pi_{phi_k}([Y_i, Y'_j])> over i + j = k."""
+    B(E_a e^i, E_{-b} e^j) = sum_k <lambda_k | pi_{phi_k}[E_a e^i, E_{-b} e^j]>
+    keeps only the Cartan part of the bracket, which is nonzero only for
+    b = a: then it is <lambda_{i+j} | a^v> (0 once i + j reaches the depth),
+    for i, j < d_a.  So B is block diagonal over nu_0.
+    """
+    require_admissible(pf, ft)
     rd = pf.rd
     lf = pf.levi_filtration()
-    out = Zero
-    for k in range(pf.depth):
-        acc = GElement.zero(rd)
-        for i in range(k + 1):
-            j = k - i
-            acc = acc + y_plus.coeffs[i].bracket(y_minus.coeffs[j])
-        out += character_value(rd, lf.mask(k), ft[k], acc)
-    return out
+    blocks = {}
+    for a in indices(pf.nu(0)):
+        d = lf.level(a)
+        hankel = [ft.pair_coroot(rd, k, a) if k < pf.depth else Zero
+                  for k in range(2 * d - 1)]
+        blocks[a] = [hankel[i:i + d] for i in range(d)]
+    return blocks
 
 
 def b_pairing_matrix(pf, ft):
     """Matrix of B over the triangular bases (rows u^+, columns u^-)."""
-    require_admissible(pf, ft)
+    blocks = b_pairing_blocks(pf, ft)
     ts = triangular_split(pf)
-    up = ts.u_plus_basis()
-    um = ts.u_minus_basis()
-    return [[b_pairing(pf, ft, yp, ym) for ym in um] for yp in up], ts
-
-
-def is_nonsingular(pf, ft, cross_check=True):
-    """Exact rank test of B, cross-checked against dual-stratum membership."""
-    mat, ts = b_pairing_matrix(pf, ft)
     n = len(ts.gens)
-    by_rank = rank(mat) == n if n else True
-    if cross_check:
-        lf = pf.levi_filtration()
-        by_stratum = strat.dual_stratum_contains(pf.rd, lf, list(ft.lams))
-        if by_rank != by_stratum:
-            raise ClaimViolation(
-                "nonsingularity rank test disagrees with dual-stratum membership")
+    mat = [[Zero] * n for _ in range(n)]
+    for a, block in blocks.items():
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                mat[ts.gen_pos[(a, i)]][ts.gen_pos[(a, j)]] = v
+    return mat, ts
+
+
+def is_nonsingular(pf, ft):
+    """Every Hankel block of B has full rank; cross-checked against
+    dual-stratum membership."""
+    by_rank = all(rank(h) == len(h) for h in b_pairing_blocks(pf, ft).values())
+    by_stratum = strat.dual_stratum_contains(pf.rd, pf.levi_filtration(), list(ft.lams))
+    if by_rank != by_stratum:
+        raise ClaimViolation(
+            f"nonsingularity rank test ({by_rank}) disagrees with dual-stratum "
+            f"membership ({by_stratum}) for {pf!r}, {ft!r}")
     return by_rank
-
-
-def nonsingular_levels_ok(pf, ft):
-    """<lambda_{d_a - 1} | a^v> != 0 for every root; the level-wise criterion."""
-    lf = pf.levi_filtration()
-    for a in range(pf.rd.num_roots):
-        d = lf.level(a)
-        if d == 0:
-            continue
-        if ft.pair_coroot(pf.rd, d - 1, a) == 0:
-            return False
-    return True
 
 
 def dual_basis(pf, ft):
@@ -435,21 +416,15 @@ def dual_basis(pf, ft):
     S_c(Y_{a,i}, X_{a',j}) = c delta delta, i.e. B(Y_{a,i}, X_{a',j}) =
     -delta delta.  Each Y_{a,i} lives on the root line of a.
     """
-    require_admissible(pf, ft)
     if not is_nonsingular(pf, ft):
         raise SingularCharacterError("dual bases require a nonsingular character")
-    rd = pf.rd
+    blocks = b_pairing_blocks(pf, ft)
     ts = triangular_split(pf)
-    lf = pf.levi_filtration()
     duals = {}
     for a in ts.nu0:
-        d = ts.levels[a]
-        # B(E_a e^i, E_{-a} e^j) = <lambda_{i+j} | H_a> (0 beyond the depth)
-        line = [[ft.pair_coroot(rd, i + j, a) if i + j < pf.depth else Zero
-                 for j in range(d)] for i in range(d)]
-        coeffs = inverse(line)
-        for i in range(d):
-            duals[(a, i)] = [(-coeffs[i][j], (a, j)) for j in range(d) if coeffs[i][j] != 0]
+        coeffs = inverse(blocks[a])
+        for i, row in enumerate(coeffs):
+            duals[(a, i)] = [(-c, (a, j)) for j, c in enumerate(row) if c != 0]
     return duals, ts
 
 

@@ -13,6 +13,10 @@ from fractions import Fraction
 from .linalg import Zero, dot, in_row_span, nullspace, rank
 
 
+class ClaimViolation(RuntimeError):
+    """A verified statement of the underlying theory failed on actual data."""
+
+
 # -- bitmask helpers ---------------------------------------------------------
 
 
@@ -233,7 +237,7 @@ def stratum_of_tuple(rd, xs):
     """
     filt = LeviFiltration(rd, _suffix_vanishing_masks(rd, rd.roots, xs))
     if not stratum_contains(filt, xs):
-        raise AssertionError("membership re-verification failed")
+        raise ClaimViolation(f"membership re-verification failed: {xs!r} not in {filt!r}")
     return filt
 
 
@@ -402,7 +406,8 @@ def dual_stratum_of_covector(rd, lams):
     filt = LeviFiltration(rd, _suffix_vanishing_masks(rd, rd.coroots, lams))
     for m in filt.masks:
         if not is_levi_dual(rd, m):
-            raise AssertionError("dual stratum mask is not a dual Levi subsystem")
+            raise ClaimViolation(f"dual stratum mask {indices(m)} of {lams!r} is not a "
+                                 "dual Levi subsystem")
     return filt
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rootdata import all_letters, letter_bracket
-from .strat import indices
+from .strat import ClaimViolation, indices
 from .parab import ParabolicFiltration, triangular_split
 
 
@@ -54,7 +54,8 @@ class UEAContext:
                 elif (lm >> b) & 1:
                     self.block[("E", b, i)] = "levi"
                 else:
-                    raise AssertionError("letter escapes the triangular classification")
+                    raise ClaimViolation(f"letter E_{b} e^{i} escapes the triangular "
+                                         f"classification of {pf!r}")
         order = {}
         pos_rank = {g: k for k, g in enumerate(ts.gens)}
         counter = 0

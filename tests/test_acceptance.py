@@ -24,7 +24,7 @@ from wildstrat.strat import (LeviFiltration, enumerate_filtrations,
                              enumerate_levi, full_mask, indices,
                              mask_from_indices)
 from conftest import gl_root_index
-from test_parab import gl3_ex_chain, gl3_ex_ft
+from test_parab import admissible_grid, gl3_ex_chain, gl3_ex_ft
 
 
 def report(n, text):
@@ -227,26 +227,6 @@ def test_criterion_08_gl3_nonsingularity(gl3):
               "lt1 != lt2 and l1 != l2")
 
 
-def _admissible_grid(rd, pf, values):
-    lf = pf.levi_filtration()
-    bases = []
-    for i in range(pf.depth):
-        coroot_rows = [list(rd.coroots[a]) for a in indices(lf.mask(i))]
-        from wildstrat.linalg import nullspace
-        bases.append(nullspace(coroot_rows, cols=rd.dim_t))
-    combos = [[]]
-    for basis in bases:
-        new = []
-        for acc in combos:
-            for coeffs in itertools.product(values, repeat=len(basis)):
-                lam = [Fraction(0)] * rd.dim_t
-                for c, b in zip(coeffs, basis):
-                    lam = [x + c * y for x, y in zip(lam, b)]
-                new.append(acc + [tuple(lam)])
-        combos = new
-    return [FormalType(lams) for lams in combos]
-
-
 def test_criterion_09_nonsingular_vs_dual_stratum():
     t0 = time.time()
     checked = 0
@@ -254,9 +234,9 @@ def test_criterion_09_nonsingular_vs_dual_stratum():
         rd = root_datum(label, n)
         for r in range(1, rmax + 1):
             for pf in parab.enumerate_parabolic_filtrations(rd, r):
-                for ft in _admissible_grid(rd, pf, (Fraction(0), Fraction(1), Fraction(2))):
-                    # cross_check raises on any disagreement with the stratum test
-                    by_rank = parab.is_nonsingular(pf, ft, cross_check=True)
+                for ft in admissible_grid(rd, pf, (Fraction(0), Fraction(1), Fraction(2))):
+                    # is_nonsingular raises on any disagreement with the stratum test
+                    by_rank = parab.is_nonsingular(pf, ft)
                     lf = pf.levi_filtration()
                     assert by_rank == strat.dual_stratum_contains(rd, lf, list(ft.lams))
                     checked += 1
@@ -279,7 +259,7 @@ def test_criterion_09_nonsingular_vs_dual_stratum():
                 lam = [x + c * y for x, y in zip(lam, b)]
             lams.append(tuple(lam))
         ft = FormalType(lams)
-        assert parab.is_nonsingular(pf, ft, cross_check=True) \
+        assert parab.is_nonsingular(pf, ft) \
             == strat.dual_stratum_contains(gl3, lf, list(ft.lams))
         sampled += 1
     elapsed = time.time() - t0

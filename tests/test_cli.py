@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
+import sys
 
 import pytest
 
+from wildstrat import orbit, strat
 from wildstrat.cli import main
 
 
@@ -248,3 +251,44 @@ def test_removed_flags_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["levi", "--type", "sl2", flag, "1"])
     assert exc.value.code == 2
+
+
+def test_long_exact_output_exits_0(tmp_path, capsys):
+    """A determinant past CPython's 4300-digit int-to-str limit is printed in
+    full, and the caller's limit is restored afterwards."""
+    big = 10 ** 1000
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"depth": 1, "formal_type": {"lambdas": [[str(big)]]}}))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "shapovalov", "--type", "sl2", "--depth", "1",
+                             "--height", "5", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    det = json.loads(out)["blocks"][-1]["determinant"]
+    assert len(det) > 4300
+    # the height-5 block of the sl2 Verma module: 5! lambda (lambda-1) ... (lambda-4)
+    expected = math.factorial(5) * math.prod(big - j for j in range(5))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(det) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("target, name, value, argv, config", [
+    (orbit.BirkhoffNormalForm, "verify_round_trip", lambda self: False,
+     ("classify", "--type", "sl2"), {"element": {"tuple": [["1"], ["0"]]}}),
+    (strat, "stratum_contains", lambda filt, xs: False,
+     ("classify", "--type", "sl2"), {"element": {"tuple": [["1"], ["0"]]}}),
+    (strat, "dual_stratum_contains", lambda rd, filt, lams: False,
+     ("character", "--type", "sl2", "--depth", "1"),
+     {"formal_type": {"lambdas": [["1"]]}}),
+], ids=["round-trip", "stratum-membership", "dual-stratum"])
+def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch, target, name, value,
+                                     argv, config):
+    monkeypatch.setattr(target, name, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err.startswith("claim violation:") and "Traceback" not in err

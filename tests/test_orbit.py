@@ -7,12 +7,13 @@ import pytest
 from wildstrat import orbit, parab, strat
 from wildstrat.elements import GElement, TcElement, exp_ad
 from wildstrat.orbit import (birkhoff_normalize, centralizer, classify_marked,
-                             classify_unmarked, kks_matrix, marking_filtration,
+                             classify_unmarked, marking_filtration,
                              marking_index, strictness_index,
                              structural_centralizer_dim)
 from wildstrat.rootdata import root_datum
 from wildstrat.strat import LeviFiltration, full_mask, indices, mask_from_indices
 from conftest import gl_root_index
+from test_parab import bracket_pairing_matrix, gl3_ex_chain, gl3_ex_ft
 
 
 def rand_g(rd, rng, bound=4):
@@ -243,18 +244,17 @@ def test_kks_form(sl2, gl3, sl2_efh):
     pf = parab.ParabolicFiltration(sl2, [pos, pos])
     ts = parab.triangular_split(pf)
     lam = [(Fraction(4),), (Fraction(9),)]
-    m = kks_matrix(sl2, lam, ts)
+    m = bracket_pairing_matrix(sl2, lam, ts)
     assert m == [[Fraction(4), Fraction(9)], [Fraction(9), Fraction(0)]]
     # zero covector: the zero matrix
-    z = kks_matrix(sl2, [(Fraction(0),), (Fraction(0),)], ts)
+    z = bracket_pairing_matrix(sl2, [(Fraction(0),), (Fraction(0),)], ts)
     assert all(v == 0 for row in z for v in row)
 
 
 def test_kks_matches_b_pairing(gl3):
     """Cross-module consistency: omega_lambda equals the B-pairing matrix."""
-    from test_parab import gl3_ex_chain, gl3_ex_ft
     pf = gl3_ex_chain(gl3)
     ft = gl3_ex_ft(gl3, 1, 2, 4, 6, 3)
     bmat, ts = parab.b_pairing_matrix(pf, ft)
-    kmat = kks_matrix(gl3, list(ft.lams), ts)
+    kmat = bracket_pairing_matrix(gl3, list(ft.lams), ts)
     assert bmat == kmat

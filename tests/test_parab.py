@@ -5,9 +5,11 @@ import pytest
 
 from wildstrat import parab, strat
 from wildstrat.elements import GElement, TcElement
-from wildstrat.linalg import rank
+from wildstrat.linalg import nullspace, rank
+from wildstrat.rootdata import root_datum
 from wildstrat.parab import (FormalType, InadmissibleCharacter,
-                             ParabolicFiltration, b_pairing_matrix,
+                             ParabolicFiltration, b_pairing_blocks,
+                             b_pairing_matrix, dual_basis,
                              character_space_dim, enumerate_parabolic,
                              enumerate_parabolic_filtrations, is_admissible,
                              is_nonsingular, is_parabolic, levi_factor,
@@ -26,6 +28,42 @@ def gl3_ex_chain(gl3):
 
 def gl3_ex_ft(gl3, l1, l2, l3, lt1, lt2):
     return FormalType([(l1, l2, l3), (lt1, lt1, lt2)])
+
+
+def admissible_grid(rd, pf, values):
+    """Every formal type whose lambda_i is a combination, with coefficients in
+    values, of the kernel basis of the coroots of phi_i."""
+    lf = pf.levi_filtration()
+    bases = []
+    for i in range(pf.depth):
+        coroot_rows = [list(rd.coroots[a]) for a in indices(lf.mask(i))]
+        bases.append(nullspace(coroot_rows, cols=rd.dim_t))
+    combos = [[]]
+    for basis in bases:
+        new = []
+        for acc in combos:
+            for coeffs in itertools.product(values, repeat=len(basis)):
+                lam = [Fraction(0)] * rd.dim_t
+                for c, b in zip(coeffs, basis):
+                    lam = [x + c * y for x, y in zip(lam, b)]
+                new.append(acc + [tuple(lam)])
+        combos = new
+    return [FormalType(lams) for lams in combos]
+
+
+def bracket_pairing_matrix(rd, lams, ts):
+    """Oracle for B: <lambda | [Y, Y']> through the bracket of g_r, lambda
+    extended by zero off the Cartan part, over the bases of a TriangularSplit
+    (rows u^+, columns u^-)."""
+    out = []
+    for yp in ts.u_plus_basis():
+        row = []
+        for ym in ts.u_minus_basis():
+            br = yp.bracket(ym)
+            row.append(sum((l * h for k in range(min(ts.depth, len(lams)))
+                            for l, h in zip(lams[k], br.coeffs[k].cartan)), Fraction(0)))
+        out.append(row)
+    return out
 
 
 def test_parabolic_counts(sl2, gl3):
@@ -246,6 +284,7 @@ def test_b_matrix_sl2_r2(sl2, sl2_efh):
     # entries are <lambda_{i+j} | H_alpha>: the antitriangular pattern with
     # lambda evaluated on the coroot (the "up to normalization" convention)
     assert mat == [[a, b], [b, 0]]
+    assert b_pairing_blocks(pf, FormalType([(a,), (b,)])) == {i_e: [[a, b], [b, 0]]}
     assert is_nonsingular(pf, FormalType([(a,), (b,)]))
     assert not is_nonsingular(pf, FormalType([(a,), (0,)]))
 
@@ -256,6 +295,48 @@ def test_zero_character_is_singular(gl3):
     mat, _ = b_pairing_matrix(pf, zero)
     assert all(all(v == 0 for v in row) for row in mat)
     assert not is_nonsingular(pf, zero)
+
+
+def test_short_lambda_is_inadmissible(gl3):
+    """A lambda_i narrower than t is rejected, not truncated by the pairing."""
+    pf = gl3_ex_chain(gl3)
+    short = FormalType([(5,), (0,)])
+    assert not is_admissible(pf, short)
+    for f in (b_pairing_blocks, b_pairing_matrix, is_nonsingular, dual_basis):
+        with pytest.raises(InadmissibleCharacter):
+            f(pf, short)
+
+
+def test_b_pairing_matches_bracket_oracle_on_block_fixtures():
+    """On the quantisation fixtures B equals the bracket sum, and the dual
+    basis inverts it: B(Y_{a,i}, X_{a',j}) = -delta delta."""
+    from test_block_oracles import CASES
+    for make, _ in CASES.values():
+        pf, ft = make()
+        mat, ts = b_pairing_matrix(pf, ft)
+        oracle = bracket_pairing_matrix(pf.rd, ft.lams, ts)
+        assert mat == oracle, (pf, ft)
+        assert is_nonsingular(pf, ft)
+        duals, _ = dual_basis(pf, ft)
+        assert set(duals) == set(ts.gens)
+        for y, combo in duals.items():
+            row = [sum(c * oracle[ts.gen_pos[g]][k] for c, g in combo)
+                   for k in range(len(ts.gens))]
+            assert row == [-1 if x == y else 0 for x in ts.gens], (pf, ft, y)
+
+
+@pytest.mark.parametrize("label, n, rmax", [("sl", 2, 3), ("gl", 2, 3)])
+def test_b_pairing_matches_bracket_oracle_on_grids(label, n, rmax):
+    """Criterion 09's exhaustive grids: B equals the bracket sum, and
+    is_nonsingular is the full-rank test of that matrix."""
+    rd = root_datum(label, n)
+    for r in range(1, rmax + 1):
+        for pf in enumerate_parabolic_filtrations(rd, r):
+            ts = triangular_split(pf)
+            for ft in admissible_grid(rd, pf, (0, 1, 2)):
+                oracle = bracket_pairing_matrix(rd, ft.lams, ts)
+                assert b_pairing_matrix(pf, ft)[0] == oracle, (pf, ft)
+                assert is_nonsingular(pf, ft) == (rank(oracle) == len(ts.gens)), (pf, ft)
 
 
 def test_opposite_filtration(gl3):
@@ -282,7 +363,6 @@ def test_height_functional_and_dec(gl3):
 def test_parabolic_counts_are_fubini_numbers():
     """Parabolic subsets of gl_n biject with ordered set partitions; their
     Weyl classes with compositions of n."""
-    from wildstrat.rootdata import root_datum
     fubini = {2: 3, 3: 13, 4: 75}
     for n, f in fubini.items():
         rd = root_datum("gl", n)
