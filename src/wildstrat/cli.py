@@ -27,13 +27,13 @@ class ValidationError(ValueError):
     pass
 
 
-def _to_frac(x):
+def _to_frac(x, field):
     if isinstance(x, float):
-        raise ValidationError(f"floats are not accepted: {x!r}")
+        raise ValidationError(f"{field}: floats are not accepted: {x!r}")
     try:
         return frac(x)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{field}: {exc}") from exc
 
 
 def _load_config(path):
@@ -107,7 +107,8 @@ def _parse_filtration(rd, spec, depth, parabolic=True):
 def _parse_formal_type(rd, data, depth):
     if not isinstance(data, dict):
         raise ValidationError("formal_type: an object is required")
-    lams = [[_to_frac(x) for x in lam] for lam in data.get("lambdas", [])]
+    lams = [[_to_frac(x, "formal_type.lambdas") for x in lam]
+            for lam in data.get("lambdas", [])]
     for lam in lams:
         if len(lam) != rd.dim_t:
             raise ValidationError("lambda entries must match the Cartan rank")
@@ -123,10 +124,12 @@ def _parse_element(rd, data):
             x = TcElement.from_json(rd, data)
         else:
             tup = data["tuple"]
-            coeffs = [GElement.cartan_vec(rd, tuple(_to_frac(x) for x in row)) for row in tup]
+            coeffs = [GElement.cartan_vec(rd, row) for row in tup]
             x = TcElement(rd, len(coeffs), coeffs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ValidationError(f"{field}: bad element spec: {exc}") from exc
+    if x.depth < 1:
+        raise ValidationError(f"{field}: the element has depth {x.depth}, at least 1 is needed")
     for g in x.coeffs:
         for i in g.root:
             if not 0 <= i < rd.num_roots:

@@ -11,9 +11,11 @@ all live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .linalg import (One, Zero, frac, frac_str, is_squarefree,
-                     minimal_polynomial, nullspace, rank, rref)
+from .linalg import (One, Zero, frac, frac_str, inverse, is_squarefree, mat_vec,
+                     minimal_polynomial, nullspace, rank, rref, transpose)
+from .strat import ClaimViolation
 
 
 class GElement:
@@ -191,6 +193,22 @@ class GElement:
                             orow[j] += c * v
         return out
 
+    @classmethod
+    def from_defining_matrix(cls, rd, m):
+        """The element of g whose defining matrix is m.
+
+        Each root coefficient is read off one fixed nonzero entry of E_a and
+        the Cartan part off the diagonal; the element is rebuilt and compared
+        with m, so a matrix outside g raises ClaimViolation.
+        """
+        entries, rows, cartan_inv = _defining_reader(rd)
+        root = {i: m[p][q] / v for i, (p, q, v) in enumerate(entries) if m[p][q] != 0}
+        x = cls(rd, mat_vec(cartan_inv, [m[p][p] for p in rows]), root)
+        if x.defining_matrix() != m:
+            raise ClaimViolation(f"matrix {m!r} is not in {rd.label}: it reads as {x!r}, "
+                                 f"whose matrix is {x.defining_matrix()!r}")
+        return x
+
     def __repr__(self):
         rd = self.rd
         parts = []
@@ -201,6 +219,18 @@ class GElement:
             label = ",".join(frac_str(x) for x in rd.roots[i])
             parts.append(f"{frac_str(c)}*E({label})")
         return " + ".join(parts) if parts else "0"
+
+
+@lru_cache(maxsize=None)
+def _defining_reader(rd):
+    """What from_defining_matrix reads, per root datum: the first nonzero
+    entry (p, q, value) of each E_a, and dim t diagonal positions with the
+    inverse of the Cartan basis restricted to them."""
+    entries = [next((p, q, v) for p, row in enumerate(rd.defining_matrix(rd.dim_t + i))
+                    for q, v in enumerate(row) if v != 0) for i in range(rd.num_roots)]
+    diags = [[row[p] for p, row in enumerate(rd.defining_matrix(t))] for t in range(rd.dim_t)]
+    rows = rref(diags)[1]
+    return entries, rows, inverse([[d[p] for d in diags] for p in rows])
 
 
 def is_semisimple(x: GElement) -> bool:
@@ -224,29 +254,20 @@ class NotSemisimpleError(ValueError):
 def semisimple_split(f_matrix, space_basis):
     """Split V = Ker(f) + f(V) for a semisimple operator on span(space_basis).
 
-    f_matrix is the matrix of f in the coordinates of space_basis.  Returns
-    (kernel vectors, image vectors) as combinations of the given basis.
-    Raises NotSemisimpleError when kernel and image overlap.
+    space_basis is a list of coordinate vectors and f_matrix is the matrix of
+    f in the coordinates of that basis.  Returns (kernel vectors, image
+    vectors) as coordinate vectors, combinations of the given basis.  Raises
+    NotSemisimpleError when kernel and image overlap.
     """
     dim = len(space_basis)
     ker = nullspace(f_matrix, cols=dim)
     # image basis: the column space of f = row space of its transpose
-    tr = [[f_matrix[r][c] for r in range(dim)] for c in range(dim)]
-    tr_red, tr_piv = rref(tr)
+    tr_red, tr_piv = rref(transpose(f_matrix))
     img = [tr_red[k] for k in range(len(tr_piv))]
     if rank(ker + img) != dim:
         raise NotSemisimpleError("kernel and image do not span: operator not semisimple")
-
-    def comb(coords):
-        out = space_basis[0].scale(0) if hasattr(space_basis[0], "scale") else None
-        if out is None:
-            return coords
-        for c, b in zip(coords, space_basis):
-            if c != 0:
-                out = out + b.scale(c)
-        return out
-
-    return [comb(v) for v in ker], [comb(v) for v in img]
+    cols = transpose(space_basis)
+    return [mat_vec(cols, v) for v in ker], [mat_vec(cols, v) for v in img]
 
 
 class TcElement:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import One, Zero, mat_mul, mat_vec, nullspace, solve
+from .linalg import (One, Zero, identity, mat_mul, mat_vec, nullspace, rref,
+                     solve, transpose)
 from .elements import (GElement, TcElement, exp_ad, is_semisimple,
                        semisimple_split)
 from .strat import (ClaimViolation, LeviFiltration, _suffix_vanishing_masks,
@@ -26,14 +27,13 @@ class BirkhoffNormalForm:
     exp(ad_Y)(input) == normal, exactly.
     """
 
-    __slots__ = ("input", "strictness", "normal", "gauge_log", "gauge_factors")
+    __slots__ = ("input", "strictness", "normal", "gauge_log")
 
-    def __init__(self, input, strictness, normal, gauge_log, gauge_factors):
+    def __init__(self, input, strictness, normal, gauge_log):
         self.input = input
         self.strictness = strictness
         self.normal = normal
         self.gauge_log = gauge_log
-        self.gauge_factors = gauge_factors
 
     def irregular_type(self):
         return self.normal.truncate(self.strictness)
@@ -42,69 +42,53 @@ class BirkhoffNormalForm:
         return exp_ad(self.gauge_log, self.input) == self.normal
 
 
-def _restrict_ad(rd, x: GElement, sub_basis):
-    """Matrix of ad_x on span(sub_basis), in sub_basis coordinates."""
-    cols = [b.coords() for b in sub_basis]
-    mat_cols = []
-    for b in sub_basis:
-        img = x.bracket(b).coords()
-        coords = solve([[cols[j][i] for j in range(len(sub_basis))]
-                        for i in range(rd.dim_g)], img)
-        if coords is None:
-            raise ValueError("ad does not preserve the subalgebra")
-        mat_cols.append(coords)
-    k = len(sub_basis)
-    return [[mat_cols[j][i] for j in range(k)] for i in range(k)]
-
-
 def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
     rd = x.rd
     r = x.depth
     cur = x
     factors = []  # gauge elements Y e^j, applied left to right
     s = 0
-    sub_basis = list(GElement.basis(rd))
+    sub_basis = [b.coords() for b in GElement.basis(rd)]
     while s < r:
         xs = cur.coeffs[s]
         if not is_semisimple(xs):
             break
-        # clean the deeper coefficients: make them commute with X_s too
-        ad = _restrict_ad(rd, xs, sub_basis)
+        # one echelon form [R | E] of [sub_basis | I] per step, R = E sub_basis:
+        # a vector v of the span is sum_i v[piv_i] R_i, so E^T v[piv] are its
+        # coordinates on sub_basis
+        red, piv = rref([b + e for b, e in zip(sub_basis, identity(len(sub_basis)))])
+        to_sub = transpose([row[rd.dim_g:] for row in red])
+        cols = transpose(sub_basis)
+
+        def coords(v):
+            return mat_vec(to_sub, [v[p] for p in piv])
+
+        ad = transpose([coords(xs.bracket(GElement.from_coords(rd, b)).coords())
+                        for b in sub_basis])
         sq = mat_mul(ad, ad)
-        ker_vecs, img_vecs = semisimple_split(ad, [b.coords() for b in sub_basis])
-
-        def lift(coords):
-            out = GElement.zero(rd)
-            for c, b in zip(coords, sub_basis):
-                if c != 0:
-                    out = out + b.scale(c)
-            return out
-
-        img_basis = [lift(v) for v in img_vecs]
+        ker_vecs, _ = semisimple_split(ad, sub_basis)
+        # clean the deeper coefficients: make them commute with X_s too
         for k in range(s + 1, r):
-            xk = cur.coeffs[k]
-            # write xk = kernel part + [X_s, Z]; gauge by exp(ad_{-Z e^{k-s}})
-            target = xk.coords()
-            sub_cols = [b.coords() for b in sub_basis]
-            coords = solve([[sub_cols[j][i] for j in range(len(sub_basis))]
-                            for i in range(rd.dim_g)], target)
-            if coords is None:
+            # write X_k = kernel part + [X_s, Z]; gauge by exp(ad_{-Z e^{k-s}})
+            v = cur.coeffs[k].coords()
+            c = coords(v)
+            if mat_vec(cols, c) != v:
                 raise ClaimViolation(f"coefficient {k} of {cur!r} escaped the iterated "
                                      f"centraliser of the first {s}")
-            img_part = _project_onto(ad, sq, coords)
+            img_part = _project_onto(ad, sq, c)
             if img_part is None:
                 continue
             # exp(ad_{z e^{k-s}}) changes X_k by [z, X_s] = -ad_{X_s}(z)
-            z = lift(img_part)
+            z = GElement.from_coords(rd, mat_vec(cols, img_part))
             if z.is_zero():
                 continue
             gauge = TcElement.pure(rd, r, k - s, z)
             factors.append(gauge)
             cur = exp_ad(gauge, cur)
-        sub_basis = [lift(v) for v in ker_vecs]
+        sub_basis = ker_vecs
         s += 1
     gauge_log = _compose_gauge_logs(rd, r, factors)
-    nf = BirkhoffNormalForm(x, s, cur, gauge_log, factors)
+    nf = BirkhoffNormalForm(x, s, cur, gauge_log)
     if not nf.verify_round_trip():
         raise ClaimViolation(f"gauge log round trip failed: exp(ad {gauge_log!r}) of "
                              f"{x!r} is not {cur!r}")
@@ -128,73 +112,55 @@ def _project_onto(ad, sq, coords):
 def _compose_gauge_logs(rd, r, factors):
     """Single Y in eps*g_r with exp(ad_Y) = product of the factor exponentials.
 
-    Works functionally: U = exp(ad_{Y_m}) ... exp(ad_{Y_1}); L = log U is
-    recovered column by column on the degree-0 copy of g, which determines
-    each epsilon coefficient of Y up to the center (fixed to zero there).
+    Works in the defining representation over Q[eps]/eps^r: G = exp(Y_m) ...
+    exp(Y_1) as r coefficient matrices, L = log G = sum_{k<r} (-1)^(k+1)
+    (G - I)^k / k, exact because G - I is a multiple of eps, and each eps
+    coefficient of L read back into g.  The central part of each coefficient
+    acts trivially and is fixed to zero.
     """
-    zero = TcElement(rd, r)
-    if not factors:
-        return zero
-
-    def apply_u(v):
-        for f in factors:
-            v = exp_ad(f, v)
-        return v
-
-    def apply_log(v):
-        # log(I + N) v with N = U - I nilpotent of order <= r
-        out = TcElement(rd, r)
-        term = v
-        sign = 1
-        for k in range(1, r + 1):
-            term = apply_u(term) - term  # N applied once more
-            if term.is_zero():
-                break
-            out = out + term.scale(Fraction(sign, k))
-            sign = -sign
-        return out
-
-    # L restricted to g e^0 gives, at the e^k coefficient, the map ad_{Y_k}
-    coeffs = [GElement.zero(rd) for _ in range(r)]
-    cartan_parts = [[None] * rd.dim_t for _ in range(r)]
-    # root coefficients of Y_k from L(H) for Cartan basis H
-    root_coeffs = [dict() for _ in range(r)]
-    for t in range(rd.dim_t):
-        h = GElement.cartan_vec(rd, tuple(One if k == t else Zero for k in range(rd.dim_t)))
-        lv = apply_log(TcElement.pure(rd, r, 0, h))
-        for k in range(r):
-            # [Y_k, H] = -sum <a|H> (Y_k)_a E_a
-            for i, c in lv.coeffs[k].root.items():
-                pair = rd.roots[i][t]
-                if pair != 0:
-                    root_coeffs[k][i] = -c / pair
-    # Cartan part of Y_k from the E_a coefficient of L(E_a)
-    cartan_rows = [[] for _ in range(r)]
-    cartan_rhs = [[] for _ in range(r)]
-    for i in range(rd.num_roots):
-        e = GElement.root_vec(rd, i)
-        lv = apply_log(TcElement.pure(rd, r, 0, e))
-        for k in range(r):
-            coeff = lv.coeffs[k].root.get(i, Zero)
-            # remove contributions of the root part of Y_k: [E_b, E_a] has an
-            # E_a component only via b = 0 (none), so coeff = <a | cartan(Y_k)>
-            # minus nothing; but root parts of Y_k can also contribute via
-            # N(b,a) E_{b+a} = E_a iff b = 0: impossible.  So:
-            cartan_rows[k].append(list(rd.roots[i]))
-            cartan_rhs[k].append(coeff)
+    n = len(rd.defining_matrix(0))
+    one = [identity(n)] + [[[Zero] * n for _ in range(n)] for _ in range(r - 1)]
+    g = one
+    for f in factors:
+        y = [c.defining_matrix() for c in f.coeffs]
+        term = g
+        for j in range(1, r):  # exp(Y) G = sum_j Y^j G / j!
+            term = _eps_mul(y, term, Fraction(1, j))
+            g = [_axpy(a, b) for a, b in zip(g, term)]
+    nil = [_axpy(a, b, -One) for a, b in zip(g, one)]
+    log = term = nil
+    for k in range(2, r):
+        term = _eps_mul(nil, term)
+        log = [_axpy(a, b, Fraction((-1) ** (k + 1), k)) for a, b in zip(log, term)]
     ys = []
-    for k in range(r):
-        cart = solve(cartan_rows[k], cartan_rhs[k])
-        if cart is None:
+    for k, m in enumerate(log):
+        try:
+            yk = GElement.from_defining_matrix(rd, m)
+        except ClaimViolation as exc:
             raise ClaimViolation(f"gauge log reconstruction failed at e^{k} for the "
-                                 f"factors {factors!r}")
-        # kill the central component for canonicity (it acts trivially)
-        cart = _remove_center(rd, cart)
-        ys.append(GElement(rd, cart, root_coeffs[k]))
+                                 f"factors {factors!r}: {exc}") from exc
+        cart = _remove_center(rd, yk.cartan) if any(yk.cartan) else yk.cartan
+        ys.append(GElement(rd, cart, yk.root))
     y = TcElement(rd, r, ys)
     if not y.in_birkhoff():
         raise ClaimViolation(f"gauge log {y!r} has a constant term")
     return y
+
+
+def _eps_mul(a, b, c=One):
+    """c * a * b for matrices over Q[eps]/eps^r, each a list of r coefficients."""
+    r, n = len(a), len(a[0])
+    out = [[[Zero] * n for _ in range(n)] for _ in range(r)]
+    for i, ai in enumerate(a):
+        if any(any(row) for row in ai):
+            for j in range(r - i):
+                out[i + j] = _axpy(out[i + j], mat_mul(ai, b[j]), c)
+    return out
+
+
+def _axpy(a, b, c=One):
+    """a + c * b for two matrices of one shape."""
+    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _remove_center(rd, cart):

@@ -11,7 +11,6 @@ carry the character spaces that singularity modules are induced from.
 from __future__ import annotations
 
 from .linalg import One, Zero, frac, frac_str, inverse, rank, solve
-from .elements import GElement, TcElement
 from . import strat
 from .strat import (ClaimViolation, LeviFiltration, full_mask, indices,
                     mask_from_indices, negate_mask, weyl_mask)
@@ -247,32 +246,6 @@ class TriangularSplit:
         # generator list: (root index a in nu0, eps degree i), i < d_a
         self.gens = [(a, i) for a in self.nu0 for i in range(self.levels[a])]
         self.gen_pos = {g: k for k, g in enumerate(self.gens)}
-
-    def u_minus_basis(self):
-        rd = self.rd
-        return [TcElement.pure(rd, self.depth, i, GElement.root_vec(rd, rd.neg[a]))
-                for a, i in self.gens]
-
-    def u_plus_basis(self):
-        rd = self.rd
-        return [TcElement.pure(rd, self.depth, i, GElement.root_vec(rd, a))
-                for a, i in self.gens]
-
-    def levi_basis(self):
-        rd = self.rd
-        out = []
-        for i in range(self.depth):
-            for t in range(rd.dim_t):
-                out.append(TcElement.pure(rd, self.depth, i, GElement.cartan_vec(
-                    rd, tuple(One if k == t else Zero for k in range(rd.dim_t)))))
-            for b in indices(self.levi.mask(i)):
-                out.append(TcElement.pure(rd, self.depth, i, GElement.root_vec(rd, b)))
-        return out
-
-    def dims(self):
-        u = len(self.gens)
-        return u, self.depth * self.rd.dim_t + sum(
-            len(indices(self.levi.mask(i))) for i in range(self.depth)), u
 
 
 def triangular_split(pf):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .linalg import CPoly, One, Zero, nullspace, rank, unit_lower_inverse
+from .linalg import CPoly, One, Zero, frac_str, nullspace, rank, unit_lower_inverse
 from .rootdata import all_letters, letter_bracket
 from .strat import indices
 from . import parab
@@ -371,26 +371,31 @@ class FactorisationError(RuntimeError):
 def factorize_block(block: ShapovalovBlock):
     """A[mu] = D C Qtilde: D diagonal d_i c^{l_i}, C unipotent lower triangular
     constant, Qtilde - Id with only negative powers of c.  Exact."""
+    mu = "(" + ", ".join(frac_str(x) for x in block.mu) + ")"
     if not block.dual or not block.module.dilated:
-        raise ValueError("factorisation applies to dilated dual-basis blocks")
+        raise ValueError(f"block of weight mu = {mu}: factorisation applies to dilated "
+                         f"dual-basis blocks")
+
+    def fail(i, j, what):
+        return FactorisationError(f"block of weight mu = {mu}, entry ({i},{j}): {what}")
+
     lengths = block.lengths()
     n = block.dim()
     a = block.matrix
     for i in range(n):
         for j in range(n):
-            entry = a[i][j]
-            dmax = entry.degree()
+            dmax = a[i][j].degree()
             if dmax is not None and dmax > min(lengths[i], lengths[j]):
-                raise FactorisationError(
-                    f"degree bound violated at ({i},{j}): deg {dmax} > min length")
+                raise fail(i, j, f"degree {dmax} exceeds the min length "
+                                 f"{min(lengths[i], lengths[j])}")
             if lengths[i] == lengths[j] and i != j:
                 if dmax is not None and dmax >= lengths[i]:
-                    raise FactorisationError("no strict degree drop off the diagonal")
+                    raise fail(i, j, "no strict degree drop off the diagonal")
     d = []
     for i in range(n):
         lead = a[i][i].coeff(lengths[i])
         if lead == 0 or lead.denominator != 1 or lead <= 0:
-            raise FactorisationError(f"diagonal leading coefficient {lead} not a positive integer")
+            raise fail(i, i, f"diagonal leading coefficient {lead} is not a positive integer")
         d.append(lead)
     dmat = [[CPoly({lengths[i]: d[i]}) if i == j else CPoly() for j in range(n)] for i in range(n)]
     cmat = [[Zero] * n for _ in range(n)]
@@ -398,7 +403,7 @@ def factorize_block(block: ShapovalovBlock):
         for j in range(n):
             dij = a[i][j].coeff(lengths[i])
             if i < j and dij != 0:
-                raise FactorisationError("upper-triangular leading coefficient is nonzero")
+                raise fail(i, j, "upper-triangular leading coefficient is nonzero")
             cmat[i][j] = dij / d[i]
     # Qtilde = C^{-1} D^{-1} A: entry (i, j) gathers cinv[i][k] / d[k] times
     # the coefficients of a[k][j], each degree shifted down by l_k
@@ -413,7 +418,7 @@ def factorize_block(block: ShapovalovBlock):
                 for deg, v in a[k][j].c.items():
                     acc(coeffs, deg - shift, f * v)
             if coeffs.get(0, 0) != (1 if i == j else 0) or any(deg > 0 for deg in coeffs):
-                raise FactorisationError("Qtilde - Id has a nonnegative power of c")
+                raise fail(i, j, "Qtilde - Id has a nonnegative power of c")
             qt[i][j] = CPoly(coeffs)
     return dmat, cmat, qt
 

@@ -191,9 +191,9 @@ def test_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
-# sha256 of stdout on the survey configs: the depth-2 nongeneric gl3 chain of
-# the README and the depth-2 sl2 Borel case; any change to these bytes is an
-# output change, not a refactor
+# sha256 of stdout on the survey configs (the depth-2 nongeneric gl3 chain of
+# the README and the depth-2 sl2 Borel case) and on two gauged classify
+# inputs; any change to these bytes is an output change, not a refactor
 GOLDEN = {
     "gl3": ({"filtration": [[0, 1, 3], [0, 1, 2, 3]],
              "formal_type": {"depth": 2, "lambdas": [["1", "2", "4"], ["6", "6", "3"]]}},
@@ -203,6 +203,20 @@ GOLDEN = {
              "formal_type": {"depth": 2, "lambdas": [["5"], ["7"]]}},
             ("shapovalov", "--type", "sl2", "--depth", "2", "--height", "8"),
             "8b7d12ab33f2beaa6c5cd4ff00b6209f7c96a098e436635463469e48a1c0f595"),
+    # gauged depth-3 elements whose Birkhoff normalisation records nonzero gauge
+    # factors: these pin gauge_log and normal_form byte for byte
+    "classify-gl3": ({"element": {"depth": 3, "coeffs": [
+        {"cartan": ["1", "1", "3"], "roots": {}},
+        {"cartan": ["0", "2", "-1"], "roots": {"1": "2", "2": "-1/3", "4": "1", "5": "3/2"}},
+        {"cartan": ["1/2", "0", "0"], "roots": {"0": "-1", "3": "2/5", "5": "1"}}]}},
+        ("classify", "--type", "gl3"),
+        "e0e58f487ef732494a6794c2ee38d8cd37883c11aa8c398ea3c05016a6d0b474"),
+    "classify-B2": ({"element": {"depth": 3, "coeffs": [
+        {"cartan": ["1", "0"], "roots": {}},
+        {"cartan": ["-1", "2"], "roots": {"0": "1", "2": "-2", "5": "1/3", "7": "1"}},
+        {"cartan": ["0", "1/3"], "roots": {"3": "1", "6": "-1/2"}}]}},
+        ("classify", "--type", "B2"),
+        "b9e7a4fbea5c5ad15fe66c16a84374c97b3bf8318145dd2a30de0195a5f6ab9f"),
 }
 
 
@@ -233,9 +247,19 @@ def test_golden_stdout(tmp_path, capsys, name):
      "coeffs"),
     ({"depth": 1, "coeffs": [{"cartan": ["1"], "roots": {"9": "1"}}]},
      ("classify", "--type", "sl2"), "coeffs"),
+    ({"formal_type": {"lambdas": [["1/0"]]}},
+     ("shapovalov", "--type", "sl2", "--depth", "1", "--height", "2"), "formal_type"),
+    ({"depth": 1, "coeffs": [{"cartan": ["1"], "roots": {"0": "1/0"}}]},
+     ("classify", "--type", "sl2"), "coeffs"),
+    ({"tuple": [["1/0"]]}, ("classify", "--type", "sl2"), "tuple"),
+    ({"tuple": []}, ("classify", "--type", "sl2"), "depth"),
+    ({"depth": 0, "coeffs": []}, ("classify", "--type", "sl2"), "depth"),
+    ({"depth": 1, "coeffs": "ab"}, ("classify", "--type", "sl2"), "coeffs"),
 ], ids=["negative-depth", "negative-order", "array-config", "no-depth-no-filtration",
         "array-formal-type", "filtration-index-range", "filtration-index-negative",
-        "filtration-index-type", "tuple-width", "coeffs-width", "coeffs-root-range"])
+        "filtration-index-type", "tuple-width", "coeffs-width", "coeffs-root-range",
+        "lambda-zero-denominator", "coeffs-zero-denominator", "tuple-zero-denominator",
+        "tuple-depth-0", "coeffs-depth-0", "coeffs-string"])
 def test_input_errors_exit_2(tmp_path, capsys, config, argv, field):
     if config is not None:
         cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from wildstrat.elements import (GElement, NotSemisimpleError, TcElement,
                                 pairing_invariance_defect, semisimple_split)
 from wildstrat.linalg import Zero, mat_mul, minimal_polynomial, is_squarefree, nullspace
 from wildstrat.rootdata import root_datum
+from wildstrat.strat import ClaimViolation
 from conftest import gl_root_index
 
 
@@ -145,7 +146,7 @@ def test_cartan_width_checked(gl3):
 
 def test_semisimple_split(sl2, gl3, sl2_efh):
     E, F, H, _, _ = sl2_efh
-    basis = list(GElement.basis(sl2))
+    basis = [b.coords() for b in GElement.basis(sl2)]
     ker, img = semisimple_split(H.ad_matrix(), basis)
     assert len(ker) == 1 and len(img) == 2
     # f = 0: kernel is everything
@@ -157,7 +158,9 @@ def test_semisimple_split(sl2, gl3, sl2_efh):
     x = GElement.cartan_vec(gl3, (1, 1, 0))
     ad = x.ad_matrix()
     assert len(nullspace(ad)) == 5
-    ker, img = semisimple_split(ad, list(GElement.basis(gl3)))
+    ker, img = semisimple_split(ad, [b.coords() for b in GElement.basis(gl3)])
+    ker = [GElement.from_coords(gl3, v) for v in ker]
+    img = [GElement.from_coords(gl3, v) for v in img]
     assert (len(ker), len(img)) == (5, 4)
     # f maps the image basis back into its own span
     from wildstrat.linalg import rank as mat_rank
@@ -171,6 +174,23 @@ def test_semisimple_split(sl2, gl3, sl2_efh):
     # non-semisimple operator must signal
     with pytest.raises(NotSemisimpleError):
         semisimple_split(E.ad_matrix(), basis)
+
+
+@pytest.mark.parametrize("lie_type, n", [("sl", 2), ("gl", 3), ("sl", 3), ("B", 2),
+                                         ("C", 3), ("D", 4)])
+def test_from_defining_matrix(lie_type, n):
+    """The reader inverts defining_matrix exactly and rejects matrices outside g."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(f"reader:{rd.label}".encode()))
+    for _ in range(10):
+        g = rand_gelement(rd, rng)
+        assert GElement.from_defining_matrix(rd, g.defining_matrix()) == g
+    if lie_type == "gl":  # every matrix is in gl_n
+        return
+    size = len(rd.defining_matrix(0))
+    identity = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    with pytest.raises(ClaimViolation, match="is not in"):
+        GElement.from_defining_matrix(rd, identity)
 
 
 def pairing_is_invariant(rd, r, c):

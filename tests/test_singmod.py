@@ -293,6 +293,22 @@ def test_factorization_trivial_weight(sl2):
     assert d[0][0] == CPoly.const(1) and q[0][0] == CPoly.const(1)
 
 
+def test_factorisation_error_names_the_weight(sl2):
+    """A tampered entry of a dilated dual block fails with mu and the entry named."""
+    m = sl2_module(sl2, [5, 7], depth=2, dilated=True)
+    blk = m.dual_block(tuple(2 * x for x in alpha_of(sl2)))
+    length = blk.lengths()[1]
+    lead = blk.matrix[1][1].coeff(length)
+    # a degree past the word lengths off the diagonal, then a negative diagonal lead
+    for (i, j), bump, reason in [((0, 1), CPoly({length + 1: 1}), "exceeds the min length"),
+                                 ((1, 1), CPoly({length: -2 * lead}), "not a positive integer")]:
+        matrix = [list(row) for row in blk.matrix]
+        matrix[i][j] = matrix[i][j] + bump
+        tampered = singmod.ShapovalovBlock(blk.mu, blk.basis, matrix, m, dual=True)
+        with pytest.raises(FactorisationError, match=rf"mu = \(4\), entry \({i},{j}\): .*{reason}"):
+            factorize_block(tampered)
+
+
 def test_tame_2alpha_factorial(sl2):
     m = sl2_module(sl2, [3], dilated=True)
     a = alpha_of(sl2)
