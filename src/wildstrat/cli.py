@@ -101,19 +101,23 @@ def _parse_filtration(rd, spec, depth, parabolic=True):
             return ParabolicFiltration(rd, masks)
         return strat.LeviFiltration(rd, masks)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError(f"filtration: {exc}") from exc
 
 
 def _parse_formal_type(rd, data, depth):
     if not isinstance(data, dict):
         raise ValidationError("formal_type: an object is required")
-    lams = [[_to_frac(x, "formal_type.lambdas") for x in lam]
-            for lam in data.get("lambdas", [])]
+    lams = data.get("lambdas", [])
+    if not isinstance(lams, list) or not all(isinstance(lam, list) for lam in lams):
+        raise ValidationError("formal_type.lambdas: a list of lists of rationals is required")
+    lams = [[_to_frac(x, "formal_type.lambdas") for x in lam] for lam in lams]
     for lam in lams:
         if len(lam) != rd.dim_t:
-            raise ValidationError("lambda entries must match the Cartan rank")
+            raise ValidationError(f"formal_type.lambdas: each entry needs {rd.dim_t} "
+                                  f"values, one per Cartan coordinate")
     if depth and len(lams) != depth:
-        raise ValidationError("formal type depth does not match the filtration depth")
+        raise ValidationError("formal_type.lambdas: the formal type depth does not match "
+                              "the filtration depth")
     return FormalType(lams)
 
 
@@ -272,10 +276,9 @@ def cmd_shapovalov(args):
     }
     if parab.is_nonsingular(pf, ft):
         dil = SingularityModule(pf, ft, dilated=True)
-        duals = dil.dual_letters()
         facts = []
         for mu in weights:
-            blk = dil.dual_block(mu, duals)
+            blk = dil.dual_block(mu)
             d, c, q = singmod.factorize_block(blk)
             ok = singmod.reassemble(d, c, q) == blk.matrix
             if not ok:

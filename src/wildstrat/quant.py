@@ -72,7 +72,7 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
     terms = {0: {((), ()): One}}
     per_weight = {}
     for mu in mod.root_sums(N):
-        block = mod.dual_block(mu, duals)
+        block = mod.dual_block(mu)
         finv = _invert_block(block, N)
         per_weight[mu] = (block, finv)
         basis = block.basis

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (One, Zero, dot, frac, frac_str, identity, mat_mul,
-                     nullspace, rank, solve, transpose)
+                     nullspace, solve, transpose)
 
 
 class RootDatumError(ValueError):
@@ -100,6 +100,7 @@ class RootDatum:
         if len(self.root_index) != self.num_roots:
             raise RootDatumError("repeated roots")
         self.neg = tuple(self.root_index[tuple(-x for x in r)] for r in self.roots)
+        self._center = None
         self._build_tables()
         self._build_base_and_weyl()
         self._build_gram()
@@ -223,7 +224,8 @@ class RootDatum:
 
     def _build_gram(self):
         """Invariant form: the defining-representation trace form, rescaled so
-        that the first simple root has (E_a | E_{-a}) = 1.
+        that the first simple root has (E_a | E_{-a}) = 1 (unscaled when there
+        are no roots).
 
         On gl_n and the A series this makes every (E_a | E_{-a}) = 1 and the
         Cartan part the plain trace form; for B/C the constants necessarily
@@ -233,10 +235,13 @@ class RootDatum:
             return sum(sum(a * b for a, b in zip(row, col))
                        for row, col in zip(m1, transpose(m2)))
 
-        a0 = self.simple[0]
-        base = tr_prod(self._root_mats[a0], self._root_mats[self.neg[a0]])
-        if base == 0:
-            raise RootDatumError("degenerate trace form on the first simple root")
+        # with no roots (gl_1) the plain trace form on t is kept
+        base = One
+        if self.simple:
+            a0 = self.simple[0]
+            base = tr_prod(self._root_mats[a0], self._root_mats[self.neg[a0]])
+            if base == 0:
+                raise RootDatumError("degenerate trace form on the first simple root")
         scale = One / base
         self.e_pair = tuple(scale * tr_prod(self._root_mats[i], self._root_mats[self.neg[i]])
                             for i in range(self.num_roots))
@@ -326,10 +331,13 @@ class RootDatum:
     @property
     def center_dim(self):
         """Dimension of the center of g = common kernel of all roots."""
-        return self.dim_t - rank([list(r) for r in self.roots])
+        return len(self.center_basis())
 
     def center_basis(self):
-        return nullspace([list(r) for r in self.roots], cols=self.dim_t)
+        """Basis of the center of g in Cartan coordinates, computed once."""
+        if self._center is None:
+            self._center = nullspace([list(r) for r in self.roots], cols=self.dim_t)
+        return self._center
 
     def defining_matrix(self, basis_index):
         """Matrix of a basis element (t basis, then roots) in the defining representation."""

@@ -6,7 +6,9 @@ vector.  The action straightens words by pushing commutators to the right
 until letters annihilate the cyclic vector or act through the character.
 
 Shapovalov entries are computed through the module action as the coefficient
-of the cyclic vector (the zero-weight space is a line); blocks, radicals, the
+of the cyclic vector (the zero-weight space is a line).  Blocks are built by
+recursion on the weight: row g.y' of the block at mu pairs the letter images
+of the columns with row y' of the block at mu - alpha_g.  Blocks, radicals, the
 D*C*Qtilde factorisation of the dilated matrices, the truncated-quotient
 criterion and the simplicity probe all live here.
 """
@@ -45,6 +47,9 @@ class SingularityModule:
         self.nu0 = self.split.nu0
         self._apply_cache = {}
         self._lmul_cache = {}
+        self._bases = {}     # mu -> (PBW basis, {word: position})
+        self._blocks = {}    # (dual, mu) -> block matrix (no back reference, no cycle)
+        self._duals = None
 
     # -- characters ----------------------------------------------------------
 
@@ -207,13 +212,20 @@ class SingularityModule:
 
     def weight_basis(self, mu):
         """Ordered PBW basis of M[mu]: nonincreasing length, then lexicographic."""
-        rd = self.rd
-        decs = parab.decompositions(rd, self.nu0, mu, self.split.xi)
-        monos = set()
-        for f in decs:
-            monos |= self._spread_exponents(f)
-        # nonincreasing length; ties by generator word (root index, then eps)
-        return sorted(monos, key=lambda m: (-sum(m), self.word_of(m)))
+        return self._basis(mu)[0]
+
+    def _basis(self, mu):
+        """The basis of M[mu] and the position of each basis word, once per weight."""
+        hit = self._bases.get(mu)
+        if hit is None:
+            decs = parab.decompositions(self.rd, self.nu0, mu, self.split.xi)
+            monos = set()
+            for f in decs:
+                monos |= self._spread_exponents(f)
+            # nonincreasing length; ties by generator word (root index, then eps)
+            basis = sorted(monos, key=lambda m: (-sum(m), self.word_of(m)))
+            hit = self._bases[mu] = (basis, {self.word_of(m): k for k, m in enumerate(basis)})
+        return hit
 
     def _spread_exponents(self, f):
         """All ways to give epsilon degrees to a root multiset."""
@@ -254,9 +266,8 @@ class SingularityModule:
         return vec.get((), self._zero())
 
     def shapovalov_block(self, mu):
-        basis = self.weight_basis(mu)
-        mat = [[self.shapovalov_entry(y, x) for x in basis] for y in basis]
-        return ShapovalovBlock(mu, basis, mat, self)
+        """Matrix S(Y w, X w) over the PBW basis of M[mu], by the weight recursion."""
+        return ShapovalovBlock(mu, self.weight_basis(mu), self._block(mu, False), self)
 
     def radical_dim(self, mu):
         blk = self.shapovalov_block(mu)
@@ -284,46 +295,76 @@ class SingularityModule:
         val = vec.get((), self._zero())
         return val if sign == 1 else -val
 
-    def dual_letters(self, ft=None):
-        """Expansion of the dual-basis vectors Y_{a,i} into u^+ letters."""
-        duals, _ = parab.dual_basis(self.pf, ft or self.ft)
-        out = {}
-        for (a, i), combo in duals.items():
-            out[(a, i)] = [(c, ("E", aa, j)) for c, (aa, j) in combo]
-        return out
+    def dual_letters(self):
+        """Expansion of the dual-basis vectors Y_{a,i} into u^+ letters, once per module."""
+        if self._duals is None:
+            duals, _ = parab.dual_basis(self.pf, self.ft)
+            self._duals = {(a, i): [(c, ("E", aa, j)) for c, (aa, j) in combo]
+                           for (a, i), combo in duals.items()}
+        return self._duals
 
-    def dual_block(self, mu, duals=None):
+    def dual_block(self, mu):
         """Matrix S_c(Y_{f,i} w^-, X_{g,j} w^+) over the mutually dual bases.
 
         Entry (y, x) is (-1)^len(y) times the coefficient of w in Y_{f_k} ...
         Y_{f_1} X w^+ for the word f_1 ... f_k of y, the dual letters applied
-        first to last.  For each column x the vectors of all word prefixes are
-        kept, so a y-word costs one dual-letter step past its longest prefix
-        already reached.
+        first to last.
         """
-        if duals is None:
-            duals = self.dual_letters()
-        basis = self.weight_basis(mu)
-        words = [self.word_of(y) for y in basis]
-        zero = self._zero()
-        mat = [[zero] * len(basis) for _ in basis]
-        for col, x in enumerate(basis):
-            memo = {(): {self.word_of(x): self._one()}}
+        return ShapovalovBlock(mu, self.weight_basis(mu), self._block(mu, True), self,
+                               dual=True)
+
+    def _block(self, mu, dual):
+        """Matrix of the Shapovalov (dual=False) or signed dual block at mu,
+        built and kept once.
+
+        The letter L_g of generator g is its transpose letter, or its dual
+        letter Y_g when dual.  Row y = g y' (g the first letter of the word of
+        y) is the image L_g x of each column x paired with row y' of the block
+        at mu - alpha_g, which is built first when missing; the dual sign
+        (-1)^len(y) flips once per letter.  The weight-zero block is [[1]].
+        """
+        key = (dual, mu)
+        mat = self._blocks.get(key)
+        if mat is not None:
+            return mat
+        words = [self.word_of(m) for m in self.weight_basis(mu)]
+        if words == [()]:
+            mat = [[self._one()]]
+        else:
+            rows_by_letter = {}
             for row, word in enumerate(words):
-                start = len(word)
-                while word[:start] not in memo:
-                    start -= 1
-                vec = memo[word[:start]]
-                for k in range(start, len(word)):
-                    new = {}
-                    if vec:
-                        for coeff, letter in duals[self.gens[word[k]]]:
-                            for w, c in self.apply_letter(letter, vec).items():
-                                acc(new, w, coeff * c)
-                    vec = memo[word[:k + 1]] = new
-                val = vec.get((), zero)
-                mat[row][col] = -val if len(word) % 2 else val
-        return ShapovalovBlock(mu, basis, mat, self, dual=True)
+                rows_by_letter.setdefault(word[0], []).append(row)
+            mat = [None] * len(words)
+            zero = self._zero()
+            for g, rows in rows_by_letter.items():
+                lower_mu = tuple(m - r for m, r in zip(mu, self.rd.roots[self.gens[g][0]]))
+                lower = self._block(lower_mu, dual)
+                index = self._basis(lower_mu)[1]
+                images = [[(index[w], c) for w, c in self._letter_image(g, x, dual).items()]
+                          for x in words]
+                for row in rows:
+                    lower_row = lower[index[words[row][1:]]]
+                    entries = []
+                    for img in images:
+                        val = zero
+                        for k, c in img:
+                            v = lower_row[k]
+                            if v:
+                                val = val + c * v
+                        entries.append(-val if dual and val else val)
+                    mat[row] = entries
+        self._blocks[key] = mat
+        return mat
+
+    def _letter_image(self, g, word, dual):
+        """L_g applied to the basis word: {word: coeff}."""
+        if not dual:
+            return self._apply(self.transpose_letter(g), word)
+        out = {}
+        for coeff, letter in self.dual_letters()[self.gens[g]]:
+            for w, c in self._apply(letter, word).items():
+                acc(out, w, coeff * c)
+        return out
 
 
 class ShapovalovBlock:

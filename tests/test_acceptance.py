@@ -292,7 +292,6 @@ def test_criterion_10_shapovalov_properties():
         rd = pf.rd
         m = SingularityModule(pf, ft)
         md = SingularityModule(pf, ft, dilated=True)
-        duals = md.dual_letters()
         weights = m.weights_up_to(K)
         # cross-weight orthogonality on a panel of pairs
         for mu, nu in itertools.islice(itertools.combinations(weights, 2), 30):
@@ -304,7 +303,7 @@ def test_criterion_10_shapovalov_properties():
             nmat = blk.matrix
             nd = blk.dim()
             assert all(nmat[i][j] == nmat[j][i] for i in range(nd) for j in range(nd))
-            dblk = md.dual_block(mu, duals)
+            dblk = md.dual_block(mu)
             lens = dblk.lengths()
             for i in range(nd):
                 for j in range(nd):
@@ -361,9 +360,8 @@ def test_criterion_11_factorization_exact():
     total = 0
     for pf, ft in _fixture_modules():
         md = SingularityModule(pf, ft, dilated=True)
-        duals = md.dual_letters()
         for mu in md.weights_up_to(4):
-            blk = md.dual_block(mu, duals)
+            blk = md.dual_block(mu)
             d, c, q = factorize_block(blk)
             assert reassemble(d, c, q) == blk.matrix
             total += 1

@@ -1,9 +1,9 @@
-"""The rational-matrix block kernels against the CPoly algorithms they replaced.
+"""The block kernels against the per-entry and CPoly algorithms they replaced.
 
-`SingularityModule.dual_block` (prefix-sharing walk), `factorize_block`
+`SingularityModule.shapovalov_block` and `dual_block` (weight recursion), `factorize_block`
 (coefficient-dict Qtilde) and `quant._invert_block` (hbar-series recursion on
 rational matrices) are compared, block by block and exactly, with the earlier
-implementations kept here as oracles: one dual-letter chain per matrix entry,
+implementations kept here as oracles: one letter chain per matrix entry,
 Qtilde by CPoly shift/multiply/add, and the truncated Neumann series of CPoly
 matrices.
 """
@@ -164,10 +164,36 @@ def test_blocks_match_cpoly_oracles(label):
     duals = mod.dual_letters()
     degrees = set()
     for mu in mod.root_sums(N):
-        block = mod.dual_block(mu, duals)
+        block = mod.dual_block(mu)
         assert block.matrix == oracle_dual_block(mod, mu, duals), mu
         assert factorize_block(block) == oracle_factorize_block(block), mu
         finv = quant._invert_block(block, N)
         assert finv == oracle_invert_block(block, N), mu
         degrees.update(-d for row in finv for entry in row for d in entry.c)
     assert max(degrees) == N
+
+
+@pytest.mark.parametrize("label", ["sl2 r=3 N=4", "gl3 chain N=4", "B2 tame N=3"])
+def test_shapovalov_block_matches_entries(label):
+    """The recursive block equals shapovalov_entry entry by entry, height <= 4."""
+    pf, ft = CASES[label][0]()
+    mod = SingularityModule(pf, ft)
+    for mu in mod.weights_up_to(4):
+        basis = mod.weight_basis(mu)
+        block = mod.shapovalov_block(mu)
+        assert block.matrix == [[mod.shapovalov_entry(y, x) for x in basis]
+                                for y in basis], mu
+
+
+@pytest.mark.parametrize("label", ["sl2 r=3 N=4", "gl3 chain N=4", "B2 tame N=3"])
+def test_dual_block_top_weight_first(label):
+    """On a fresh module the weight of the largest block, asked first, builds
+    its lower blocks on demand; every block then equals the per-entry oracle."""
+    make, N = CASES[label]
+    pf, ft = make()
+    mod = SingularityModule(pf, ft, dilated=True)
+    weights = sorted(mod.weights_up_to(N), key=mod.weight_space_dim, reverse=True)
+    assert mod.weight_space_dim(weights[0]) > 1
+    duals = mod.dual_letters()
+    for mu in weights:
+        assert mod.dual_block(mu).matrix == oracle_dual_block(mod, mu, duals), mu

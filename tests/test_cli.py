@@ -34,6 +34,15 @@ def test_levi_b2(capsys):
     assert json.loads(out)["nodes"] == 6
 
 
+def test_levi_gl1(capsys):
+    """GL_1 has no roots: one Levi (itself) and one stratum of dimension r."""
+    code, out, err = run_cli(capsys, "levi", "--type", "gl1", "--depth", "2")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["nodes"] == 1 and data["covers"] == 0 and data["filtration_count"] == 1
+    assert [s["dimension"] for s in data["strata"]] == [2]
+
+
 def test_levi_dot_output(tmp_path, capsys):
     out_prefix = str(tmp_path / "levi_gl3")
     code, _, _ = run_cli(capsys, "levi", "--type", "gl3", "--out", out_prefix)
@@ -217,6 +226,10 @@ GOLDEN = {
         {"cartan": ["0", "1/3"], "roots": {"3": "1", "6": "-1/2"}}]}},
         ("classify", "--type", "B2"),
         "b9e7a4fbea5c5ad15fe66c16a84374c97b3bf8318145dd2a30de0195a5f6ab9f"),
+    # a 40-step chain of one-dimensional blocks, each built from the one below
+    "sl2-height-40": ({"formal_type": {"lambdas": [["1/3"]]}},
+                      ("shapovalov", "--type", "sl2", "--depth", "1", "--height", "40"),
+                      "b8c38f976fbad83ad2e06dd2e0e1d554c34bce4282c243be3802a500bc01bc88"),
 }
 
 
@@ -255,11 +268,16 @@ def test_golden_stdout(tmp_path, capsys, name):
     ({"tuple": []}, ("classify", "--type", "sl2"), "depth"),
     ({"depth": 0, "coeffs": []}, ("classify", "--type", "sl2"), "depth"),
     ({"depth": 1, "coeffs": "ab"}, ("classify", "--type", "sl2"), "coeffs"),
+    ({"formal_type": {"lambdas": [1]}}, ("shapovalov", "--type", "sl2", "--depth", "1"),
+     "formal_type.lambdas"),
+    ({"filtration": [[0], []], "formal_type": {"lambdas": [["1"], ["1"]]}},
+     ("character", "--type", "sl2", "--depth", "2"), "filtration:"),
 ], ids=["negative-depth", "negative-order", "array-config", "no-depth-no-filtration",
         "array-formal-type", "filtration-index-range", "filtration-index-negative",
         "filtration-index-type", "tuple-width", "coeffs-width", "coeffs-root-range",
         "lambda-zero-denominator", "coeffs-zero-denominator", "tuple-zero-denominator",
-        "tuple-depth-0", "coeffs-depth-0", "coeffs-string"])
+        "tuple-depth-0", "coeffs-depth-0", "coeffs-string", "lambda-not-a-list",
+        "filtration-not-a-chain"])
 def test_input_errors_exit_2(tmp_path, capsys, config, argv, field):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -275,6 +293,44 @@ def test_removed_flags_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["levi", "--type", "sl2", flag, "1"])
     assert exc.value.code == 2
+
+
+def test_config_shapes_exit_0_or_2(tmp_path, capsys):
+    """Malformed and well-formed configs for shapovalov and character: every
+    run exits 0 or 2 without a traceback, and repeats its stdout exactly."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cfg = tmp_path / "cfg.json"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(["shapovalov", "character"]))
+        lie_type, rank = data.draw(st.sampled_from([("sl2", 1), ("gl2", 2), ("gl1", 1)]))
+        depth = data.draw(st.integers(1, 2))
+        # each field is either well formed or one of its malformed shapes
+        value = st.one_of(st.integers(-2, 3), st.sampled_from(["1/3", "-5/2"]))
+        row = st.lists(value, min_size=rank, max_size=rank)
+        bad_row = st.one_of(value, st.lists(value, max_size=rank + 1),
+                            st.sampled_from([["1/0"], ["x"], [""], [None]]))
+        lams = data.draw(st.one_of(st.lists(row, min_size=depth, max_size=depth),
+                                   st.lists(st.one_of(row, bad_row), max_size=3), value))
+        filtration = data.draw(st.one_of(
+            st.sampled_from([None, "borel", 0]),
+            st.lists(st.lists(st.integers(-1, 3), max_size=2), min_size=depth, max_size=depth)))
+        config = {"formal_type": {"lambdas": lams}}
+        if filtration is not None:
+            config["filtration"] = filtration
+        cfg.write_text(json.dumps(config))
+        argv = (command, "--type", lie_type, "--depth", str(depth), "--height", "2",
+                "--config", str(cfg))
+        runs = [run_cli(capsys, *argv) for _ in range(2)]
+        for code, _, err in runs:
+            assert code in (0, 2) and "Traceback" not in err
+        assert runs[0] == runs[1]
+
+    check()
 
 
 def test_long_exact_output_exits_0(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wildstrat.linalg import mat_mul
+from wildstrat.linalg import mat_mul, nullspace
 from wildstrat.rootdata import RootDatum, RootDatumError, parse_type, root_datum
 from conftest import gl_root_index
 
@@ -121,6 +121,23 @@ def test_parse_type():
         parse_type("E8x")
     with pytest.raises(RootDatumError):
         root_datum("Z", 2)
+
+
+def test_gl1_has_the_plain_trace_form():
+    """GL_1 has no roots: the invariant form is the trace form on t, unscaled."""
+    gl1 = root_datum("gl", 1)
+    assert gl1.num_roots == 0 and gl1.simple == () and len(gl1.weyl) == 1
+    assert gl1.gram == [[1]] and gl1.e_pair == ()
+    assert gl1.center_dim == 1 and gl1.center_basis() == [[1]]
+
+
+@pytest.mark.parametrize("label", ["gl2", "gl3", "gl4", "sl3", "B2"])
+def test_center_basis_is_the_root_nullspace_once(label):
+    rd = parse_type(label)
+    center = rd.center_basis()
+    assert center == nullspace([list(r) for r in rd.roots], cols=rd.dim_t)
+    assert rd.center_basis() is center
+    assert rd.center_dim == len(center) == (1 if label.startswith("gl") else 0)
 
 
 def _unit(i, j):

@@ -248,9 +248,8 @@ def test_dilated_degree_bounds(sl2, gl3):
             SingularityModule(gl3_ex_chain(gl3), gl3_ex_ft(gl3, 1, 2, 4, 6, 3),
                               dilated=True)]
     for m in mods:
-        duals = m.dual_letters()
         for mu in m.weights_up_to(3):
-            blk = m.dual_block(mu, duals)
+            blk = m.dual_block(mu)
             lens = blk.lengths()
             for i in range(blk.dim()):
                 for j in range(blk.dim()):
@@ -272,9 +271,8 @@ def test_factorization_reproduces_blocks(sl2, gl3):
             SingularityModule(gl3_ex_chain(gl3), gl3_ex_ft(gl3, 1, 2, 4, 6, 3),
                               dilated=True)]
     for m in mods:
-        duals = m.dual_letters()
         for mu in m.weights_up_to(3):
-            blk = m.dual_block(mu, duals)
+            blk = m.dual_block(mu)
             d, c, q = factorize_block(blk)
             assert reassemble(d, c, q) == blk.matrix
             n = blk.dim()
