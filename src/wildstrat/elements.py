@@ -358,10 +358,6 @@ class TcElement:
         """tau_k: the depth-k prefix."""
         return TcElement(self.rd, k, list(self.coeffs[:k]))
 
-    def shift_down(self, k):
-        """tau'_k: e^{-k} (X - tau_k X), an element of depth r - k."""
-        return TcElement(self.rd, self.depth - k, list(self.coeffs[k:]))
-
     def in_birkhoff(self):
         return self.coeffs[0].is_zero()
 

@@ -196,11 +196,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else Zero) + (q[i] if i < len(q) else Zero) for i in range(n)])
-
-
 def poly_scale(p, c):
     return poly_trim([c * x for x in p])
 
@@ -364,9 +359,6 @@ class CPoly:
 
     def degree(self):
         return max(self.c) if self.c else None
-
-    def min_degree(self):
-        return min(self.c) if self.c else None
 
     def shift(self, k):
         return CPoly({d + k: v for d, v in self.c.items()})

@@ -148,7 +148,7 @@ def enumerate_parabolic_filtrations(rd, r, parabolics=None):
             for chain in strat.nondecreasing_chains(parabolics, r)]
 
 
-# -- relative heights and decompositions ---------------------------------------
+# -- relative heights and words by weight ----------------------------------------
 
 
 def positive_system_containing(rd, mask):
@@ -180,43 +180,41 @@ def height_functional(rd, nu_mask):
     return tuple(xi)
 
 
-def decompositions(rd, nu_list, mu, xi=None):
-    """All f: nu -> Z_{>=0} with sum f_a a = mu (the decomposition set Dec)."""
-    if xi is None:
-        xi = height_functional(rd, mask_from_indices(nu_list))
-    out = []
+def weight_words(letter_roots, mu, xi, table):
+    """Nondecreasing words of weight mu over the alphabet letter_roots (letter
+    g has root letter_roots[g]), by nonincreasing length, then by word.
 
-    def rec(pos, remaining, acc):
-        if all(x == 0 for x in remaining):
-            out.append(tuple(acc + [0] * (len(nu_list) - len(acc))))
-            return
-        if pos == len(nu_list):
-            return
-        ht = sum(r * x for r, x in zip(remaining, xi))
-        if ht < 0:
-            return
-        a = rd.roots[nu_list[pos]]
-        max_mult = int(ht)  # <a|xi> >= 1 bounds the multiplicity by the height
-        for mult in range(max_mult + 1):
-            rest = tuple(x - mult * y for x, y in zip(remaining, a))
-            rec(pos + 1, rest, acc + [mult])
-
-    rec(0, tuple(frac(x) for x in mu), [])
-    return [f for f in out if _dec_ok(rd, nu_list, f, mu)]
-
-
-def _dec_ok(rd, nu_list, f, mu):
-    tot = [Zero] * rd.dim_t
-    for mult, i in zip(f, nu_list):
-        if mult:
-            tot = [a + mult * b for a, b in zip(tot, rd.roots[i])]
-    return tuple(tot) == tuple(frac(x) for x in mu)
-
-
-def relative_height(rd, nu_list, mu, xi=None):
-    """|mu|_nu = max cardinality of a decomposition (0 when Dec is empty)."""
-    decs = decompositions(rd, nu_list, mu, xi)
-    return max((sum(f) for f in decs), default=0)
+    A word is g.w' for a word w' at mu - alpha_g that is empty or starts with
+    a letter >= g.  Every letter has <alpha_g|xi> >= 1, so a nonzero weight
+    with <mu|xi> <= 0 has no words.  The words of each weight are kept in the
+    caller's table; missing lower weights are filled first, lowest <.|xi>
+    first, from an explicit worklist.
+    """
+    table.setdefault(tuple(0 * m for m in mu), [()])
+    hit = table.get(mu)
+    if hit is not None:
+        return hit
+    if not letter_roots:
+        return []
+    letter_hts = [sum(a * x for a, x in zip(root, xi)) for root in letter_roots]
+    pending = {}  # weight -> <weight|xi>, for the weights to fill
+    stack = [(mu, sum(m * x for m, x in zip(mu, xi)))]
+    while stack:
+        nu, ht = stack.pop()
+        if ht <= 0 or nu in table or nu in pending:
+            continue
+        pending[nu] = ht
+        for root, lht in zip(letter_roots, letter_hts):
+            stack.append((tuple(m - a for m, a in zip(nu, root)), ht - lht))
+    for nu in sorted(pending, key=pending.get):
+        words = []
+        for g, root in enumerate(letter_roots):
+            for w in table.get(tuple(m - a for m, a in zip(nu, root)), ()):
+                if not w or g <= w[0]:
+                    words.append((g,) + w)
+        words.sort(key=lambda w: (-len(w), w))
+        table[nu] = words
+    return table.get(mu, [])
 
 
 # -- triangular splitting -------------------------------------------------------
@@ -239,7 +237,9 @@ class TriangularSplit:
         nu0 = indices(pf.nu(0))
         xi = height_functional(rd, pf.nu(0)) if nu0 else None
         self.xi = xi
-        heights = {a: relative_height(rd, nu0, rd.roots[a], xi) for a in nu0}
+        # the relative height of a is the length of its longest word over nu0
+        letters, table = [rd.roots[a] for a in nu0], {}
+        heights = {a: len(weight_words(letters, rd.roots[a], xi, table)[0]) for a in nu0}
         self.nu0 = sorted(nu0, key=lambda a: (heights[a], a))
         self.heights = heights
         self.levels = {a: lf.level(a) for a in self.nu0}

@@ -69,19 +69,9 @@ class WeylElement:
     def __hash__(self):
         return hash(self.perm)
 
-    def apply_root_index(self, i):
-        return self.perm[i]
-
     def apply_cartan(self, v):
         return tuple(sum((r * x for r, x in zip(row, v)), Zero) for row in self.tmat)
 
-    def apply_covector(self, lam, rd):
-        """w . lam, with (w.lam)(H) = lam(w^{-1} H)."""
-        inv = rd.weyl_inverse(self)
-        mat = inv.tmat
-        # columns of inv.tmat give w^{-1} e_j
-        return tuple(sum((lam[i] * mat[i][j] for i in range(len(lam))), Zero)
-                     for j in range(len(lam)))
 
 
 class RootDatum:
@@ -166,7 +156,6 @@ class RootDatum:
         self.cartan_matrix = [[self._as_int(self.cartan_integer(i, j)) for j in self.simple]
                               for i in self.simple]
         self.weyl = self._generate_weyl([self._reflection(i) for i in self.simple])
-        self._weyl_index = {w.perm: t for t, w in enumerate(self.weyl)}
 
     @staticmethod
     def _as_int(x):
@@ -215,12 +204,6 @@ class RootDatum:
                         nxt.append(new)
             frontier = nxt
         return tuple(seen.values())
-
-    def weyl_inverse(self, w):
-        inv_perm = [0] * self.num_roots
-        for i, p in enumerate(w.perm):
-            inv_perm[p] = i
-        return self.weyl[self._weyl_index[tuple(inv_perm)]]
 
     def _build_gram(self):
         """Invariant form: the defining-representation trace form, rescaled so

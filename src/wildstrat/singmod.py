@@ -2,8 +2,10 @@
 
 The module M^psi_lambda is realized on its PBW basis: monomials in the
 generators X_{a,i} = E_{-a} e^i (a in nu_0, i < d_a) applied to the cyclic
-vector.  The action straightens words by pushing commutators to the right
-until letters annihilate the cyclic vector or act through the character.
+vector.  Bases, like blocks, come from recursion on the weight: a basis word
+of M[mu] is g.w' for a basis word w' of M[mu - alpha_g] (parab.weight_words).
+The action straightens words by pushing commutators to the right until
+letters annihilate the cyclic vector or act through the character.
 
 Shapovalov entries are computed through the module action as the coefficient
 of the cyclic vector (the zero-weight space is a line).  Blocks are built by
@@ -14,8 +16,6 @@ criterion and the simplicity probe all live here.
 """
 
 from __future__ import annotations
-
-from itertools import combinations_with_replacement
 
 from .linalg import CPoly, One, Zero, frac_str, nullspace, rank, unit_lower_inverse
 from .rootdata import all_letters, letter_bracket
@@ -47,6 +47,8 @@ class SingularityModule:
         self.nu0 = self.split.nu0
         self._apply_cache = {}
         self._lmul_cache = {}
+        self._letter_roots = [self.rd.roots[a] for a, _ in self.gens]
+        self._word_table = {}  # mu -> generator words of weight mu
         self._bases = {}     # mu -> (PBW basis, {word: position})
         self._blocks = {}    # (dual, mu) -> block matrix (no back reference, no cycle)
         self._duals = None
@@ -95,19 +97,6 @@ class SingularityModule:
         for word, c in vec.items():
             for w2, c2 in self._apply(letter, word).items():
                 acc(out, w2, c * c2)
-        return out
-
-    def apply_tc(self, x, vec):
-        """Action of a TcElement."""
-        out = {}
-        for i, g in enumerate(x.coeffs):
-            for t, cv in enumerate(g.cartan):
-                if cv != 0:
-                    for w, c in self.apply_letter(("H", t, i), vec).items():
-                        acc(out, w, cv * c)
-            for ridx, cv in g.root.items():
-                for w, c in self.apply_letter(("E", ridx, i), vec).items():
-                    acc(out, w, cv * c)
         return out
 
     def _apply(self, letter, word):
@@ -201,10 +190,12 @@ class SingularityModule:
         return list(seen)[1:]
 
     def weights_up_to(self, K):
-        """All monoid elements of relative height <= K, sorted deterministically."""
+        """All monoid elements of relative height <= K, sorted deterministically.
+
+        The relative height of mu is the length of its first basis word."""
         out = []
         for mu in self.root_sums(K):
-            h = parab.relative_height(self.rd, self.nu0, mu, self.split.xi)
+            h = len(self._words(mu)[0])
             if h <= K:
                 out.append((h, mu))
         out.sort()
@@ -214,38 +205,18 @@ class SingularityModule:
         """Ordered PBW basis of M[mu]: nonincreasing length, then lexicographic."""
         return self._basis(mu)[0]
 
+    def _words(self, mu):
+        """The nondecreasing generator words of weight mu, longest first."""
+        return parab.weight_words(self._letter_roots, mu, self.split.xi, self._word_table)
+
     def _basis(self, mu):
         """The basis of M[mu] and the position of each basis word, once per weight."""
         hit = self._bases.get(mu)
         if hit is None:
-            decs = parab.decompositions(self.rd, self.nu0, mu, self.split.xi)
-            monos = set()
-            for f in decs:
-                monos |= self._spread_exponents(f)
-            # nonincreasing length; ties by generator word (root index, then eps)
-            basis = sorted(monos, key=lambda m: (-sum(m), self.word_of(m)))
-            hit = self._bases[mu] = (basis, {self.word_of(m): k for k, m in enumerate(basis)})
+            words = self._words(mu)
+            hit = self._bases[mu] = ([self.mono_of(w) for w in words],
+                                     {w: k for k, w in enumerate(words)})
         return hit
-
-    def _spread_exponents(self, f):
-        """All ways to give epsilon degrees to a root multiset."""
-        results = [[]]
-        for mult, a in zip(f, self.nu0):
-            d = self.levels[a]
-            choices = list(combinations_with_replacement(range(d), mult))
-            new = []
-            for base in results:
-                for ch in choices:
-                    new.append(base + [(a, ch)])
-            results = new
-        finals = set()
-        for combo in results:
-            exps = [0] * len(self.gens)
-            for a, ch in combo:
-                for i in ch:
-                    exps[self.gen_pos[(a, i)]] += 1
-            finals.add(tuple(exps))
-        return finals
 
     def weight_space_dim(self, mu):
         return len(self.weight_basis(mu))
@@ -327,7 +298,7 @@ class SingularityModule:
         mat = self._blocks.get(key)
         if mat is not None:
             return mat
-        words = [self.word_of(m) for m in self.weight_basis(mu)]
+        words = self._words(mu)
         if words == [()]:
             mat = [[self._one()]]
         else:

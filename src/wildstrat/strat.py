@@ -152,12 +152,6 @@ class LeviPoset:
                         out.append((a, b))
         return out
 
-    def greatest(self):
-        return 0
-
-    def least(self):
-        return full_mask(self.rd)
-
     def hasse_dot(self):
         lines = ["digraph levi_poset {", "  rankdir=BT;"]
         for m in self.elements:
@@ -218,9 +212,6 @@ class LeviFiltration:
 
     def weyl_image(self, w):
         return LeviFiltration(self.rd, [weyl_mask(w, m) for m in self.masks])
-
-    def is_constant_full(self):
-        return all(m == full_mask(self.rd) for m in self.masks)
 
     def __repr__(self):
         rd = self.rd
@@ -394,11 +385,6 @@ def coroot_span_closure(rd, mask):
 
 def is_levi_dual(rd, mask):
     return coroot_span_closure(rd, mask) == mask
-
-
-def covector_pair(rd, lam, coroot_idx):
-    """<lambda | a^v> for a covector on the t basis."""
-    return dot(lam, rd.coroots[coroot_idx])
 
 
 def dual_stratum_of_covector(rd, lams):

@@ -296,17 +296,19 @@ def test_removed_flags_rejected(capsys, flag):
 
 
 def test_config_shapes_exit_0_or_2(tmp_path, capsys):
-    """Malformed and well-formed configs for shapovalov and character: every
-    run exits 0 or 2 without a traceback, and repeats its stdout exactly."""
+    """Malformed and well-formed configs for shapovalov, character, simplicity
+    and quantize: every run exits 0 or 2 without a traceback, and repeats its
+    stdout exactly."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     cfg = tmp_path / "cfg.json"
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())
     def check(data):
-        command = data.draw(st.sampled_from(["shapovalov", "character"]))
+        command = data.draw(st.sampled_from(["shapovalov", "character", "simplicity",
+                                             "quantize"]))
         lie_type, rank = data.draw(st.sampled_from([("sl2", 1), ("gl2", 2), ("gl1", 1)]))
         depth = data.draw(st.integers(1, 2))
         # each field is either well formed or one of its malformed shapes

@@ -5,14 +5,14 @@ import pytest
 
 from wildstrat import parab, strat
 from wildstrat.elements import GElement, TcElement
-from wildstrat.linalg import One, Zero, nullspace, rank
+from wildstrat.linalg import One, Zero, frac, nullspace, rank
 from wildstrat.rootdata import root_datum
 from wildstrat.parab import (FormalType, InadmissibleCharacter,
                              ParabolicFiltration, b_pairing_blocks,
                              b_pairing_matrix, dual_basis,
                              character_space_dim, enumerate_parabolic,
-                             enumerate_parabolic_filtrations, is_admissible,
-                             is_nonsingular, is_parabolic, levi_factor,
+                             enumerate_parabolic_filtrations, height_functional,
+                             is_admissible, is_nonsingular, is_parabolic, levi_factor,
                              levi_factor_map, triangular_split, weyl_classes)
 from wildstrat.strat import full_mask, indices, mask_from_indices
 from conftest import gl_root_index
@@ -28,6 +28,39 @@ def gl3_ex_chain(gl3):
 
 def gl3_ex_ft(gl3, l1, l2, l3, lt1, lt2):
     return FormalType([(l1, l2, l3), (lt1, lt1, lt2)])
+
+
+def decompositions(rd, nu_list, mu, xi=None):
+    """All f: nu -> Z_{>=0} with sum f_a a = mu (the decomposition set Dec)."""
+    if xi is None:
+        xi = height_functional(rd, mask_from_indices(nu_list))
+    out = []
+
+    def rec(pos, remaining, acc):
+        if all(x == 0 for x in remaining):
+            out.append(tuple(acc + [0] * (len(nu_list) - len(acc))))
+            return
+        if pos == len(nu_list):
+            return
+        ht = sum(r * x for r, x in zip(remaining, xi))
+        if ht < 0:
+            return
+        a = rd.roots[nu_list[pos]]
+        max_mult = int(ht)  # <a|xi> >= 1 bounds the multiplicity by the height
+        for mult in range(max_mult + 1):
+            rest = tuple(x - mult * y for x, y in zip(remaining, a))
+            rec(pos + 1, rest, acc + [mult])
+
+    rec(0, tuple(frac(x) for x in mu), [])
+    return [f for f in out if _dec_ok(rd, nu_list, f, mu)]
+
+
+def _dec_ok(rd, nu_list, f, mu):
+    tot = [Zero] * rd.dim_t
+    for mult, i in zip(f, nu_list):
+        if mult:
+            tot = [a + mult * b for a, b in zip(tot, rd.roots[i])]
+    return tuple(tot) == tuple(frac(x) for x in mu)
 
 
 def admissible_grid(rd, pf, values):
@@ -377,7 +410,7 @@ def test_opposite_filtration(gl3):
     assert op.opposite() == pf
 
 
-def test_height_functional_and_dec(gl3):
+def test_height_functional_and_dec(gl3, b2):
     pf = gl3_ex_chain(gl3)
     ts = triangular_split(pf)
     i12 = gl_root_index(gl3, 0, 1)
@@ -387,8 +420,16 @@ def test_height_functional_and_dec(gl3):
     assert ts.heights[i13] == 2
     assert ts.heights[i12] == ts.heights[i23] == 1
     mu = gl3.roots[i13]
-    decs = parab.decompositions(gl3, ts.nu0, mu, ts.xi)
+    decs = decompositions(gl3, ts.nu0, mu, ts.xi)
     assert len(decs) == 2  # {a13} and {a12 + a23}
+    # B2 Borel: the highest root a + 2b is a+b+b, (a+b)+b and itself
+    pos = mask_from_indices(b2.positive)
+    ts = triangular_split(ParabolicFiltration(b2, [pos] * 2))
+    assert [ts.heights[a] for a in ts.nu0] == [1, 1, 2, 3]
+    top = b2.roots[ts.nu0[-1]]
+    words = parab.weight_words([b2.roots[a] for a in ts.nu0], top, ts.xi, {})
+    assert len(words) == len(decompositions(b2, ts.nu0, top, ts.xi)) == 3
+    assert [len(w) for w in words] == [3, 2, 1]
 
 
 def test_parabolic_counts_are_fubini_numbers():

@@ -15,7 +15,8 @@ from wildstrat.singmod import (FactorisationError, SingularityModule,
                                truncated_quotient_saturation)
 from wildstrat.strat import full_mask, mask_from_indices
 from conftest import gl_root_index
-from test_parab import gl3_ex_chain, gl3_ex_ft
+from test_block_oracles import _b2_borel_r2, _b2_tame, _sl2_r3
+from test_parab import decompositions, gl3_ex_chain, gl3_ex_ft
 
 
 def sl2_module(sl2, lams, depth=None, dilated=False):
@@ -43,19 +44,30 @@ def test_weight_spaces_sl2_r2(sl2):
 
 
 def test_weight_space_counts_match_multiset_formula(gl3):
-    pf = gl3_ex_chain(gl3)
-    ft = gl3_ex_ft(gl3, 1, 2, 4, 6, 3)
-    m = SingularityModule(pf, ft)
-    for mu in m.weights_up_to(3):
-        decs = parab.decompositions(gl3, m.nu0, mu, m.split.xi)
-        expected = 0
-        for f in decs:
-            prod = 1
-            for mult, a in zip(f, m.nu0):
-                d = m.levels[a]
-                prod *= math.comb(d + mult - 1, mult)
-            expected += prod
-        assert m.weight_space_dim(mu) == expected
+    """Against the decomposition oracle: dim M[mu] is the multiset count over
+    Dec(mu), mu has relative height <= K exactly when its largest
+    decomposition has at most K roots, and each basis is ordered by
+    nonincreasing length, then by word."""
+    cases = [((gl3_ex_chain(gl3), gl3_ex_ft(gl3, 1, 2, 4, 6, 3)), 3),
+             (_sl2_r3(), 4), (_b2_tame(), 4), (_b2_borel_r2(), 4)]
+    for (pf, ft), K in cases:
+        m = SingularityModule(pf, ft)
+        weights = m.weights_up_to(K)
+        for mu in m.root_sums(K):
+            decs = decompositions(pf.rd, m.nu0, mu, m.split.xi)
+            assert (mu in weights) == (max(sum(f) for f in decs) <= K), mu
+            if mu not in weights:
+                continue
+            expected = 0
+            for f in decs:
+                prod = 1
+                for mult, a in zip(f, m.nu0):
+                    d = m.levels[a]
+                    prod *= math.comb(d + mult - 1, mult)
+                expected += prod
+            assert m.weight_space_dim(mu) == expected
+            words = [m.word_of(mono) for mono in m.weight_basis(mu)]
+            assert words == sorted(words, key=lambda w: (-len(w), w))
 
 
 # -- module action -----------------------------------------------------------------
