@@ -154,11 +154,11 @@ def cmd_levi(args):
         "covers": len(poset.covers()),
     }
     if args.depth:
-        filts = strat.enumerate_filtrations(rd, args.depth)
+        filts = strat.enumerate_filtrations(rd, args.depth, levis=poset.elements)
         payload["depth"] = args.depth
         payload["filtration_count"] = len(filts)
         payload["cardinality_bound"] = strat.cardinality_bound(rd, args.depth)
-        strata, _ = strat.weyl_orbits_and_quotient(rd, args.depth)
+        strata, _ = strat.weyl_orbits_and_quotient(rd, args.depth, filts=filts)
         payload["strata"] = [{
             "filtration": [sorted(strat.indices(m)) for m in s.orbit[0].masks],
             "dimension": s.orbit[0].dimension(),
@@ -182,7 +182,8 @@ def cmd_parabolic(args):
     }
     if args.depth:
         payload["depth"] = args.depth
-        payload["filtration_count"] = len(parab.enumerate_parabolic_filtrations(rd, args.depth))
+        payload["filtration_count"] = len(parab.enumerate_parabolic_filtrations(
+            rd, args.depth, parabolics=ps))
     _emit(args, payload)
     return 0
 
@@ -259,11 +260,12 @@ def cmd_shapovalov(args):
     }]
     for mu in weights:
         blk = mod.shapovalov_block(mu)
+        rank = blk.rank()
         blocks.append({
             "weight": [frac_str(x) for x in mu],
             "dim": blk.dim(),
-            "rank": blk.rank(),
-            "radical_dim": blk.dim() - blk.rank(),
+            "rank": rank,
+            "radical_dim": blk.dim() - rank,
             "determinant": frac_str(blk.determinant()) if blk.dim() else "1",
             "matrix": [[frac_str(v) for v in row] for row in blk.matrix],
         })

@@ -178,13 +178,6 @@ def det(m):
     return sign * out
 
 
-def in_row_span(rows, v):
-    """Is v in the Q-span of the given row vectors?"""
-    if not rows:
-        return all(x == 0 for x in v)
-    return rank(rows) == rank(rows + [v])
-
-
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over Q (lists, index = degree)
 # ---------------------------------------------------------------------------

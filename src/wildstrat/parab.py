@@ -20,8 +20,9 @@ from .strat import (ClaimViolation, LeviFiltration, full_mask, indices,
 
 
 def is_closed(rd, mask):
-    for i in indices(mask):
-        for j in indices(mask):
+    members = indices(mask)
+    for i in members:
+        for j in members:
             k = rd.root_sum.get((i, j))
             if k is not None and not (mask >> k) & 1:
                 return False

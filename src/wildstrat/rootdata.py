@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (One, Zero, dot, frac, frac_str, identity, mat_mul,
-                     nullspace, solve, transpose)
+                     nullspace, solve)
 
 
 class RootDatumError(ValueError):
@@ -45,12 +45,44 @@ def _mscale(a, c):
     return [[c * x for x in row] for row in a]
 
 
+def _entries(m):
+    """The nonzero entries of a matrix, {(row, col): value} in row-major order."""
+    return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+
+
 def _commutator(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
+    """Nonzero entries of ab - ba, for matrices given by their nonzero entries
+    (a loop over pairs of entries: root matrices have at most two each)."""
+    out = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:
+                out[i, j] = out.get((i, j), Zero) + x * y
+            if j == i:
+                out[l, k] = out.get((l, k), Zero) - y * x
+    return {p: v for p, v in out.items() if v}
 
 
-def _flat(m):
-    return [x for row in m for x in row]
+def _multiple_of(m, e):
+    """c with m = c e (matrices as nonzero entries), or None.
+
+    c is read off the first entry of e; then the supports are compared and
+    the entries on the support checked.
+    """
+    p = next(iter(e), None)
+    if p is None:
+        return None
+    c = m.get(p, Zero) / e[p]
+    if not c:
+        return None if m else c
+    if m.keys() != e.keys() or any(x != c * e[q] for q, x in m.items()):
+        return None
+    return c
+
+
+def _trace_product(a, b):
+    """tr(ab) for matrices given by their nonzero entries."""
+    return sum((x * b[k, i] for (i, k), x in a.items() if (k, i) in b), Zero)
 
 
 class WeylElement:
@@ -99,17 +131,25 @@ class RootDatum:
     # -- construction ------------------------------------------------------
 
     def _build_tables(self):
-        mats = self._root_mats
-        flat = [_flat(m) for m in mats]
-        # coroots: [E_a, E_{-a}] solved on the Cartan matrices alone
-        cartan = transpose([_flat(m) for m in self._t_mats])
+        mats = self._root_entries = [_entries(m) for m in self._root_mats]
+        # coroots: [E_a, E_{-a}] solved on the Cartan matrices alone, on the
+        # positions where some Cartan matrix is nonzero; a commutator entry
+        # off those positions cannot be matched
+        t_entries = [_entries(m) for m in self._t_mats]
+        support = set().union(*t_entries)
+        positions = sorted(support)
+        cartan = [[e.get(p, Zero) for e in t_entries] for p in positions]
         self.coroots = []
         for i in range(self.num_roots):
-            co = solve(cartan, _flat(_commutator(mats[i], mats[self.neg[i]])))
+            br = _commutator(mats[i], mats[self.neg[i]])
+            co = None
+            if br.keys() <= support:
+                co = solve(cartan, [br.get(p, Zero) for p in positions])
             if co is None:
                 raise RootDatumError("[E_a, E_{-a}] not in the Cartan subalgebra")
             self.coroots.append(tuple(co))
-        # N(a,b) is read off one nonzero entry of E_{a+b}, then checked on every entry
+        # N(a,b): [E_a, E_b] must be a multiple of E_{a+b}, or vanish when a+b
+        # is no root
         nsc = {}
         self.root_sum = {}
         for i in range(self.num_roots):
@@ -118,14 +158,13 @@ class RootDatum:
                 k = self.root_sum[(i, j)] = self.root_index.get(s)
                 if j == self.neg[i]:
                     continue
-                br = _flat(_commutator(mats[i], mats[j]))
+                br = _commutator(mats[i], mats[j])
                 if k is None:
-                    if any(br):
+                    if br:
                         raise RootDatumError("bracket escapes the root decomposition")
                     continue
-                p = next((t for t, x in enumerate(flat[k]) if x), None)
-                c = None if p is None else br[p] / flat[k][p]
-                if c is None or any(x != c * y for x, y in zip(br, flat[k])):
+                c = _multiple_of(br, mats[k])
+                if c is None:
                     raise RootDatumError("bracket not a multiple of a single root vector")
                 if c != 0:
                     nsc[(i, j)] = c
@@ -214,22 +253,19 @@ class RootDatum:
         Cartan part the plain trace form; for B/C the constants necessarily
         differ between root lengths (no invariant form has them all equal).
         """
-        def tr_prod(m1, m2):
-            return sum(sum(a * b for a, b in zip(row, col))
-                       for row, col in zip(m1, transpose(m2)))
-
+        mats = self._root_entries
         # with no roots (gl_1) the plain trace form on t is kept
         base = One
         if self.simple:
             a0 = self.simple[0]
-            base = tr_prod(self._root_mats[a0], self._root_mats[self.neg[a0]])
+            base = _trace_product(mats[a0], mats[self.neg[a0]])
             if base == 0:
                 raise RootDatumError("degenerate trace form on the first simple root")
         scale = One / base
-        self.e_pair = tuple(scale * tr_prod(self._root_mats[i], self._root_mats[self.neg[i]])
+        self.e_pair = tuple(scale * _trace_product(mats[i], mats[self.neg[i]])
                             for i in range(self.num_roots))
-        self.gram = [[scale * tr_prod(self._t_mats[a], self._t_mats[b])
-                      for b in range(self.dim_t)] for a in range(self.dim_t)]
+        ts = [_entries(m) for m in self._t_mats]
+        self.gram = [[scale * _trace_product(a, b) for b in ts] for a in ts]
         # normalization sanity: (H_a | H) = <a|H> (E_a|E_{-a}) for all a, H
         for i in range(self.num_roots):
             co = self.coroots[i]

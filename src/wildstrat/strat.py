@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Zero, dot, in_row_span, nullspace, rank
+from .linalg import Zero, dot, nullspace, rank
 
 
 class ClaimViolation(RuntimeError):
@@ -28,13 +28,12 @@ def mask_from_indices(indices):
 
 
 def indices(mask):
+    """The set bits of a mask, lowest first."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -54,12 +53,18 @@ def weyl_mask(w, mask):
 
 
 def _span_closure(vectors, mask):
-    """Mask of the vectors lying in the Q-span of the masked ones."""
+    """Mask of the vectors lying in the Q-span of the masked ones.
+
+    Double annihilator: a vector lies in the row span of the masked vectors
+    iff it kills their common kernel, so the closure is the AND of the
+    vanishing masks over one kernel basis (one echelon form per closure).
+    """
+    if not vectors:
+        return 0
     rows = [list(vectors[i]) for i in indices(mask)]
-    out = 0
-    for i, v in enumerate(vectors):
-        if in_row_span(rows, list(v)):
-            out |= 1 << i
+    out = (1 << len(vectors)) - 1
+    for k in nullspace(rows, cols=len(vectors[0])):
+        out &= _vanishing_mask(vectors, k)
     return out
 
 
@@ -310,30 +315,38 @@ class QuotientStratum:
 
 
 def pointwise_stabilizer(rd, filt):
-    """Elements of W acting trivially on Ker(phi_0) x ... x Ker(phi_{s-1})."""
-    kers = [kernel_basis(rd, m) for m in filt.masks]
-    out = []
-    for w in rd.weyl:
-        ok = True
-        for basis in kers:
-            for v in basis:
-                if w.apply_cartan(v) != tuple(v):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(w)
-    return out
+    """Elements of W acting trivially on Ker(phi_0) x ... x Ker(phi_{s-1}).
+
+    w.x - x lies in span(coroots), which the roots separate, so w fixes x iff
+    it maps the pairing vector p = (<a|x>)_a to itself: p[w.perm[i]] == p[i]
+    for every root i.  p is computed once per kernel-basis vector.
+    """
+    ps = [_pairings(rd, v) for m in filt.masks for v in kernel_basis(rd, m)]
+    return [w for w in rd.weyl if all(_fixes(w, p) for p in ps)]
 
 
-def weyl_orbits_and_quotient(rd, s, check_freeness=True):
+def _pairings(rd, x):
+    """The pairing vector (<a|x>)_a over the root list."""
+    return [dot(r, x) for r in rd.roots]
+
+
+def _fixes(w, p):
+    """Does w fix the point with pairing vector p?  (see pointwise_stabilizer)
+
+    Lists, not tuples: the many short-lived tuples of one length would stay
+    in CPython's tuple free list and raise the peak RSS."""
+    return list(map(p.__getitem__, w.perm)) == p
+
+
+def weyl_orbits_and_quotient(rd, s, check_freeness=True, filts=None):
     """Partition the depth-s filtrations into W-orbits, with stabilizer data.
 
+    ``filts`` is the list of all depth-s filtrations when the caller has it.
     Returns (list of QuotientStratum, leq) where leq compares orbits in the
     quotient poset order (representative-wise comparability).
     """
-    filts = enumerate_filtrations(rd, s)
+    if filts is None:
+        filts = enumerate_filtrations(rd, s)
     remaining = set(filts)
     orbits = []
     while remaining:
@@ -366,11 +379,12 @@ def _out_acts_freely_on_sample(rd, filt, setwise, pointwise, samples=3):
     # extra deterministic samples: scale the witness blocks
     for t in (2, 3):
         pts.append(tuple(tuple(Fraction(t) * x for x in blk) for blk in pts[0]))
+    pairings = [[_pairings(rd, x) for x in xs] for xs in pts[:samples]]
     for w in setwise:
         if w.perm in pt_set:
             continue
-        for xs in pts[:samples]:
-            if all(w.apply_cartan(x) == tuple(x) for x in xs):
+        for ps in pairings:
+            if all(_fixes(w, p) for p in ps):
                 return False
     return True
 

@@ -7,6 +7,7 @@ import pytest
 
 from wildstrat import orbit, strat
 from wildstrat.cli import main
+from wildstrat.rootdata import parse_type
 
 
 def run_cli(capsys, *argv):
@@ -201,8 +202,9 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 # sha256 of stdout on the survey configs (the depth-2 nongeneric gl3 chain of
-# the README and the depth-2 sl2 Borel case) and on two gauged classify
-# inputs; any change to these bytes is an output change, not a refactor
+# the README and the depth-2 sl2 Borel case), on two gauged classify inputs and
+# on three survey levi/parabolic invocations; any change to these bytes is an
+# output change, not a refactor
 GOLDEN = {
     "gl3": ({"filtration": [[0, 1, 3], [0, 1, 2, 3]],
              "formal_type": {"depth": 2, "lambdas": [["1", "2", "4"], ["6", "6", "3"]]}},
@@ -230,6 +232,14 @@ GOLDEN = {
     "sl2-height-40": ({"formal_type": {"lambdas": [["1/3"]]}},
                       ("shapovalov", "--type", "sl2", "--depth", "1", "--height", "40"),
                       "b8c38f976fbad83ad2e06dd2e0e1d554c34bce4282c243be3802a500bc01bc88"),
+    # stratum reports and parabolic counts of the survey (levi and parabolic
+    # take no config; the empty one is ignored)
+    "levi-B3-depth-2": ({}, ("levi", "--type", "B3", "--depth", "2"),
+                        "76657cdce05731fcb9f08f901beff1dd1d2c169456cbfdf17e8e7d48b03e2c17"),
+    "levi-D4-depth-1": ({}, ("levi", "--type", "D4", "--depth", "1"),
+                        "27716d0fc79d84d97d90ccd08a5254a4112feb3637f7ae9b0fe389c73480eb6d"),
+    "parabolic-B3-depth-2": ({}, ("parabolic", "--type", "B3", "--depth", "2"),
+                             "265c774b9e2ae98cad45d74eabfeef22df9e78c451e032594b1246d82cb89cbb"),
 }
 
 
@@ -327,6 +337,52 @@ def test_config_shapes_exit_0_or_2(tmp_path, capsys):
         cfg.write_text(json.dumps(config))
         argv = (command, "--type", lie_type, "--depth", str(depth), "--height", "2",
                 "--config", str(cfg))
+        runs = [run_cli(capsys, *argv) for _ in range(2)]
+        for code, _, err in runs:
+            assert code in (0, 2) and "Traceback" not in err
+        assert runs[0] == runs[1]
+
+    check()
+
+
+def test_stratification_and_classify_exit_0_or_2(tmp_path, capsys):
+    """levi and parabolic at depths 0..3, and classify on malformed and
+    well-formed element configs: every run exits 0 or 2 without a traceback,
+    and repeats its stdout exactly."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cfg = tmp_path / "cfg.json"
+    value = st.one_of(st.integers(-2, 3), st.sampled_from(["1/3", "-5/2", "0"]))
+    bad = st.sampled_from(["1/0", "x", "", None, [], {}])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(["levi", "parabolic", "classify"]))
+        lie_type = data.draw(st.sampled_from(["gl1", "gl2", "sl2", "B2"]))
+        rd = parse_type(lie_type)
+        argv = [command, "--type", lie_type]
+        if command != "classify":
+            argv += ["--depth", str(data.draw(st.integers(0, 3)))]
+        else:
+            depth = data.draw(st.integers(0, 3))
+            cartan = st.lists(value, min_size=rd.dim_t, max_size=rd.dim_t)
+            bad_cartan = st.one_of(bad, st.lists(st.one_of(value, bad), min_size=rd.dim_t + 1,
+                                                 max_size=rd.dim_t + 1))
+            keys = st.sampled_from([str(i) for i in range(-1, rd.num_roots + 1)] + ["a"])
+            coeff = st.fixed_dictionaries({
+                "cartan": st.one_of(cartan, cartan, bad_cartan),
+                "roots": st.dictionaries(keys, st.one_of(value, value, bad), max_size=2)})
+            element = data.draw(st.one_of(
+                st.fixed_dictionaries({"depth": st.just(depth), "coeffs": st.one_of(
+                    st.lists(coeff, min_size=depth, max_size=depth), st.lists(coeff, max_size=3))}),
+                st.fixed_dictionaries({"tuple": st.lists(cartan, min_size=depth,
+                                                         max_size=depth)}),
+                st.one_of(value, bad)))
+            config = data.draw(st.sampled_from([{"element": element}, element]))
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
         runs = [run_cli(capsys, *argv) for _ in range(2)]
         for code, _, err in runs:
             assert code in (0, 2) and "Traceback" not in err

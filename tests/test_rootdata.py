@@ -56,6 +56,39 @@ def test_structure_constants_vs_defining_rep(gl3, b2):
             assert lhs == rhs
 
 
+# every supported type up to rank 4
+TABLE_TYPES = ["gl1", "gl2", "gl3", "gl4", "sl2", "sl3", "sl4", "A1", "A2", "A3", "A4",
+               "B1", "B2", "B3", "B4", "C1", "C2", "C3", "C4", "D2", "D3", "D4"]
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_tables_match_dense_commutators(label):
+    """coroots, root_sum and nsc against dense commutators of the defining matrices:
+    [E_a, E_-a] = sum_t a^v_t H_t, and [E_a, E_b] = N(a,b) E_{a+b}, or 0 when a+b
+    is no root (then N is absent)."""
+    rd = parse_type(label)
+    mats = [rd.defining_matrix(rd.dim_t + i) for i in range(rd.num_roots)]
+    hs = [rd.defining_matrix(t) for t in range(rd.dim_t)]
+    size = len(hs[0])
+    zero = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(rd.num_roots):
+        co = rd.coroots[i]
+        h = [[sum((c * m[r][q] for c, m in zip(co, hs)), Fraction(0)) for q in range(size)]
+             for r in range(size)]
+        assert _commutator(mats[i], mats[rd.neg[i]]) == h
+        for j in range(rd.num_roots):
+            k = rd.root_index.get(tuple(a + b for a, b in zip(rd.roots[i], rd.roots[j])))
+            assert rd.root_sum[(i, j)] == k
+            if j == rd.neg[i]:
+                assert (i, j) not in rd.nsc
+                continue
+            br = _commutator(mats[i], mats[j])
+            if k is None:
+                assert (i, j) not in rd.nsc and br == zero
+            else:
+                assert br == [[rd.nsc[(i, j)] * x for x in row] for row in mats[k]]
+
+
 def test_chevalley_root_strings(b2):
     """|N(a,b)| = p + 1 where p is the length of the descending root string."""
     for (i, j), n in b2.nsc.items():

@@ -4,15 +4,24 @@ from fractions import Fraction
 import pytest
 
 from wildstrat import strat
+from wildstrat.linalg import rank as mat_rank
+from wildstrat.rootdata import parse_type
 from wildstrat.strat import (LeviFiltration, LeviPoset, cardinality_bound,
                              dual_stratum_of_covector, enumerate_filtrations,
                              enumerate_levi, full_mask, indices, is_levi,
-                             kernel_dim, levi_of_point, levi_witness,
-                             mask_from_indices, stratum_contains,
-                             stratum_of_tuple, stratum_witness,
+                             kernel_basis, kernel_dim, levi_of_point, levi_witness,
+                             mask_from_indices, pointwise_stabilizer,
+                             stratum_contains, stratum_of_tuple, stratum_witness,
                              verify_stratification_axioms,
                              weyl_orbits_and_quotient)
 from conftest import gl_root_index
+
+
+def in_row_span(rows, v):
+    """Is v in the Q-span of the given row vectors?"""
+    if not rows:
+        return all(x == 0 for x in v)
+    return mat_rank(rows) == mat_rank(rows + [v])
 
 
 def test_is_levi_examples(gl3, b2):
@@ -78,7 +87,6 @@ def test_gl4_rank_function_surjective(gl4=None):
     assert set(poset.rank.values()) == {1, 2, 3, 4}
     for m in poset.elements:
         rows = [list(gl4.roots[i]) for i in indices(m)]
-        from wildstrat.linalg import rank as mat_rank
         assert poset.rank[m] == gl4.dim_t - (mat_rank(rows) if rows else 0)
 
 
@@ -251,3 +259,57 @@ def test_levi_counts_are_bell_numbers():
     bell = {2: 2, 3: 5, 4: 15, 5: 52}
     for n, b in bell.items():
         assert len(enumerate_levi(root_datum("gl", n))) == b
+
+
+def _span_closure_oracle(vectors, mask):
+    """One rank comparison per vector: the closure as the definition states it."""
+    rows = [list(vectors[i]) for i in indices(mask)]
+    return mask_from_indices(i for i, v in enumerate(vectors) if in_row_span(rows, list(v)))
+
+
+@pytest.mark.parametrize("label", ["gl1", "gl2", "gl3", "gl4", "gl5", "sl2", "sl3", "B2",
+                                   "B3", "C2", "C3", "D3", "D4"])
+def test_span_closure_matches_rank_oracle(label):
+    """Root and coroot span closures on every subset of the simple roots and on
+    seeded random masks."""
+    rd = parse_type(label)
+    simple = rd.simple
+    masks = [mask_from_indices(a for k, a in enumerate(simple) if (bits >> k) & 1)
+             for bits in range(1 << len(simple))]
+    rng = random.Random(41)
+    masks += [rng.getrandbits(rd.num_roots) for _ in range(8)]
+    for mask in masks:
+        assert strat.span_closure(rd, mask) == _span_closure_oracle(rd.roots, mask)
+        assert strat.coroot_span_closure(rd, mask) == _span_closure_oracle(rd.coroots, mask)
+
+
+def _fixes_all(w, points):
+    return all(w.apply_cartan(x) == tuple(x) for x in points)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("label", ["gl3", "gl4", "B2", "B3", "C3", "D4"])
+def test_weyl_fixed_points_match_matrix_action(label, depth):
+    """Pointwise stabilisers and the freeness flag of every stratum
+    representative against w acting by its matrix on t."""
+    rd = parse_type(label)
+    identity = [w for w in rd.weyl if w.perm == tuple(range(rd.num_roots))]
+    strata, _ = weyl_orbits_and_quotient(rd, depth)
+    for s in strata:
+        rep = s.orbit[0]
+        kernel = [v for m in rep.masks for v in kernel_basis(rd, m)]
+        pointwise = [w for w in rd.weyl if _fixes_all(w, kernel)]
+        assert pointwise_stabilizer(rd, rep) == pointwise
+        assert s.pointwise_order == len(pointwise)
+        setwise = [w for w in rd.weyl if rep.weyl_image(w) == rep]
+        witness = stratum_witness(rep)
+        samples = [witness] + [tuple(tuple(t * x for x in blk) for blk in witness)
+                               for t in (2, 3)]
+        # with the true pointwise stabiliser, and with only the identity, so
+        # that some element of W fixes the samples whenever pointwise is nontrivial
+        for known in (pointwise, identity):
+            perms = {w.perm for w in known}
+            fixed = any(_fixes_all(w, xs) for w in setwise if w.perm not in perms
+                        for xs in samples)
+            assert strat._out_acts_freely_on_sample(rd, rep, setwise, known) is not fixed
+        assert s.free_on_samples is True
