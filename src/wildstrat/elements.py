@@ -26,7 +26,13 @@ class GElement:
         self.cartan = tuple(frac(x) for x in cartan) if cartan is not None else (Zero,) * rd.dim_t
         if len(self.cartan) != rd.dim_t:
             raise ValueError(f"Cartan part has width {len(self.cartan)}, expected {rd.dim_t}")
-        self.root = {i: frac(c) for i, c in (root or {}).items() if c != 0}
+        self.root = out = {}
+        n = rd.num_roots
+        for i, c in (root or {}).items():
+            if not 0 <= i < n:
+                raise ValueError(f"root index {i} is not in range({n})")
+            if c != 0:
+                out[i] = frac(c)
 
     # -- constructors ------------------------------------------------------
 

@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Everything in here works on plain lists of ``fractions.Fraction`` (matrices are
-lists of rows).  No floating point is used anywhere; all eliminations are exact
-Gaussian eliminations over Q.  Also provides dense univariate polynomials over
-Q (for minimal polynomials) and Laurent polynomials in the dilation variable c.
+lists of rows).  No floating point is used anywhere.  There is one elimination,
+a fraction-free Gauss-Jordan on the rows scaled to integers (Bareiss, Math.
+Comp. 22, 1968; Cohen, GTM 138, section 2.2), and ``rref``, ``rank``,
+``nullspace``, ``solve``, ``inverse``, ``det``, ``minimal_polynomial`` and
+``is_squarefree`` all read it.  ``unit_lower_inverse`` is forward substitution
+without division.  Also provides Laurent polynomials in the dilation variable c.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Zero = Fraction(0)
 One = Fraction(1)
@@ -27,10 +31,6 @@ def frac(x) -> Fraction:
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def mat_copy(m):
-    return [list(row) for row in m]
 
 
 def identity(n):
@@ -68,34 +68,59 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (new matrix, pivot column list)."""
-    m = mat_copy(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of a rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators.  A pivot
+    step cross-multiplies every other row by the new pivot and divides it
+    exactly by the previous one, so every entry stays a minor of the scaled
+    matrix.  Returns (rows, pivots, d, scale, sign): the integer rows, equal to
+    d times the reduced row echelon form; the pivot columns; the last pivot d
+    (1 without pivots); the product of the row scales; and the sign of the row
+    swaps.
+    """
+    rows = []
+    scale = 1
+    for row in m:
+        s = lcm(*(x.denominator for x in row))
+        scale *= s
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+    n = len(rows)
     pivots = []
+    d = sign = 1
     r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    for c in range(len(rows[0]) if n else 0):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                rows[i] = [p * a // d for a in row]
         pivots.append(c)
+        d = p
         r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return rows, pivots, d, scale, sign
+
+
+def rref(m):
+    """Reduced row echelon form.  Returns (new matrix, pivot column list)."""
+    rows, pivots, d, _, _ = _eliminate(m)
+    return [[Fraction(x, d) if x else Zero for x in row] for row in rows], pivots
 
 
 def rank(m):
-    if not m:
-        return 0
     return len(rref(m)[1])
 
 
@@ -132,7 +157,7 @@ def solve(m, b):
 
 def inverse(m):
     n = len(m)
-    aug = [list(m[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + e for row, e in zip(m, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -158,103 +183,37 @@ def unit_lower_inverse(m):
 
 
 def det(m):
-    m = mat_copy(m)
-    n = len(m)
-    sign = One
-    out = One
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        out *= m[c][c]
-        inv = One / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * out
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over Q (lists, index = degree)
-# ---------------------------------------------------------------------------
-
-
-def poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_scale(p, c):
-    return poly_trim([c * x for x in p])
-
-
-def poly_deriv(p):
-    return poly_trim([Fraction(i) * p[i] for i in range(1, len(p))])
-
-
-def poly_divmod(p, q):
-    p = list(p)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    dq = len(q) - 1
-    lead = q[-1]
-    quo = [Zero] * max(0, len(p) - dq)
-    while len(p) - 1 >= dq and poly_trim(p):
-        dp = len(p) - 1
-        c = p[-1] / lead
-        quo[dp - dq] = c
-        for i in range(dq + 1):
-            p[dp - dq + i] -= c * q[i]
-        poly_trim(p)
-    return poly_trim(quo), poly_trim(p)
-
-
-def poly_gcd(p, q):
-    p, q = poly_trim(list(p)), poly_trim(list(q))
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        p = poly_scale(p, One / p[-1])
-    return p
+    """Determinant of a square matrix: sign * d / scale from the elimination,
+    or 0 when a column has no pivot."""
+    _, pivots, d, scale, sign = _eliminate(m)
+    return Fraction(sign * d, scale) if len(pivots) == len(m) else Zero
 
 
 def minimal_polynomial(m):
-    """Minimal polynomial of a square matrix, monic, as a coefficient list.
+    """Minimal polynomial of a square matrix, monic, as a coefficient list
+    (index = degree).
 
-    One pass over the powers I, m, m^2, ...: each flattened power is reduced
-    against an echelon basis of the earlier ones, and every basis row keeps
-    the combination of powers it stands for.  The first power that reduces to
-    zero gives the polynomial as that combination.
+    The columns of one matrix are the flattened powers I, m, ..., m^n.  The
+    first non-pivot column of its RREF is the first power that depends on the
+    earlier ones, and its entries above are the coefficients of that relation.
     """
     n = len(m)
-    power = identity(n)
-    basis = []  # (pivot, row with 1 at the pivot, coefficients over the powers)
-    k = 0
-    while True:
-        row = [x for r in power for x in r]
-        comb = [Zero] * k + [One]
-        for p, brow, bcomb in basis:
-            f = row[p]
-            if f != 0:
-                row = [a - f * b for a, b in zip(row, brow)]
-                comb = [a - f * b for a, b in zip(comb, bcomb)] + comb[len(bcomb):]
-        p = next((i for i, x in enumerate(row) if x != 0), None)
-        if p is None:
-            return comb
-        inv = One / row[p]
-        basis.append((p, [x * inv for x in row], [x * inv for x in comb]))
-        power = mat_mul(power, m)
-        k += 1
+    powers = [identity(n)]
+    for _ in range(n):
+        powers.append(mat_mul(powers[-1], m))
+    red, pivots = rref(transpose([[x for row in p for x in row] for p in powers]))
+    k = len(pivots)
+    return [-red[i][k] for i in range(k)] + [One]
 
 
 def is_squarefree(p):
-    g = poly_gcd(p, poly_deriv(p))
-    return len(g) <= 1
+    """Whether a polynomial (coefficient list, index = degree, nonzero last
+    coefficient) has no repeated root: its Sylvester matrix with p' has full rank."""
+    deg = len(p) - 1
+    dp = [i * p[i] for i in range(1, deg + 1)]
+    syl = ([[Zero] * i + list(p) + [Zero] * (deg - 2 - i) for i in range(deg - 1)]
+           + [[Zero] * i + dp + [Zero] * (deg - 1 - i) for i in range(deg)])
+    return rank(syl) == len(syl)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +242,6 @@ class CPoly:
     @classmethod
     def const(cls, v):
         return cls({0: frac(v)})
-
-    @classmethod
-    def var(cls, deg=1, coeff=1):
-        return cls({deg: frac(coeff)})
 
     def __bool__(self):
         return bool(self.c)
@@ -352,29 +307,6 @@ class CPoly:
 
     def degree(self):
         return max(self.c) if self.c else None
-
-    def shift(self, k):
-        return CPoly({d + k: v for d, v in self.c.items()})
-
-    def truncate_below(self, lo):
-        """Drop monomials of degree < lo (used for hbar-order truncation)."""
-        return CPoly({d: v for d, v in self.c.items() if d >= lo})
-
-    def evaluate(self, c_val):
-        c_val = frac(c_val)
-        if any(d < 0 for d in self.c) and c_val == 0:
-            raise ZeroDivisionError("negative powers at c = 0")
-        return sum((v * c_val ** d for d, v in self.c.items()), Zero)
-
-    def is_constant(self):
-        return not self.c or set(self.c) == {0}
-
-    def as_fraction(self):
-        if not self.c:
-            return Zero
-        if set(self.c) == {0}:
-            return self.c[0]
-        raise ValueError("not a constant polynomial")
 
     def __repr__(self):
         if not self.c:

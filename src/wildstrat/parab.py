@@ -99,6 +99,13 @@ class ParabolicFiltration:
             if a & ~b:
                 raise ValueError("chain is not nondecreasing")
 
+    @classmethod
+    def _verified(cls, rd, masks):
+        """A chain whose members and order the caller has already checked."""
+        self = object.__new__(cls)
+        self.rd, self.masks, self.depth = rd, tuple(masks), len(masks)
+        return self
+
     def mask(self, i):
         return self.masks[i] if i < self.depth else full_mask(self.rd)
 
@@ -143,9 +150,12 @@ class ParabolicFiltration:
 
 
 def enumerate_parabolic_filtrations(rd, r, parabolics=None):
+    """Every depth-r nondecreasing chain of parabolic subsets.  A given
+    ``parabolics`` must be what ``enumerate_parabolic(rd)`` returned: the
+    chains built from it are not checked again."""
     if parabolics is None:
         parabolics = enumerate_parabolic(rd)
-    return [ParabolicFiltration(rd, chain)
+    return [ParabolicFiltration._verified(rd, chain)
             for chain in strat.nondecreasing_chains(parabolics, r)]
 
 

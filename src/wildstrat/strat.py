@@ -372,21 +372,15 @@ def weyl_orbits_and_quotient(rd, s, check_freeness=True, filts=None):
     return strata, leq
 
 
-def _out_acts_freely_on_sample(rd, filt, setwise, pointwise, samples=3):
-    """Out = N/W_pointwise acting on a few stratum points: flag any fixed point."""
+def _out_acts_freely_on_sample(rd, filt, setwise, pointwise):
+    """Out = N/W_pointwise acting on the stratum witness: flag a fixed point.
+
+    W acts linearly, so a multiple of the witness would add no information.
+    """
     pt_set = set(w.perm for w in pointwise)
-    pts = [stratum_witness(filt)]
-    # extra deterministic samples: scale the witness blocks
-    for t in (2, 3):
-        pts.append(tuple(tuple(Fraction(t) * x for x in blk) for blk in pts[0]))
-    pairings = [[_pairings(rd, x) for x in xs] for xs in pts[:samples]]
-    for w in setwise:
-        if w.perm in pt_set:
-            continue
-        for ps in pairings:
-            if all(_fixes(w, p) for p in ps):
-                return False
-    return True
+    pairings = [_pairings(rd, x) for x in stratum_witness(filt)]
+    return not any(all(_fixes(w, p) for p in pairings)
+                   for w in setwise if w.perm not in pt_set)
 
 
 # -- dual strata --------------------------------------------------------------

@@ -26,6 +26,16 @@ from test_parab import gl3_ex_chain, gl3_ex_ft
 # -- oracles ---------------------------------------------------------------------
 
 
+def shift(p, k):
+    """p * c^k."""
+    return CPoly({d + k: v for d, v in p.c.items()})
+
+
+def truncate_below(p, lo):
+    """Drop the monomials of degree < lo (hbar-order truncation)."""
+    return CPoly({d: v for d, v in p.c.items() if d >= lo})
+
+
 def oracle_dual_block(mod, mu, duals):
     """Each entry by its own chain of dual letters from the column vector."""
     basis = mod.weight_basis(mu)
@@ -64,7 +74,7 @@ def oracle_factorize_block(block):
             total = CPoly()
             for k in range(n):
                 if cinv[i][k] != 0:
-                    total = total + a[k][j].shift(-lengths[k]) * Fraction(cinv[i][k], d[k])
+                    total = total + shift(a[k][j], -lengths[k]) * Fraction(cinv[i][k], d[k])
             qt[i][j] = total
     return dmat, cmat, qt
 
@@ -92,8 +102,8 @@ def oracle_invert_block(block, N):
             for k in range(n):
                 if cinv[k][j] != 0:
                     val = val + total[i][k] * cinv[k][j]
-            out[i][j] = (val * Fraction(1, block.matrix[j][j].coeff(lengths[j]))
-                         ).shift(-lengths[j]).truncate_below(-N)
+            out[i][j] = truncate_below(shift(
+                val * Fraction(1, block.matrix[j][j].coeff(lengths[j])), -lengths[j]), -N)
     return out
 
 
@@ -106,7 +116,7 @@ def oracle_mat_mul_trunc(a, b, N):
             for k in range(n):
                 if a[i][k] and b[k][j]:
                     total = total + a[i][k] * b[k][j]
-            out[i][j] = total.truncate_below(-N)
+            out[i][j] = truncate_below(total, -N)
     return out
 
 

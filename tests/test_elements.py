@@ -144,6 +144,16 @@ def test_cartan_width_checked(gl3):
         GElement.cartan_vec(gl3, (1, 2, 3, 4))
 
 
+def test_root_index_checked():
+    gl2 = root_datum("gl", 2)
+    for bad in (99, 2, -1):
+        with pytest.raises(ValueError, match=rf"root index {bad} is not in range\(2\)"):
+            GElement(gl2, root={0: 1, bad: 1})
+    with pytest.raises(ValueError, match="root index 5"):
+        GElement(gl2, root={5: 0})
+    assert repr(GElement(gl2, root={1: 2, 0: 0})).startswith("2*E(")
+
+
 def test_semisimple_split(sl2, gl3, sl2_efh):
     E, F, H, _, _ = sl2_efh
     basis = [b.coords() for b in GElement.basis(sl2)]

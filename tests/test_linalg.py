@@ -8,12 +8,198 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildstrat import linalg
-from wildstrat.elements import GElement
-from wildstrat.linalg import CPoly, frac
+from wildstrat.elements import GElement, TcElement
+from wildstrat.linalg import CPoly, Zero, frac
 from wildstrat.rootdata import root_datum
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=6)
+
+
+# -- reference eliminations ---------------------------------------------------------
+# The Fraction eliminations that the integer kernel of `linalg` replaced, kept
+# as oracles: Gauss-Jordan, forward elimination for det, the incremental echelon
+# of powers for minimal polynomials, and Euclid for the squarefree test.
+
+
+def ref_rref(m):
+    m = [list(row) for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def ref_det(m):
+    m = [list(row) for row in m]
+    n = len(m)
+    sign = frac(1)
+    out = frac(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Zero
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return sign * out
+
+
+def ref_minimal_polynomial(m):
+    """Each flattened power reduced against an echelon basis of the earlier
+    ones, every basis row carrying its combination of powers."""
+    power = linalg.identity(len(m))
+    basis = []
+    k = 0
+    while True:
+        row = [x for r in power for x in r]
+        comb = [Zero] * k + [frac(1)]
+        for p, brow, bcomb in basis:
+            f = row[p]
+            if f != 0:
+                row = [a - f * b for a, b in zip(row, brow)]
+                comb = [a - f * b for a, b in zip(comb, bcomb)] + comb[len(bcomb):]
+        p = next((i for i, x in enumerate(row) if x != 0), None)
+        if p is None:
+            return comb
+        basis.append((p, [x / row[p] for x in row], [x / row[p] for x in comb]))
+        power = linalg.mat_mul(power, m)
+        k += 1
+
+
+def ref_poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_poly_scale(p, c):
+    return ref_poly_trim([c * x for x in p])
+
+
+def ref_poly_deriv(p):
+    return ref_poly_trim([Fraction(i) * p[i] for i in range(1, len(p))])
+
+
+def ref_poly_divmod(p, q):
+    p = list(p)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    dq = len(q) - 1
+    lead = q[-1]
+    quo = [Zero] * max(0, len(p) - dq)
+    while len(p) - 1 >= dq and ref_poly_trim(p):
+        dp = len(p) - 1
+        c = p[-1] / lead
+        quo[dp - dq] = c
+        for i in range(dq + 1):
+            p[dp - dq + i] -= c * q[i]
+        ref_poly_trim(p)
+    return ref_poly_trim(quo), ref_poly_trim(p)
+
+
+def ref_poly_gcd(p, q):
+    """Monic gcd by Euclid on coefficient lists (index = degree)."""
+    p, q = ref_poly_trim(list(p)), ref_poly_trim(list(q))
+    while q:
+        p, q = q, ref_poly_divmod(p, q)[1]
+    if p:
+        p = ref_poly_scale(p, 1 / p[-1])
+    return p
+
+
+def ref_is_squarefree(p):
+    return len(ref_poly_gcd(p, ref_poly_deriv(p))) <= 1
+
+
+# -- seeded cases ------------------------------------------------------------------
+
+
+def _random_matrix(rng, rows, cols, dens=(1, 2, 3, 4, 6), density=0.7):
+    return [[Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < density else Zero
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def kernel_cases():
+    """Seeded matrices for the elimination oracles: empty, zero rows and
+    columns, wide, tall, integer-only, mixed denominators, rank-deficient, and
+    the 42 x 42 centraliser matrix of C3 at depth 2."""
+    rng = random.Random(zlib.crc32(b"linalg:kernel"))
+    cases = [[], [[]], [[], []], [[Zero] * 4 for _ in range(3)], [[frac(5)]], [[Zero]]]
+    for _ in range(4):
+        m = _random_matrix(rng, 5, 6)
+        for i in (1, 3):
+            m[i] = [Zero] * 6
+        cases.append(m)
+        m = _random_matrix(rng, 6, 5)
+        for row in m:
+            row[0] = row[3] = Zero
+        cases.append(m)
+        cases.append(_random_matrix(rng, 3, 8))                       # wide
+        cases.append(_random_matrix(rng, 8, 3))                       # tall
+        cases.append(_random_matrix(rng, 6, 6, dens=(1,)))            # integer-only
+        cases.append(_random_matrix(rng, 6, 7, dens=range(1, 13)))    # mixed denominators
+        cases.append(_random_matrix(rng, 7, 7, density=0.3))          # sparse
+        for n, k in ((6, 3), (5, 4), (7, 1)):                          # rank k < n
+            a, b = _random_matrix(rng, n, k, density=1), _random_matrix(rng, k, n, density=1)
+            cases.append(linalg.mat_mul(a, b))
+        for n in range(1, 6):
+            cases.append(_random_matrix(rng, n, n, density=0.9))
+    return cases + [c3_centralizer_matrix()]
+
+
+def c3_centralizer_matrix():
+    """The 42 x 42 matrix of ad_x on g_r whose kernel `orbit.centralizer`
+    takes, for a seeded element x of C3 at depth r = 2."""
+    rd = root_datum("C", 3)
+    rng = random.Random(zlib.crc32(b"centralizer:C3 r=2"))
+    x = TcElement(rd, 2, [
+        GElement(rd, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rd.dim_t)],
+                 {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for i in rng.sample(range(rd.num_roots), 4)})
+        for _ in range(2)])
+    cols = [x.bracket(b).coords() for b in TcElement.basis(rd, 2)]
+    return [list(row) for row in zip(*cols)]
+
+
+def test_rref_vs_fraction_oracle():
+    cases = kernel_cases()
+    ranks = {len(ref_rref(m)[1]) for m in cases if m and len(m) == len(m[0])}
+    assert {0, 1}.issubset(ranks) and len(ranks) > 3
+    assert 0 < len(ref_rref(cases[-1])[1]) < 42
+    for m in cases:
+        assert linalg.rref(m) == ref_rref(m), m
+
+
+def test_det_vs_fraction_oracle():
+    squares = [m for m in kernel_cases() if len(m) == (len(m[0]) if m else 0)]
+    dets = [ref_det(m) for m in squares]
+    assert any(d == 0 for d in dets) and any(d != 0 for d in dets)
+    assert any(d.denominator > 1 for d in dets)
+    for m, d in zip(squares, dets):
+        assert linalg.det(m) == d, m
 
 
 def test_frac_rejects_floats():
@@ -88,7 +274,7 @@ def stacked_minimal_polynomial(m):
         flats.append(flat)
         if len(linalg.rref(flats)[1]) < len(flats):
             coeffs = linalg.solve(linalg.transpose(flats[:-1]), flat)
-            return linalg.poly_trim([-c for c in coeffs] + [frac(1)])
+            return [-c for c in coeffs] + [frac(1)]
         power = linalg.mat_mul(power, m)
 
 
@@ -145,29 +331,70 @@ def test_minimal_polynomial_vs_stacked_oracle():
         assert p[-1] == 1
 
 
+def test_minimal_polynomial_vs_incremental_oracle():
+    corner = [row[:8] for row in c3_centralizer_matrix()[:8]]
+    for m in minimal_polynomial_cases() + [[], [[frac(7)]], corner]:
+        assert linalg.minimal_polynomial(m) == ref_minimal_polynomial(m), m
+
+
 def test_minimal_polynomial_vs_sympy():
     for m in minimal_polynomial_cases():
         assert linalg.minimal_polynomial(m) == sympy_minimal_polynomial(m), m
 
 
-def test_poly_gcd():
-    # gcd(x^2 - 1, x - 1) = x - 1 (monic)
-    g = linalg.poly_gcd([frac(-1), frac(0), frac(1)], [frac(-1), frac(1)])
-    assert g == [frac(-1), frac(1)]
+def test_is_squarefree_vs_euclid_oracle():
+    """Products c * prod (x - a_i)^e_i with seeded rational roots, times an
+    optional irreducible x^2 + 1: squarefree iff every multiplicity is one,
+    and Euclid's gcd with p' is the monic prod (x - a_i)^(e_i - 1)."""
+    rng = random.Random(zlib.crc32(b"linalg:squarefree"))
+    x_minus_1 = [frac(-1), frac(1)]
+    assert ref_poly_gcd([frac(-1), frac(0), frac(1)], x_minus_1) == x_minus_1
+    seen = set()
+    for trial in range(40):
+        roots = rng.sample(sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)}),
+                           rng.randint(0, 4))
+        exps = [rng.choice((1, 1, 2, 3)) for _ in roots]
+        quad = trial % 3
+        lead = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+        p, repeated = [lead], [frac(1)]
+        for a, e in zip(roots, exps):
+            for k in range(e):
+                p = linalg.mat_mul([p], _times_linear(len(p), -a))[0]
+                if k:
+                    repeated = linalg.mat_mul([repeated], _times_linear(len(repeated), -a))[0]
+        for k in range(quad):
+            p = linalg.mat_mul([p], _times_quadratic(len(p)))[0]
+            if k:
+                repeated = linalg.mat_mul([repeated], _times_quadratic(len(repeated)))[0]
+        squarefree = all(e == 1 for e in exps) and quad < 2
+        assert ref_poly_gcd(p, ref_poly_deriv(p)) == repeated, p
+        assert linalg.is_squarefree(p) == ref_is_squarefree(p) == squarefree, p
+        seen.add((len(p) - 1, squarefree))
+    assert {(0, True), (1, True)} <= seen and len({d for d, sf in seen if not sf}) > 3
+
+
+def _times_linear(n, a):
+    """Matrix of multiplication by (x + a) on coefficient rows of length n."""
+    return [[a if j == i else (frac(1) if j == i + 1 else Zero) for j in range(n + 1)]
+            for i in range(n)]
+
+
+def _times_quadratic(n):
+    """Matrix of multiplication by (x^2 + 1) on coefficient rows of length n."""
+    return [[frac(1) if j in (i, i + 2) else Zero for j in range(n + 2)] for i in range(n)]
 
 
 def test_cpoly_arithmetic():
-    c = CPoly.var()
-    h = CPoly.var(-1)
+    c = CPoly({1: 1})
+    h = CPoly({-1: 1})
     assert c * h == CPoly.const(1)
     p = (c + 2) * (c - 2)
     assert p == CPoly({2: 1, 0: -4})
-    assert p.coeff(2) == 1 and p.coeff(1) == 0
-    assert p.evaluate(3) == 5
-    assert (c ** 0 if False else CPoly.const(1)).is_constant()
-    assert (h + h * h).truncate_below(-1) == h
-    assert (2 * c).shift(-1) == CPoly.const(2)
-    assert CPoly.const(Fraction(3, 2)).as_fraction() == Fraction(3, 2)
+    assert p.coeff(2) == 1 and p.coeff(1) == 0 and p.degree() == 2
+    assert CPoly({0: 0, 3: Fraction(3, 2)}).c == {3: Fraction(3, 2)}
+    assert 2 * c - c * 2 == CPoly() and not CPoly() and CPoly().degree() is None
+    assert (h + h * h) * Fraction(1, 2) == CPoly({-1: Fraction(1, 2), -2: Fraction(1, 2)})
+    assert 1 - c == -(c - 1) == CPoly({0: 1, 1: -1})
 
 
 @settings(max_examples=25, deadline=None)
