@@ -286,6 +286,9 @@ class TcElement:
             coeffs = [GElement.zero(rd) for _ in range(depth)]
         if len(coeffs) != depth:
             raise ValueError("coefficient list does not match the depth")
+        for k, g in enumerate(coeffs):
+            if not isinstance(g, GElement) or g.rd is not rd:
+                raise ValueError(f"coefficient {k} ({g!r}) is not an element of {rd.label}")
         self.coeffs = tuple(coeffs)
 
     @classmethod

@@ -93,6 +93,7 @@ class ParabolicFiltration:
         self.masks = tuple(masks)
         self.depth = len(self.masks)
         for m in self.masks:
+            strat.require_mask(rd, m)
             if not is_parabolic(rd, m):
                 raise ValueError("chain member is not a parabolic subset")
         for a, b in zip(self.masks, self.masks[1:]):

@@ -2,8 +2,9 @@
 
 Pipeline: per-weight Shapovalov matrices over the dilated character, their
 D*C*Qtilde factorisation, formal inversion in hbar = 1/c, the first-order
-Poisson check, projection to V0 = U(g_r)/(U(g_r) l), and the exact truncated
-associativity identity B^(12,3) = B^(1,23) in V0^(x)3.
+Poisson check, projection to V0 = U(g_r)/(U(g_r) l) (the uea straightening
+engine over the neg and pos letters, with l acting by 0), and the exact
+truncated associativity identity B^(12,3) = B^(1,23) in V0^(x)3.
 
 All coefficients are rational and every comparison is an exact identity.
 """
@@ -13,8 +14,9 @@ from __future__ import annotations
 from .linalg import CPoly, One, Zero, identity, unit_lower_inverse
 from .rootdata import all_letters
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
-                    is_nonsingular, require_admissible)
+                    is_nonsingular, require_admissible, triangular_split)
 from .singmod import SingularityModule, factorize_block
+from .strat import ClaimViolation
 from .uea import UEAContext, acc, shuffle_coproduct
 
 
@@ -68,7 +70,7 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
         raise SingularCharacterError("singular formal type: the B-pairing is degenerate")
     mod = SingularityModule(pf, ft, dilated=True)
     duals = mod.dual_letters()
-    ctx = UEAContext(pf, layout=("neg", "pos", "levi"))
+    v0 = V0Context(pf)
     terms = {0: {((), ()): One}}
     per_weight = {}
     for mu in mod.root_sums(N):
@@ -82,7 +84,7 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
                 if not series:
                     continue
                 left = _neg_word(mod, basis[i])
-                for rword, rc in _expand_dual_mono(mod, ctx, duals, basis[j]).items():
+                for rword, rc in _expand_dual_mono(mod, v0, duals, basis[j]).items():
                     for deg, cv in series.c.items():
                         h = -deg
                         if h > N:
@@ -141,8 +143,12 @@ def _neg_word(mod, mono):
     return tuple(mod.gen_letter(mod.gens[g]) for g in mod.word_of(mono))
 
 
-def _expand_dual_mono(mod, ctx, duals, mono):
-    """Y_{f,i} written in plain u^+ letters, normal-ordered: {word: coeff}."""
+def _expand_dual_mono(mod, v0, duals, mono):
+    """Y_{f,i} written in plain u^+ letters, normal-ordered: {word: coeff}.
+
+    On a balanced chain brackets of pos letters stay pos, so the V0 normal
+    form is the normal form in U(u^+).
+    """
     dist = {(): One}
     for g in mod.word_of(mono):
         a, i = mod.gens[g]
@@ -151,11 +157,7 @@ def _expand_dual_mono(mod, ctx, duals, mono):
             for c2, letter in duals[(a, i)]:
                 acc(new, word + (letter,), c * c2)
         dist = new
-    out = {}
-    for word, c in dist.items():
-        for w, c2 in ctx.normal_form(word).items():
-            acc(out, w, c * c2)
-    return out
+    return v0.project(dist)
 
 
 # -- Poisson bivector and the first-order check ----------------------------------
@@ -191,12 +193,26 @@ def first_order_check(series: InverseShapovalov):
 
 
 class V0Context:
-    """U(g_r)/(U(g_r) l) with the PBW normal form (neg block)(pos block)."""
+    """U(g_r)/(U(g_r) l) with the PBW normal form (neg block)(pos block).
+
+    The straightening engine over the neg, then the pos letters in generator
+    order, with every levi letter acting by 0.  Every other letter of g_r
+    must be levi, which is checked once here.
+    """
 
     def __init__(self, pf):
         _require_balanced(pf)
         self.pf = pf
-        self.ctx = UEAContext(pf, layout=("neg", "pos", "levi"))
+        rd = pf.rd
+        ts = triangular_split(pf)
+        basis = [("E", rd.neg[a], i) for a, i in ts.gens] + [("E", a, i) for a, i in ts.gens]
+        self.ctx = UEAContext(rd, pf.depth, basis, {})
+        for i in range(pf.depth):
+            lm = ts.levi.mask(i)
+            for b in range(rd.num_roots):
+                if ("E", b, i) not in self.ctx.rank and not (lm >> b) & 1:
+                    raise ClaimViolation(f"letter E_{b} e^{i} escapes the triangular "
+                                         f"classification of {pf!r}")
         self._proj_cache = {}
 
     def project_word(self, word):
@@ -208,16 +224,11 @@ class V0Context:
         """
         word = tuple(word)
         hit = self._proj_cache.get(word)
-        if hit is not None:
-            return hit
-        out = {}
-        for w, c in self.ctx.normal_form(word).items():
-            neg, pos, levi = self.ctx.split_word(w)
-            if levi:
-                continue
-            acc(out, neg + pos, c)
-        self._proj_cache[word] = out
-        return out
+        if hit is None:
+            basis = self.ctx.basis
+            hit = self._proj_cache[word] = {tuple(basis[k] for k in w): c
+                                            for w, c in self.ctx.normal_form(word).items()}
+        return hit
 
     def project(self, element):
         out = {}

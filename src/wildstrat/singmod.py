@@ -4,8 +4,9 @@ The module M^psi_lambda is realized on its PBW basis: monomials in the
 generators X_{a,i} = E_{-a} e^i (a in nu_0, i < d_a) applied to the cyclic
 vector.  Bases, like blocks, come from recursion on the weight: a basis word
 of M[mu] is g.w' for a basis word w' of M[mu - alpha_g] (parab.weight_words).
-The action straightens words by pushing commutators to the right until
-letters annihilate the cyclic vector or act through the character.
+The action is the straightening engine of uea over the generator letters:
+Cartan letters act on the cyclic vector through the character lambda (c lambda
+when dilated), every other letter by 0.
 
 Shapovalov entries are computed through the module action as the coefficient
 of the cyclic vector (the zero-weight space is a line).  Blocks are built by
@@ -18,12 +19,12 @@ criterion and the simplicity probe all live here.
 from __future__ import annotations
 
 from .linalg import CPoly, One, Zero, frac_str, nullspace, rank, unit_lower_inverse
-from .rootdata import all_letters, letter_bracket
+from .rootdata import all_letters
 from .strat import indices
 from . import parab
 from .parab import (FormalType, ParabolicFiltration, require_admissible,
                     triangular_split)
-from .uea import acc
+from .uea import UEAContext, acc
 
 
 class SingularityModule:
@@ -45,45 +46,24 @@ class SingularityModule:
         self.gen_pos = self.split.gen_pos
         self.levels = self.split.levels
         self.nu0 = self.split.nu0
-        self._apply_cache = {}
-        self._lmul_cache = {}
+        scalar = {}
+        for i in range(self.depth):
+            for t, v in enumerate(ft[i]):
+                if v:
+                    scalar[("H", t, i)] = CPoly({1: v}) if dilated else v
+        self.action = UEAContext(self.rd, self.depth, [self.gen_letter(g) for g in self.gens],
+                                 scalar, self._one())
         self._letter_roots = [self.rd.roots[a] for a, _ in self.gens]
         self._word_table = {}  # mu -> generator words of weight mu
         self._bases = {}     # mu -> (PBW basis, {word: position})
         self._blocks = {}    # (dual, mu) -> block matrix (no back reference, no cycle)
         self._duals = None
 
-    # -- characters ----------------------------------------------------------
-
-    def character(self, letter):
-        """chi on a levi letter; zero on root letters, lambda on Cartan ones."""
-        kind, idx, i = letter
-        if kind != "H":
-            return self._zero()
-        v = self.ft[i][idx]
-        if self.dilated:
-            return CPoly({1: v}) if v != 0 else CPoly()
-        return v
-
     def _zero(self):
         return CPoly() if self.dilated else Zero
 
     def _one(self):
         return CPoly.const(1) if self.dilated else One
-
-    # -- letter classification -------------------------------------------------
-
-    def classify(self, letter):
-        kind, idx, i = letter
-        if kind == "H":
-            return "levi"
-        rd = self.rd
-        neg = rd.neg[idx]
-        if (self.pf.nu(i) >> idx) & 1:
-            return "pos"
-        if (self.pf.nu(i) >> neg) & 1:
-            return "neg"
-        return "levi"
 
     def gen_letter(self, gen):
         a, i = gen
@@ -93,61 +73,7 @@ class SingularityModule:
 
     def apply_letter(self, letter, vec):
         """Action of a g_r basis letter on a module vector {mono: coeff}."""
-        out = {}
-        for word, c in vec.items():
-            for w2, c2 in self._apply(letter, word).items():
-                acc(out, w2, c * c2)
-        return out
-
-    def _apply(self, letter, word):
-        key = (letter, word)
-        hit = self._apply_cache.get(key)
-        if hit is not None:
-            return hit
-        cls = self.classify(letter)
-        if not word:
-            if cls == "neg":
-                kind, idx, i = letter
-                g = (self.rd.neg[idx], i)
-                result = {(self.gen_pos[g],): self._one()}
-            elif cls == "levi":
-                val = self.character(letter)
-                result = {(): val} if val else {}
-            else:
-                result = {}
-        else:
-            g0, rest = word[0], word[1:]
-            result = {}
-            inner = self._apply(letter, rest)
-            for w2, c2 in inner.items():
-                for w3, c3 in self._lmul(g0, w2).items():
-                    acc(result, w3, c2 * c3)
-            lt0 = self.gen_letter(self.gens[g0])
-            for coeff, b2 in letter_bracket(self.rd, self.depth, letter, lt0):
-                for w2, c2 in self._apply(b2, rest).items():
-                    acc(result, w2, coeff * c2)
-        self._apply_cache[key] = result
-        return result
-
-    def _lmul(self, g, word):
-        """Left multiplication by a generator on a PBW word (both normal)."""
-        if not word or g <= word[0]:
-            return {(g,) + word: self._one()}
-        key = (g, word)
-        hit = self._lmul_cache.get(key)
-        if hit is not None:
-            return hit
-        y, rest = word[0], word[1:]
-        result = {}
-        for w2, c2 in self._lmul(g, rest).items():
-            acc(result, (y,) + w2, c2)
-        for coeff, b2 in letter_bracket(self.rd, self.depth,
-                                        self.gen_letter(self.gens[g]),
-                                        self.gen_letter(self.gens[y])):
-            for w2, c2 in self._apply(b2, rest).items():
-                acc(result, w2, coeff * c2)
-        self._lmul_cache[key] = result
-        return result
+        return self.action.apply(letter, vec)
 
     # -- monomials and weights ----------------------------------------------------
 
@@ -329,11 +255,12 @@ class SingularityModule:
 
     def _letter_image(self, g, word, dual):
         """L_g applied to the basis word: {word: coeff}."""
+        act = self.action.act
         if not dual:
-            return self._apply(self.transpose_letter(g), word)
+            return act(self.transpose_letter(g), word)
         out = {}
         for coeff, letter in self.dual_letters()[self.gens[g]]:
-            for w, c in self._apply(letter, word).items():
+            for w, c in act(letter, word).items():
                 acc(out, w, coeff * c)
         return out
 

@@ -9,6 +9,7 @@ implemented as finite, testable procedures.
 from __future__ import annotations
 
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 from .linalg import Zero, dot, nullspace, rank
 
@@ -39,6 +40,13 @@ def indices(mask):
 
 def full_mask(rd):
     return (1 << rd.num_roots) - 1
+
+
+def require_mask(rd, mask):
+    """Raise a ValueError naming a mask that is not a set of roots of rd."""
+    if not isinstance(mask, int) or mask < 0 or mask >> rd.num_roots:
+        raise ValueError(f"mask {mask!r} is not a set of roots of {rd.label} "
+                         f"(bits 0..{rd.num_roots - 1})")
 
 
 def negate_mask(rd, mask):
@@ -78,10 +86,20 @@ def is_levi(rd, mask):
     return span_closure(rd, mask) == mask
 
 
+_KERNELS = WeakKeyDictionary()  # root datum -> {mask: kernel basis}, dies with the datum
+
+
 def kernel_basis(rd, mask):
-    """Basis of Ker(phi) = {X in t : <a|X> = 0 for a in phi}."""
-    rows = [list(rd.roots[i]) for i in indices(mask)]
-    return nullspace(rows, cols=rd.dim_t)
+    """Basis of Ker(phi) = {X in t : <a|X> = 0 for a in phi}, as a tuple of
+    tuples, echelonised once per root datum and mask."""
+    memo = _KERNELS.get(rd)
+    if memo is None:
+        memo = _KERNELS[rd] = {}
+    hit = memo.get(mask)
+    if hit is None:
+        rows = [list(rd.roots[i]) for i in indices(mask)]
+        hit = memo[mask] = tuple(map(tuple, nullspace(rows, cols=rd.dim_t)))
+    return hit
 
 
 def kernel_dim(rd, mask):
@@ -180,6 +198,8 @@ class LeviFiltration:
         self.rd = rd
         self.masks = tuple(masks)
         self.depth = len(self.masks)
+        for m in self.masks:
+            require_mask(rd, m)
         for a, b in zip(self.masks, self.masks[1:]):
             if a & ~b:
                 raise ValueError("filtration is not nondecreasing")

@@ -1,11 +1,16 @@
-"""Normal ordering in U(g_r) relative to a triangular splitting.
+"""The one straightening engine: letters acting on an induced module over
+ordered basis letters.
 
 Letters are basis elements of g_r (Cartan or root vectors at a fixed epsilon
-degree).  A UEAContext fixes a total order on the letters - determined by the
-polarisation and a block layout such as (neg, levi, pos) or (neg, pos, levi) -
-and rewrites arbitrary words into the corresponding PBW normal form with
-exact rational coefficients.  Used by the quantisation (V0 reduction) and as
-the independent straightening oracle for the module action.
+degree).  A UEAContext fixes an ordered list of basis letters spanning a
+complement of a subalgebra that acts on the cyclic vector by scalars; every
+other letter acts on the cyclic vector by a given scalar (0 when absent).  A
+module vector is {word: coeff} over nondecreasing words of basis positions,
+and a letter a acts by the single rule a.(y.rest) = y.(a.rest) + [a, y].rest
+unless it is a basis letter that may stand in front of y.  The singularity
+module (basis: its generators, Cartan letters acting through the character)
+and V0 = U(g_r)/U(g_r) l (basis: the neg, then the pos letters) are its
+instances.
 
 The coefficient accumulator (acc) shared with singmod and quant also lives
 here; the bracket of two letters (letter_bracket) and the list of all letters
@@ -15,136 +20,73 @@ imported from there.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .linalg import One
 from .rootdata import all_letters, letter_bracket
-from .strat import ClaimViolation, indices
-from .parab import ParabolicFiltration, triangular_split
 
 
 class UEAContext:
-    """Letters: ('H', t, i) and ('E', root_idx, i); order fixed by `layout`.
+    """The action of g_r letters on the induced module with ordered `basis`.
 
-    layout: tuple of block names from {"neg", "pos", "levi"} listed in
-    increasing order.  neg/pos letters are ordered inside their block by the
-    triangular-split generator order; levi letters by (eps, kind, index).
+    `scalar` maps each non-basis letter with a nonzero value on the cyclic
+    vector to that value; `one` is the unit coefficient (One or a CPoly).
     """
 
-    def __init__(self, pf: ParabolicFiltration, layout=("neg", "pos", "levi")):
-        self.pf = pf
-        self.rd = rd = pf.rd
-        self.depth = pf.depth
-        self.layout = layout
-        ts = triangular_split(pf)
-        self.split = ts
-        lf = ts.levi
-        letters = []
-        self.block = {}
-        # classify every letter of g_r
-        for i in range(self.depth):
-            for t in range(rd.dim_t):
-                self.block[("H", t, i)] = "levi"
-            lm = lf.mask(i)
-            nu = pf.nu(i)
-            for b in range(rd.num_roots):
-                if (nu >> b) & 1:
-                    self.block[("E", b, i)] = "pos"
-                elif (nu >> rd.neg[b]) & 1:
-                    self.block[("E", b, i)] = "neg"
-                elif (lm >> b) & 1:
-                    self.block[("E", b, i)] = "levi"
-                else:
-                    raise ClaimViolation(f"letter E_{b} e^{i} escapes the triangular "
-                                         f"classification of {pf!r}")
-        order = {}
-        pos_rank = {g: k for k, g in enumerate(ts.gens)}
-        counter = 0
-        for name in layout:
-            if name == "neg":
-                for a, i in ts.gens:
-                    order[("E", rd.neg[a], i)] = counter
-                    counter += 1
-            elif name == "pos":
-                for a, i in ts.gens:
-                    order[("E", a, i)] = counter
-                    counter += 1
-            else:
-                for i in range(self.depth):
-                    for t in range(rd.dim_t):
-                        order[("H", t, i)] = counter
-                        counter += 1
-                    for b in sorted(indices(lf.mask(i))):
-                        order[("E", b, i)] = counter
-                        counter += 1
-        self.order = order
-        self._nf_cache = {}
-        self._bracket_cache = {}
+    def __init__(self, rd, depth, basis, scalar, one=One):
+        self.rd = rd
+        self.depth = depth
+        self.basis = basis
+        self.rank = {letter: k for k, letter in enumerate(basis)}
+        self.scalar = scalar
+        self.one = one
+        self._memo = {}  # (letter, word) -> {word: coeff}, shared, read only
 
-    # -- Lie brackets of letters -------------------------------------------
-
-    def bracket(self, a, b):
-        """[a, b] as a list of (coeff, letter), cached per context."""
-        key = (a, b)
-        hit = self._bracket_cache.get(key)
-        if hit is None:
-            hit = self._bracket_cache[key] = letter_bracket(self.rd, self.depth, a, b)
-        return hit
-
-    # -- normal ordering ------------------------------------------------------
-
-    def normal_form(self, word):
-        """PBW normal form of a word (tuple of letters) as {word: coeff}."""
-        word = tuple(word)
-        hit = self._nf_cache.get(word)
+    def act(self, letter, word):
+        """letter . word for a nondecreasing word of basis positions."""
+        k = self.rank.get(letter)
+        if k is not None and (not word or k <= word[0]):
+            return {(k,) + word: self.one}
+        key = (letter, word)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        order = self.order
-        k = next((t for t in range(len(word) - 1)
-                  if order[word[t]] > order[word[t + 1]]), None)
-        if k is None:
-            result = {word: Fraction(1)}
+        if not word:
+            v = self.scalar.get(letter)
+            result = {(): v} if v else {}
         else:
-            a, b = word[k], word[k + 1]
+            y, rest = word[0], word[1:]
+            head = self.basis[y]
             result = {}
-            swapped = word[:k] + (b, a) + word[k + 2:]
-            for w, c in self.normal_form(swapped).items():
-                acc(result, w, c)
-            for coeff, letter in self.bracket(a, b):
-                for w, c in self.normal_form(word[:k] + (letter,) + word[k + 2:]).items():
+            for w, c in self.act(letter, rest).items():
+                for w2, c2 in self.act(head, w).items():
+                    acc(result, w2, c * c2)
+            for coeff, b in letter_bracket(self.rd, self.depth, letter, head):
+                for w, c in self.act(b, rest).items():
                     acc(result, w, coeff * c)
-        self._nf_cache[word] = result
+        self._memo[key] = result
         return result
 
-    def normal_form_of(self, element):
-        """Normal form of {word: coeff}."""
+    def apply(self, letter, vec):
+        """letter . vec for a module vector {word: coeff}."""
         out = {}
-        for word, c in element.items():
-            for w, c2 in self.normal_form(word).items():
+        for word, c in vec.items():
+            for w, c2 in self.act(letter, word).items():
                 acc(out, w, c * c2)
         return out
 
-    def multiply(self, x, y):
-        """Product of two normal-form elements, re-normalized."""
-        out = {}
-        for wx, cx in x.items():
-            for wy, cy in y.items():
-                for w, c in self.normal_form(wx + wy).items():
-                    acc(out, w, cx * cy * c)
-        return out
-
-    def split_word(self, word):
-        """Split a normal word into its (neg, pos, levi) blocks."""
-        blocks = {"neg": [], "pos": [], "levi": []}
-        for letter in word:
-            blocks[self.block[letter]].append(letter)
-        return tuple(blocks["neg"]), tuple(blocks["pos"]), tuple(blocks["levi"])
+    def normal_form(self, word):
+        """A word of letters applied to the cyclic vector, rightmost first."""
+        vec = {(): self.one}
+        for letter in reversed(word):
+            vec = self.apply(letter, vec)
+        return vec
 
 
 def acc(d, k, v):
     """d[k] += v, dropping k when the sum vanishes.
 
     Values are Fractions, ints or CPolys; all three are false exactly when
-    zero, and all are treated as immutable, so v may be stored as is.
+    zero, and all are treated as immutable, so v may be stored as is.  d must
+    be the caller's own dict: those that UEAContext.act returns are shared.
     """
     old = d.get(k)
     nv = v if old is None else old + v

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wildstrat import orbit, strat
+from wildstrat import orbit, parab, strat
 from wildstrat.cli import main
 from wildstrat.rootdata import parse_type
 
@@ -313,24 +313,32 @@ def test_config_shapes_exit_0_or_2(tmp_path, capsys):
     from hypothesis import strategies as st
 
     cfg = tmp_path / "cfg.json"
+    parabolics = {t: [strat.indices(m) for m in parab.enumerate_parabolic(parse_type(t))]
+                  for t in ("sl2", "gl2", "gl1", "gl3", "B2")}
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())
     def check(data):
         command = data.draw(st.sampled_from(["shapovalov", "character", "simplicity",
                                              "quantize"]))
-        lie_type, rank = data.draw(st.sampled_from([("sl2", 1), ("gl2", 2), ("gl1", 1)]))
+        lie_type = data.draw(st.sampled_from(list(parabolics)))
+        rd = parse_type(lie_type)
+        rank = rd.dim_t
         depth = data.draw(st.integers(1, 2))
         # each field is either well formed or one of its malformed shapes
         value = st.one_of(st.integers(-2, 3), st.sampled_from(["1/3", "-5/2"]))
         row = st.lists(value, min_size=rank, max_size=rank)
         bad_row = st.one_of(value, st.lists(value, max_size=rank + 1),
                             st.sampled_from([["1/0"], ["x"], [""], [None]]))
-        lams = data.draw(st.one_of(st.lists(row, min_size=depth, max_size=depth),
+        # listed twice: only a well-formed list reaches the module action
+        well_formed = st.lists(row, min_size=depth, max_size=depth)
+        lams = data.draw(st.one_of(well_formed, well_formed,
                                    st.lists(st.one_of(row, bad_row), max_size=3), value))
         filtration = data.draw(st.one_of(
             st.sampled_from([None, "borel", 0]),
-            st.lists(st.lists(st.integers(-1, 3), max_size=2), min_size=depth, max_size=depth)))
+            st.lists(st.lists(st.integers(-1, rd.num_roots), max_size=2), min_size=depth,
+                     max_size=depth),
+            st.lists(st.sampled_from(parabolics[lie_type]), min_size=depth, max_size=depth)))
         config = {"formal_type": {"lambdas": lams}}
         if filtration is not None:
             config["filtration"] = filtration

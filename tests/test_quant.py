@@ -10,7 +10,9 @@ from wildstrat.quant import (TruncationError, UnbalancedFiltration, V0Context,
                              first_order_check, inverse_shapovalov_series,
                              poisson_bivector, star_bidiff)
 from wildstrat.strat import mask_from_indices
+from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
+from test_block_oracles import _gl3_chain, _sl2_r3
 from test_parab import gl3_ex_chain, gl3_ex_ft
 
 
@@ -113,6 +115,42 @@ def test_project_v0_eps_levi(sl2):
     # p(F He) = 0 (right multiple of the Levi part); p(He F) = commutator term
     assert v0.project_word((F, He)) == {}
     assert v0.project_word((He, F)) == {(("E", i_f, 1),): Fraction(-2)}
+
+
+@pytest.mark.parametrize("make, N", [(_gl3_chain, 3), (_sl2_r3, 4)],
+                         ids=["gl3 chain N=3", "sl2 r=3 N=4"])
+def test_project_word_matches_bubble_sort_oracle(monkeypatch, make, N):
+    """p of every word that star_bidiff and associativity_check project equals
+    the bubble-sort normal form in (neg, pos, levi) with the levi words dropped."""
+    pf, ft = make()
+    series = inverse_shapovalov_series(pf, ft, N, N)
+    words = set()
+    project_word = V0Context.project_word
+
+    def recording(self, word):
+        words.add(tuple(word))
+        return project_word(self, word)
+
+    monkeypatch.setattr(V0Context, "project_word", recording)
+    bid = star_bidiff(series)
+    assert associativity_check(bid)
+    monkeypatch.undo()
+    oracle = BubbleSortUEA(pf, layout=("neg", "pos", "levi"))
+    for word in words:
+        want = {}
+        for w, c in oracle.normal_form(word).items():
+            neg, pos, levi = oracle.split_word(w)
+            if not levi:
+                uea.acc(want, neg + pos, c)
+        assert bid.v0.project_word(word) == want, word
+
+
+def test_v0_rejects_a_letter_outside_the_triangular_split(gl3):
+    """A chain that skipped its checks, with the non-parabolic member {a12}:
+    four root letters are neither neg, pos nor levi."""
+    pf = ParabolicFiltration._verified(gl3, [mask_from_indices([gl_root_index(gl3, 0, 1)])])
+    with pytest.raises(strat.ClaimViolation, match="escapes the triangular classification"):
+        V0Context(pf)
 
 
 def test_star_degree_zero_and_assoc_trivial(sl2):

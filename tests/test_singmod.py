@@ -14,6 +14,7 @@ from wildstrat.singmod import (FactorisationError, SingularityModule,
                                truncated_quotient_proper,
                                truncated_quotient_saturation)
 from wildstrat.strat import full_mask, mask_from_indices
+from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
 from test_block_oracles import _b2_borel_r2, _b2_tame, _sl2_r3
 from test_parab import decompositions, gl3_ex_chain, gl3_ex_ft
@@ -99,21 +100,21 @@ def test_act_sl2_r2_commutator(sl2):
 
 
 def test_act_matches_free_rewriting_oracle(sl2, gl2, gl3):
-    """The module action agrees with the universal normal-ordering oracle.
+    """The module action agrees with the bubble-sort normal-ordering oracle.
 
     Oracle: rewrite g * word in U(g_r) with the (neg, levi, pos) PBW order,
     then evaluate levi/pos blocks on the cyclic vector via the character.
     """
     cases = []
-    i_e = sl2.root_index[(Fraction(2),)]
     cases.append((sl2_module(sl2, [5, 7]),))
     pf_gl3 = gl3_ex_chain(gl3)
     cases.append((SingularityModule(pf_gl3, gl3_ex_ft(gl3, 1, 2, 4, 6, 3)),))
     i01 = gl_root_index(gl2, 0, 1)
     pf_gl2 = ParabolicFiltration(gl2, [mask_from_indices([i01])] * 2)
     cases.append((SingularityModule(pf_gl2, FormalType([(2, 0), (3, 1)])),))
+    cases.append((SingularityModule(*_b2_tame()),))
     for (m,) in cases:
-        ctx = uea.UEAContext(m.pf, layout=("neg", "levi", "pos"))
+        ctx = BubbleSortUEA(m.pf, layout=("neg", "levi", "pos"))
         rd = m.rd
         letters = ([("H", t, i) for t in range(rd.dim_t) for i in range(m.depth)]
                    + [("E", b, i) for b in range(rd.num_roots) for i in range(m.depth)])
@@ -504,7 +505,7 @@ def test_antipode_is_antihomomorphism(sl2):
     i_e = sl2.root_index[(Fraction(2),)]
     i_f = sl2.neg[i_e]
     pf = sl2_module(sl2, [5, 7]).pf
-    ctx = uea.UEAContext(pf, layout=("neg", "pos", "levi"))
+    ctx = BubbleSortUEA(pf, layout=("neg", "pos", "levi"))
     E, F, H, Fe = ("E", i_e, 0), ("E", i_f, 0), ("H", 0, 0), ("E", i_f, 1)
     words = [(E,), (F, E), (H, Fe), (E, F, H)]
     for wa in words:

@@ -1,11 +1,16 @@
+import gc
 import random
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from wildstrat import strat
+from wildstrat.elements import TcElement
 from wildstrat.linalg import rank as mat_rank
-from wildstrat.rootdata import parse_type
+from wildstrat.parab import ParabolicFiltration
+from wildstrat.rootdata import parse_type, root_datum
 from wildstrat.strat import (LeviFiltration, LeviPoset, cardinality_bound,
                              dual_stratum_of_covector, enumerate_filtrations,
                              enumerate_levi, full_mask, indices, is_levi,
@@ -80,7 +85,6 @@ def test_levi_poset_sl2_chain(sl2):
 
 
 def test_gl4_rank_function_surjective(gl4=None):
-    from wildstrat.rootdata import root_datum
     gl4 = root_datum("gl", 4)
     poset = LeviPoset(gl4)
     # oracle: kernel dims via rank-nullity on the root covector matrix
@@ -313,3 +317,33 @@ def test_weyl_fixed_points_match_matrix_action(label, depth):
                         for xs in samples)
             assert strat._out_acts_freely_on_sample(rd, rep, setwise, known) is not fixed
         assert s.free_on_samples is True
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda rd: ParabolicFiltration(rd, [-1]), "mask -1"),
+    (lambda rd: ParabolicFiltration(rd, [1 << 2]), "mask 4"),
+    (lambda rd: LeviFiltration(rd, [1 << 2]), "mask 4"),
+    (lambda rd: LeviFiltration(rd, [0, -2]), "mask -2"),
+    (lambda rd: LeviFiltration(rd, ["1"]), "mask '1'"),
+    (lambda rd: TcElement(rd, 1, [1]), "coefficient 0 (1)"),
+], ids=["parabolic-negative", "parabolic-bit-past-roots", "levi-bit-past-roots",
+        "levi-negative", "levi-not-int", "tc-not-gelement"])
+def test_constructors_reject_bad_masks_and_coefficients(sl2, build, named):
+    """A mask that is not a set of roots (sl2 has 2) and a coefficient that is
+    not an element of g each raise a ValueError naming it."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build(sl2)
+
+
+def test_kernel_basis_kept_per_root_datum():
+    """One immutable kernel basis per (root datum, mask), freed with the datum."""
+    rd = root_datum.__wrapped__("gl", 3)
+    mask = mask_from_indices([gl_root_index(rd, 0, 1)])
+    basis = kernel_basis(rd, mask)
+    assert kernel_basis(rd, mask) is basis
+    assert isinstance(basis, tuple) and all(isinstance(v, tuple) for v in basis)
+    assert len(basis) == 2 and all(rd.pair(gl_root_index(rd, 0, 1), v) == 0 for v in basis)
+    ref = weakref.ref(rd)
+    del rd
+    gc.collect()
+    assert ref() is None
