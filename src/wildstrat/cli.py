@@ -28,12 +28,19 @@ class ValidationError(ValueError):
 
 
 def _to_frac(x, field):
-    if isinstance(x, float):
-        raise ValidationError(f"{field}: floats are not accepted: {x!r}")
+    if isinstance(x, (bool, float)):
+        raise ValidationError(f"{field}: {x!r} is not an exact rational")
     try:
         return frac(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{field}: {exc}") from exc
+
+
+def _rationals(row, field):
+    """A JSON list of rationals (a string is not read digit by digit)."""
+    if not isinstance(row, list):
+        raise ValidationError(f"{field}: a list of rationals is required, got {row!r}")
+    return [_to_frac(x, field) for x in row]
 
 
 def _load_config(path):
@@ -108,9 +115,13 @@ def _parse_formal_type(rd, data, depth):
     if not isinstance(data, dict):
         raise ValidationError("formal_type: an object is required")
     lams = data.get("lambdas", [])
-    if not isinstance(lams, list) or not all(isinstance(lam, list) for lam in lams):
+    if not isinstance(lams, list):
         raise ValidationError("formal_type.lambdas: a list of lists of rationals is required")
-    lams = [[_to_frac(x, "formal_type.lambdas") for x in lam] for lam in lams]
+    lams = [_rationals(lam, "formal_type.lambdas") for lam in lams]
+    given = data.get("depth", len(lams))
+    if type(given) is not int or given != len(lams):
+        raise ValidationError(f"formal_type.depth: {given!r} is not the number of lambdas "
+                              f"({len(lams)})")
     for lam in lams:
         if len(lam) != rd.dim_t:
             raise ValidationError(f"formal_type.lambdas: each entry needs {rd.dim_t} "
@@ -125,19 +136,23 @@ def _parse_element(rd, data):
     field = "coeffs" if isinstance(data, dict) and "coeffs" in data else "tuple"
     try:
         if field == "coeffs":
+            if type(data["depth"]) is not int:
+                raise ValidationError(f"depth: the element depth must be an integer, "
+                                      f"got {data['depth']!r}")
+            for entry in data["coeffs"]:
+                _rationals(entry.get("cartan", []), "coeffs.cartan")
+                _rationals(list(entry.get("roots", {}).values()), "coeffs.roots")
             x = TcElement.from_json(rd, data)
         else:
-            tup = data["tuple"]
-            coeffs = [GElement.cartan_vec(rd, row) for row in tup]
-            x = TcElement(rd, len(coeffs), coeffs)
+            rows = data["tuple"]
+            x = TcElement(rd, len(rows), [GElement.cartan_vec(rd, _rationals(row, "tuple"))
+                                          for row in rows])
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ValidationError(f"{field}: bad element spec: {exc}") from exc
     if x.depth < 1:
         raise ValidationError(f"{field}: the element has depth {x.depth}, at least 1 is needed")
-    for g in x.coeffs:
-        for i in g.root:
-            if not 0 <= i < rd.num_roots:
-                raise ValidationError(f"{field}: root index {i} is not in 0..{rd.num_roots - 1}")
     return x
 
 
@@ -191,7 +206,9 @@ def cmd_parabolic(args):
 def cmd_classify(args):
     rd = _root_datum(args)
     config = _load_config(args.config) if args.config else {}
-    data = config.get("element") or config
+    data = config.get("element", config)
+    if not isinstance(data, dict):
+        raise ValidationError(f"element: an object is required, got {data!r}")
     x = _parse_element(rd, data)
     nf = orbit.birkhoff_normalize(x)
     rep = orbit.centralizer(x)

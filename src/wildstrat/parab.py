@@ -4,7 +4,6 @@ A parabolic subset psi satisfies (psi+psi) cap Phi = psi and psi cup -psi =
 Phi; its Levi factor is Lf(psi) = psi cap -psi and nu = psi minus Lf(psi)
 indexes the nilradical.  Parabolic filtrations are nondecreasing chains of
 these; they polarize the strata of the Levi-filtration stratification and
-
 carry the character spaces that singularity modules are induced from.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from .linalg import One, Zero, frac, frac_str, inverse, rank, solve
 from . import strat
-from .strat import (ClaimViolation, LeviFiltration, full_mask, indices,
+from .strat import (ClaimViolation, LeviFiltration, RootChain, full_mask, indices,
                     mask_from_indices, negate_mask, weyl_mask)
 
 
@@ -43,16 +42,7 @@ def nilradical_mask(rd, mask):
 
 def enumerate_parabolic(rd):
     """All parabolic subsets, generated as w(Phi+ cup Phi^-_Sigma)."""
-    delta = rd.simple
-    pos_mask = mask_from_indices(rd.positive)
-    seen = set()
-    for bits in range(1 << len(delta)):
-        sigma = [delta[k] for k in range(len(delta)) if (bits >> k) & 1]
-        span = strat.span_closure(rd, mask_from_indices(sigma))
-        base = pos_mask | span
-        for w in rd.weyl:
-            seen.add(weyl_mask(w, base))
-    out = sorted(seen)
+    out = strat.weyl_saturation(rd, mask_from_indices(rd.positive))
     for m in out:
         if not is_parabolic(rd, m):
             raise ClaimViolation("generated subset fails the parabolic axioms")
@@ -70,52 +60,21 @@ def levi_factor_map(rd, parabolics=None):
 
 
 def weyl_classes(rd, masks):
-    remaining = set(masks)
-    orbits = []
-    while remaining:
-        m = next(iter(remaining))
-        orbit = {weyl_mask(w, m) for w in rd.weyl}
-        remaining -= orbit
-        orbits.append(sorted(orbit))
-    return orbits
+    return strat.weyl_orbits(rd, masks, weyl_mask)
 
 
 # -- parabolic filtrations ------------------------------------------------------
 
 
-class ParabolicFiltration:
+class ParabolicFiltration(RootChain):
     """Nondecreasing chain psi_0 <= ... <= psi_{r-1} of parabolic subsets."""
 
-    __slots__ = ("rd", "depth", "masks")
+    __slots__ = ()
 
-    def __init__(self, rd, masks):
-        self.rd = rd
-        self.masks = tuple(masks)
-        self.depth = len(self.masks)
-        for m in self.masks:
-            strat.require_mask(rd, m)
-            if not is_parabolic(rd, m):
-                raise ValueError("chain member is not a parabolic subset")
-        for a, b in zip(self.masks, self.masks[1:]):
-            if a & ~b:
-                raise ValueError("chain is not nondecreasing")
-
-    @classmethod
-    def _verified(cls, rd, masks):
-        """A chain whose members and order the caller has already checked."""
-        self = object.__new__(cls)
-        self.rd, self.masks, self.depth = rd, tuple(masks), len(masks)
-        return self
-
-    def mask(self, i):
-        return self.masks[i] if i < self.depth else full_mask(self.rd)
-
-    def __eq__(self, other):
-        return (isinstance(other, ParabolicFiltration) and self.rd is other.rd
-                and self.masks == other.masks)
-
-    def __hash__(self):
-        return hash(self.masks)
+    @staticmethod
+    def _check_member(rd, mask):
+        if not is_parabolic(rd, mask):
+            raise ValueError("chain member is not a parabolic subset")
 
     def levi_filtration(self):
         return LeviFiltration(self.rd, [levi_factor(self.rd, m) for m in self.masks])
@@ -126,9 +85,6 @@ class ParabolicFiltration:
     def opposite(self):
         return ParabolicFiltration(self.rd, [negate_mask(self.rd, m) | levi_factor(self.rd, m)
                                              for m in self.masks])
-
-    def weyl_image(self, w):
-        return ParabolicFiltration(self.rd, [weyl_mask(w, m) for m in self.masks])
 
     def is_balanced(self):
         """[u_{psi_i}, u_{psi_j}] inside u_{psi_{i+j}} for i + j <= r - 1."""
@@ -145,10 +101,6 @@ class ParabolicFiltration:
                                 return False
         return True
 
-    def __repr__(self):
-        return "ParabolicFiltration(" + " <= ".join(
-            "{" + ",".join(map(str, indices(m))) + "}" for m in self.masks) + ")"
-
 
 def enumerate_parabolic_filtrations(rd, r, parabolics=None):
     """Every depth-r nondecreasing chain of parabolic subsets.  A given
@@ -163,29 +115,27 @@ def enumerate_parabolic_filtrations(rd, r, parabolics=None):
 # -- relative heights and words by weight ----------------------------------------
 
 
+def _chamber_containing(rd, mask):
+    """A w in W with the given roots inside w(Phi+); None if there is none."""
+    pos = mask_from_indices(rd.positive)
+    return next((w for w in rd.weyl if mask & ~weyl_mask(w, pos) == 0), None)
+
+
 def positive_system_containing(rd, mask):
     """A positive system (as a mask) containing the given roots; None if impossible."""
-    pos = mask_from_indices(rd.positive)
-    for w in rd.weyl:
-        cand = weyl_mask(w, pos)
-        if mask & ~cand == 0:
-            return cand
-    return None
+    w = _chamber_containing(rd, mask)
+    return None if w is None else weyl_mask(w, mask_from_indices(rd.positive))
 
 
 def height_functional(rd, nu_mask):
-    """xi in t with <a|xi> >= 1 on nu; certifies the pointed-cone precondition."""
-    pos = positive_system_containing(rd, nu_mask)
-    if pos is None:
+    """xi in t with <a|xi> >= 1 on nu; certifies the pointed-cone precondition.
+
+    xi is 1 on the simple roots w(Delta) of a positive system w(Phi+) containing nu.
+    """
+    w = _chamber_containing(rd, nu_mask)
+    if w is None:
         raise ValueError("nilradical roots do not generate a pointed cone")
-    pos_idx = indices(pos)
-    sums = set()
-    for i in pos_idx:
-        for j in pos_idx:
-            k = rd.root_sum.get((i, j))
-            if k is not None:
-                sums.add(k)
-    simples = [i for i in pos_idx if i not in sums]
+    simples = sorted(w.perm[i] for i in rd.simple)
     xi = solve([list(rd.roots[i]) for i in simples], [One] * len(simples))
     if xi is None:
         raise ValueError("no height functional")

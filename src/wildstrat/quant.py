@@ -241,20 +241,10 @@ class V0Context:
 def star_bidiff(series: InverseShapovalov):
     """B = (p x p)(F): the formal bidifferential operator on the orbit.
 
-    F's slots are already normal inside U(u^-) and U(u^+), so the projection
-    keeps them verbatim as V0 basis words.
+    F's slots are already normal inside U(u^-) and U(u^+), so they are V0
+    basis words and the projection p x p keeps F as it is.
     """
-    v0 = V0Context(series.pf)
-    terms = {}
-    for h, d in series.terms.items():
-        out = {}
-        for (lw, rw), c in d.items():
-            for wl, cl in v0.project_word(lw).items():
-                for wr, cr in v0.project_word(rw).items():
-                    acc(out, (wl, wr), c * cl * cr)
-        if out:
-            terms[h] = out
-    return StarBidiff(series.pf, series.ft, series.order, terms, v0)
+    return StarBidiff(series.pf, series.ft, series.order, series.terms, V0Context(series.pf))
 
 
 class StarBidiff:

@@ -27,22 +27,12 @@ class RootDatumError(ValueError):
     pass
 
 
-def _mat_zero(n):
-    return [[Zero] * n for _ in range(n)]
-
-
-def _eij(n, i, j, c=One):
-    m = _mat_zero(n)
-    m[i][j] = frac(c)
+def _matrix(n, *entries):
+    """The n x n matrix with the given (row, col, value) entries, zero elsewhere."""
+    m = [[Zero] * n for _ in range(n)]
+    for r, c, v in entries:
+        m[r][c] = frac(v)
     return m
-
-
-def _madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mscale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def _entries(m):
@@ -410,20 +400,19 @@ def all_letters(rd, depth):
 # ---------------------------------------------------------------------------
 
 
+def _eps_cov(n, coeffs):
+    return tuple(frac(coeffs.get(k, 0)) for k in range(n))
+
+
 def _build_gl(n):
-    t_mats = [_eij(n, i, i) for i in range(n)]
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cov = tuple(One if k == i else (-One if k == j else Zero) for k in range(n))
-            roots.append((cov, _eij(n, i, j)))
+    t_mats = [_matrix(n, (i, i, 1)) for i in range(n)]
+    roots = [(_eps_cov(n, {i: 1, j: -1}), _matrix(n, (i, j, 1)))
+             for i in range(n) for j in range(n) if i != j]
     return RootDatum("gl", n, t_mats=t_mats, root_list=roots)
 
 
 def _build_sl(n):
-    t_mats = [_madd(_eij(n, i, i), _mscale(_eij(n, i + 1, i + 1), -One)) for i in range(n - 1)]
+    t_mats = [_matrix(n, (i, i, 1), (i + 1, i + 1, -1)) for i in range(n - 1)]
     roots = []
     for i in range(n):
         for j in range(n):
@@ -433,96 +422,50 @@ def _build_sl(n):
             cov = tuple((One if k == i else Zero) - (One if k + 1 == i else Zero)
                         - (One if k == j else Zero) + (One if k + 1 == j else Zero)
                         for k in range(n - 1))
-            roots.append((cov, _eij(n, i, j)))
+            roots.append((cov, _matrix(n, (i, j, 1))))
     return RootDatum("sl", n, t_mats=t_mats, root_list=roots)
 
 
-def _eps_cov(n, coeffs):
-    return tuple(frac(coeffs.get(k, 0)) for k in range(n))
+def _build_classical(kind, n):
+    """Types B_n, C_n, D_n as so(2n+1), sp(2n), so(2n) for the antidiagonal
+    forms (antidiag(1..1,2,1..1) for B), with i' = size - 1 - i.
 
+    Roots in order: e_i - e_j as E_ij - E_j'i'; then for i < j, e_i + e_j as
+    E_ij' + s E_ji' and -(e_i + e_j) as E_j'i + s E_i'j, with s = +1 for C and
+    -1 for B and D; then +-e_i through the centre (B) or +-2e_i (C).
+    """
+    size = 2 * n + (kind == "B")
+    s = 1 if kind == "C" else -1
 
-def _build_so_odd(n):
-    """Type B_n as so(2n+1) for the symmetric form antidiag(1..1,2,1..1)."""
-    size = 2 * n + 1
-    mid = n  # 0-based index of the middle
     def pr(i):  # 0-based primed index
         return size - 1 - i
-    t_mats = [_madd(_eij(size, i, i), _mscale(_eij(size, pr(i), pr(i)), -One)) for i in range(n)]
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = _madd(_eij(size, i, j), _mscale(_eij(size, pr(j), pr(i)), -One))
-            roots.append((_eps_cov(n, {i: 1, j: -1}), m))
+
+    t_mats = [_matrix(size, (i, i, 1), (pr(i), pr(i), -1)) for i in range(n)]
+    roots = [(_eps_cov(n, {i: 1, j: -1}), _matrix(size, (i, j, 1), (pr(j), pr(i), -1)))
+             for i in range(n) for j in range(n) if i != j]
     for i in range(n):
         for j in range(i + 1, n):
-            p = _madd(_eij(size, i, pr(j)), _mscale(_eij(size, j, pr(i)), -One))
-            roots.append((_eps_cov(n, {i: 1, j: 1}), p))
-            mneg = _madd(_eij(size, pr(j), i), _mscale(_eij(size, pr(i), j), -One))
-            roots.append((_eps_cov(n, {i: -1, j: -1}), mneg))
+            roots.append((_eps_cov(n, {i: 1, j: 1}),
+                           _matrix(size, (i, pr(j), 1), (j, pr(i), s))))
+            roots.append((_eps_cov(n, {i: -1, j: -1}),
+                           _matrix(size, (pr(j), i, 1), (pr(i), j, s))))
     for i in range(n):
-        e = _madd(_mscale(_eij(size, i, mid), 2 * One), _mscale(_eij(size, mid, pr(i)), -One))
-        roots.append((_eps_cov(n, {i: 1}), e))
-        f = _madd(_eij(size, mid, i), _mscale(_eij(size, pr(i), mid), -2 * One))
-        roots.append((_eps_cov(n, {i: -1}), f))
-    return RootDatum("B", n, t_mats=t_mats, root_list=roots)
-
-
-def _build_sp(n):
-    """Type C_n as sp(2n)."""
-    size = 2 * n
-    def pr(i):
-        return size - 1 - i
-    t_mats = [_madd(_eij(size, i, i), _mscale(_eij(size, pr(i), pr(i)), -One)) for i in range(n)]
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = _madd(_eij(size, i, j), _mscale(_eij(size, pr(j), pr(i)), -One))
-            roots.append((_eps_cov(n, {i: 1, j: -1}), m))
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = _madd(_eij(size, i, pr(j)), _eij(size, j, pr(i)))
-            roots.append((_eps_cov(n, {i: 1, j: 1}), p))
-            mneg = _madd(_eij(size, pr(j), i), _eij(size, pr(i), j))
-            roots.append((_eps_cov(n, {i: -1, j: -1}), mneg))
-    for i in range(n):
-        roots.append((_eps_cov(n, {i: 2}), _eij(size, i, pr(i))))
-        roots.append((_eps_cov(n, {i: -2}), _eij(size, pr(i), i)))
-    return RootDatum("C", n, t_mats=t_mats, root_list=roots)
-
-
-def _build_so_even(n):
-    """Type D_n as so(2n)."""
-    size = 2 * n
-    def pr(i):
-        return size - 1 - i
-    t_mats = [_madd(_eij(size, i, i), _mscale(_eij(size, pr(i), pr(i)), -One)) for i in range(n)]
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = _madd(_eij(size, i, j), _mscale(_eij(size, pr(j), pr(i)), -One))
-            roots.append((_eps_cov(n, {i: 1, j: -1}), m))
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = _madd(_eij(size, i, pr(j)), _mscale(_eij(size, j, pr(i)), -One))
-            roots.append((_eps_cov(n, {i: 1, j: 1}), p))
-            mneg = _madd(_eij(size, pr(j), i), _mscale(_eij(size, pr(i), j), -One))
-            roots.append((_eps_cov(n, {i: -1, j: -1}), mneg))
-    return RootDatum("D", n, t_mats=t_mats, root_list=roots)
+        if kind == "B":  # n is the centre
+            roots.append((_eps_cov(n, {i: 1}), _matrix(size, (i, n, 2), (n, pr(i), -1))))
+            roots.append((_eps_cov(n, {i: -1}), _matrix(size, (n, i, 1), (pr(i), n, -2))))
+        elif kind == "C":
+            roots.append((_eps_cov(n, {i: 2}), _matrix(size, (i, pr(i), 1))))
+            roots.append((_eps_cov(n, {i: -2}), _matrix(size, (pr(i), i, 1))))
+    return RootDatum(kind, n, t_mats=t_mats, root_list=roots)
 
 
 _BUILDERS = {
     "gl": _build_gl,
     "sl": _build_sl,
     "A": lambda n: _build_sl(n + 1),
-    "B": _build_so_odd,
-    "C": _build_sp,
-    "D": _build_so_even,
+    "B": lambda n: _build_classical("B", n),
+    "C": lambda n: _build_classical("C", n),
+    "D": lambda n: _build_classical("D", n),
 }
 
 

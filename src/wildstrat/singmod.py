@@ -363,17 +363,19 @@ def factorize_block(block: ShapovalovBlock):
 
 
 def reassemble(dmat, cmat, qt):
-    """D*C*Qtilde, for the exactness check."""
+    """D*C*Qtilde, for the exactness check: entry (i, j) gathers D[i][i] C[i][k]
+    times the coefficients of Qtilde[k][j], each shifted up by the degree of D[i][i]."""
     n = len(dmat)
-    dc = [[dmat[i][i] * cmat[i][j] for j in range(n)] for i in range(n)]
-    out = [[CPoly() for _ in range(n)] for _ in range(n)]
+    out = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            acc = CPoly()
+        for shift, d in dmat[i][i].c.items():
             for k in range(n):
-                acc = acc + dc[i][k] * qt[k][j]
-            out[i][j] = acc
-    return out
+                if cmat[i][k]:
+                    f = d * cmat[i][k]
+                    for j in range(n):
+                        for deg, v in qt[k][j].c.items():
+                            acc(out[i][j], deg + shift, f * v)
+    return [[CPoly(c) for c in row] for row in out]
 
 
 # -- module-level predicates ------------------------------------------------------

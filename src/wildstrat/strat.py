@@ -141,16 +141,35 @@ def levi_of_point(rd, x):
     return _vanishing_mask(rd.roots, x)
 
 
-def enumerate_levi(rd):
-    """All Levi subsystems, as W-orbits of the standard Phi_Sigma."""
+def weyl_saturation(rd, extra=0):
+    """The W-images of span(Sigma) | extra over the subsets Sigma of the simple
+    roots, sorted: the Levi subsystems for extra = 0, the parabolic subsets for
+    extra = Phi+."""
     delta = rd.simple
     seen = set()
     for bits in range(1 << len(delta)):
         sigma = [delta[k] for k in range(len(delta)) if (bits >> k) & 1]
-        base = span_closure(rd, mask_from_indices(sigma))
-        for w in rd.weyl:
-            seen.add(weyl_mask(w, base))
+        base = span_closure(rd, mask_from_indices(sigma)) | extra
+        seen.update(weyl_mask(w, base) for w in rd.weyl)
     return sorted(seen)
+
+
+def enumerate_levi(rd):
+    """All Levi subsystems, as W-orbits of the standard Phi_Sigma."""
+    return weyl_saturation(rd)
+
+
+def weyl_orbits(rd, items, act, key=None):
+    """Partition a W-stable collection into W-orbits under act(w, item), each
+    orbit sorted by key, in the order the orbits are met."""
+    remaining = set(items)
+    orbits = []
+    while remaining:
+        x = next(iter(remaining))
+        orbit = {act(w, x) for w in rd.weyl}
+        remaining -= orbit
+        orbits.append(sorted(orbit, key=key))
+    return orbits
 
 
 class LeviPoset:
@@ -189,8 +208,10 @@ class LeviPoset:
 # -- Levi filtrations --------------------------------------------------------
 
 
-class LeviFiltration:
-    """Nondecreasing chain phi_0 <= ... <= phi_{s-1} (phi_s = Phi implicit)."""
+class RootChain:
+    """Nondecreasing chain m_0 <= ... <= m_{s-1} of root masks (m_s = Phi
+    implicit), on which W acts termwise.  A subclass checks its members in
+    ``_check_member``."""
 
     __slots__ = ("rd", "depth", "masks")
 
@@ -200,21 +221,46 @@ class LeviFiltration:
         self.depth = len(self.masks)
         for m in self.masks:
             require_mask(rd, m)
+            self._check_member(rd, m)
         for a, b in zip(self.masks, self.masks[1:]):
             if a & ~b:
-                raise ValueError("filtration is not nondecreasing")
+                raise ValueError("chain is not nondecreasing")
+
+    @staticmethod
+    def _check_member(rd, mask):
+        """Raise a ValueError for a mask that is no member of this kind of chain."""
+
+    @classmethod
+    def _verified(cls, rd, masks):
+        """A chain whose members and order the caller has already checked."""
+        self = object.__new__(cls)
+        self.rd, self.masks = rd, tuple(masks)
+        self.depth = len(self.masks)
+        return self
 
     def mask(self, i):
-        if i >= self.depth:
-            return full_mask(self.rd)
-        return self.masks[i]
+        return self.masks[i] if i < self.depth else full_mask(self.rd)
 
     def __eq__(self, other):
-        return (isinstance(other, LeviFiltration) and self.rd is other.rd
-                and self.depth == other.depth and self.masks == other.masks)
+        return (type(other) is type(self) and self.rd is other.rd
+                and self.masks == other.masks)
 
     def __hash__(self):
         return hash((self.depth, self.masks))
+
+    def weyl_image(self, w):
+        """w maps Levi and parabolic chains to chains of the same kind."""
+        return self._verified(self.rd, [weyl_mask(w, m) for m in self.masks])
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + " <= ".join(
+            "{" + ",".join(map(str, indices(m))) + "}" for m in self.masks) + ")"
+
+
+class LeviFiltration(RootChain):
+    """Nondecreasing chain phi_0 <= ... <= phi_{s-1} (phi_s = Phi implicit)."""
+
+    __slots__ = ()
 
     def level(self, root_idx):
         """d_a = min{i : a in phi_i}, in {0..depth}."""
@@ -234,14 +280,6 @@ class LeviFiltration:
         if self.depth != other.depth:
             raise ValueError("comparing filtrations of different depth")
         return all((a | b) == a for a, b in zip(self.masks, other.masks))
-
-    def weyl_image(self, w):
-        return LeviFiltration(self.rd, [weyl_mask(w, m) for m in self.masks])
-
-    def __repr__(self):
-        rd = self.rd
-        return "LeviFiltration(" + " <= ".join(
-            "{" + ",".join(map(str, indices(m))) + "}" for m in self.masks) + ")"
 
 
 def stratum_of_tuple(rd, xs):
@@ -293,10 +331,12 @@ def stratum_witness(filt):
 
 
 def enumerate_filtrations(rd, s, levis=None):
-    """All depth-bounded Levi filtrations phi_0 <= ... <= phi_{s-1} (phi_s = Phi)."""
+    """All depth-bounded Levi filtrations phi_0 <= ... <= phi_{s-1} (phi_s = Phi).
+    A given ``levis`` must be what ``enumerate_levi(rd)`` returned: the chains
+    built from it are not checked again."""
     if levis is None:
         levis = enumerate_levi(rd)
-    return [LeviFiltration(rd, chain) for chain in nondecreasing_chains(levis, s)]
+    return [LeviFiltration._verified(rd, chain) for chain in nondecreasing_chains(levis, s)]
 
 
 def nondecreasing_chains(masks, s):
@@ -367,13 +407,7 @@ def weyl_orbits_and_quotient(rd, s, check_freeness=True, filts=None):
     """
     if filts is None:
         filts = enumerate_filtrations(rd, s)
-    remaining = set(filts)
-    orbits = []
-    while remaining:
-        f = next(iter(remaining))
-        orbit = {f.weyl_image(w) for w in rd.weyl}
-        remaining -= orbit
-        orbits.append(sorted(orbit, key=lambda g: g.masks))
+    orbits = weyl_orbits(rd, filts, lambda w, f: f.weyl_image(w), key=lambda g: g.masks)
     strata = []
     for orbit in orbits:
         rep = orbit[0]

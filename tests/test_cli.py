@@ -240,6 +240,12 @@ GOLDEN = {
                         "27716d0fc79d84d97d90ccd08a5254a4112feb3637f7ae9b0fe389c73480eb6d"),
     "parabolic-B3-depth-2": ({}, ("parabolic", "--type", "B3", "--depth", "2"),
                              "265c774b9e2ae98cad45d74eabfeef22df9e78c451e032594b1246d82cb89cbb"),
+    "levi-C3-depth-2": ({}, ("levi", "--type", "C3", "--depth", "2"),
+                        "3986a9123cf8e3b94066b891acf7a24ffa014edc1d13b812447cf92a3f8739ba"),
+    "levi-gl4-depth-2": ({}, ("levi", "--type", "gl4", "--depth", "2"),
+                         "06da2dd762c02b4f8accef7d0c7646988232da814af3cccdb2746e03b5dab02d"),
+    "parabolic-gl4-depth-2": ({}, ("parabolic", "--type", "gl4", "--depth", "2"),
+                              "3a3122585c852d01e88239b2ba9a5492b2c9321e60cd69c182609b1bb42745ff"),
 }
 
 
@@ -282,12 +288,33 @@ def test_golden_stdout(tmp_path, capsys, name):
      "formal_type.lambdas"),
     ({"filtration": [[0], []], "formal_type": {"lambdas": [["1"], ["1"]]}},
      ("character", "--type", "sl2", "--depth", "2"), "filtration:"),
+    # a string row is not read digit by digit, and JSON booleans are not rationals
+    ({"tuple": ["123"]}, ("classify", "--type", "gl3"), "tuple"),
+    ({"depth": 1, "coeffs": [{"cartan": "123"}]}, ("classify", "--type", "gl3"),
+     "coeffs.cartan"),
+    ({"tuple": [[True, "0", "1"]]}, ("classify", "--type", "gl3"), "tuple"),
+    ({"depth": 1, "coeffs": [{"cartan": [False, "1", "2"]}]}, ("classify", "--type", "gl3"),
+     "coeffs.cartan"),
+    ({"depth": 1, "coeffs": [{"cartan": ["1", "0", "0"], "roots": {"0": True}}]},
+     ("classify", "--type", "gl3"), "coeffs.roots"),
+    ({"depth": True, "coeffs": [{"cartan": ["1", "2", "3"]}]}, ("classify", "--type", "gl3"),
+     "depth"),
+    ({"filtration": "borel", "formal_type": {"lambdas": [[True, 1, 1]]}},
+     ("character", "--type", "gl3", "--depth", "1"), "formal_type.lambdas"),
+    ({"filtration": "borel", "formal_type": {"lambdas": [[1, 1, 1]], "depth": 5}},
+     ("character", "--type", "gl3", "--depth", "1"), "formal_type.depth"),
+    ({"filtration": "borel", "formal_type": {"lambdas": [[1, 2, 3]], "depth": True}},
+     ("character", "--type", "gl3", "--depth", "1"), "formal_type.depth"),
+    # a present element is read, never passed over for the top-level keys
+    ({"element": 0, "tuple": [["1"]]}, ("classify", "--type", "sl2"), "element"),
 ], ids=["negative-depth", "negative-order", "array-config", "no-depth-no-filtration",
         "array-formal-type", "filtration-index-range", "filtration-index-negative",
         "filtration-index-type", "tuple-width", "coeffs-width", "coeffs-root-range",
         "lambda-zero-denominator", "coeffs-zero-denominator", "tuple-zero-denominator",
         "tuple-depth-0", "coeffs-depth-0", "coeffs-string", "lambda-not-a-list",
-        "filtration-not-a-chain"])
+        "filtration-not-a-chain", "tuple-string-row", "coeffs-string-cartan", "tuple-bool",
+        "coeffs-bool-cartan", "coeffs-bool-root", "coeffs-bool-depth", "lambda-bool",
+        "formal-type-depth", "formal-type-depth-bool", "element-not-an-object"])
 def test_input_errors_exit_2(tmp_path, capsys, config, argv, field):
     if config is not None:
         cfg = tmp_path / "cfg.json"

@@ -441,3 +441,20 @@ def test_parabolic_counts_are_fubini_numbers():
         ps = enumerate_parabolic(rd)
         assert len(ps) == f
         assert len(weyl_classes(rd, ps)) == 2 ** (n - 1)
+
+
+
+def test_levi_and_parabolic_chains_stay_apart(gl3):
+    """Equal masks make unequal chains of the two kinds, and W keeps the kind."""
+    full = full_mask(gl3)
+    levi, par = strat.LeviFiltration(gl3, [full] * 2), ParabolicFiltration(gl3, [full] * 2)
+    assert levi != par and par != levi and len({levi, par}) == 2
+    pchain = gl3_ex_chain(gl3)
+    lchain = pchain.levi_filtration()
+    for w in gl3.weyl:
+        pw, lw = pchain.weyl_image(w), lchain.weyl_image(w)
+        assert type(pw) is ParabolicFiltration and type(lw) is strat.LeviFiltration
+        # the checked constructors accept the images: W maps chains to chains
+        assert pw == ParabolicFiltration(gl3, [strat.weyl_mask(w, m) for m in pchain.masks])
+        assert lw == strat.LeviFiltration(gl3, [strat.weyl_mask(w, m) for m in lchain.masks])
+        assert pw.levi_filtration() == lw

@@ -120,8 +120,8 @@ def test_project_v0_eps_levi(sl2):
 @pytest.mark.parametrize("make, N", [(_gl3_chain, 3), (_sl2_r3, 4)],
                          ids=["gl3 chain N=3", "sl2 r=3 N=4"])
 def test_project_word_matches_bubble_sort_oracle(monkeypatch, make, N):
-    """p of every word that star_bidiff and associativity_check project equals
-    the bubble-sort normal form in (neg, pos, levi) with the levi words dropped."""
+    """p of every word that associativity_check projects equals the bubble-sort
+    normal form in (neg, pos, levi) with the levi words dropped."""
     pf, ft = make()
     series = inverse_shapovalov_series(pf, ft, N, N)
     words = set()
@@ -143,6 +143,20 @@ def test_project_word_matches_bubble_sort_oracle(monkeypatch, make, N):
             if not levi:
                 uea.acc(want, neg + pos, c)
         assert bid.v0.project_word(word) == want, word
+
+
+@pytest.mark.parametrize("make, N", [(_gl3_chain, 3), (_sl2_r3, 4)],
+                         ids=["gl3 chain N=3", "sl2 r=3 N=4"])
+def test_series_slots_are_v0_basis_words(make, N):
+    """star_bidiff keeps F as it is: every slot word of F is its own V0 projection."""
+    pf, ft = make()
+    series = inverse_shapovalov_series(pf, ft, N, N)
+    v0 = V0Context(pf)
+    words = {w for d in series.terms.values() for pair in d for w in pair}
+    assert len(words) > 2
+    for word in words:
+        assert v0.project_word(word) == {word: 1}, word
+    assert star_bidiff(series).terms == series.terms
 
 
 def test_v0_rejects_a_letter_outside_the_triangular_split(gl3):

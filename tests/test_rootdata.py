@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from wildstrat.linalg import mat_mul, nullspace
+from wildstrat.linalg import frac_str, mat_mul, nullspace
 from wildstrat.rootdata import RootDatum, RootDatumError, parse_type, root_datum
 from conftest import gl_root_index
 
@@ -87,6 +88,38 @@ def test_tables_match_dense_commutators(label):
                 assert (i, j) not in rd.nsc and br == zero
             else:
                 assert br == [[rd.nsc[(i, j)] * x for x in row] for row in mats[k]]
+
+
+# sha256 of _realisation_dump, recorded before the B, C and D builders were merged
+CLASSICAL_DIGESTS = {
+    ("B", 2): "dbde65affc1ddd1d4a93bfd732fe6f4609d73a2052fb57e9a1e8d1a88f39c5f4",
+    ("B", 3): "f9d31567d10f52032b5d3a0be83100bb3c06361d5855a8585b2b63f85293c769",
+    ("B", 4): "7c47e280bd7fab12dd7d9e9a806ebf34e2be5a342b514d9922fb27a3aac7e661",
+    ("C", 2): "f619930b34af86cca9de94c18410e52489f4fb80c84d32696bc6a9fc453b7bf3",
+    ("C", 3): "d4107f7c0889a2a1c91920111a7f4814943f3e5d3f00517307af38a382070c39",
+    ("C", 4): "fcf57426f55c8dc1bbfccf30ecd7e0ac8a8a7d10a3b0d05179663d61ffd58c0e",
+    ("D", 3): "74450d8a23f551e3ada450f4084ea61440e7270a0a7fe6ec5a78b823702bbeef",
+    ("D", 4): "9ad00c0f5a94d5f7f06a83fb687b7523416cbfef06925642127a832888bf721a",
+    ("D", 5): "7e4c765281311fe0a37988070fe0f9975df68828709696d71d4cfe5462044b70",
+}
+
+
+def _realisation_dump(rd):
+    """Everything a realisation determines: serialization, coroots, every
+    defining matrix, the invariant form, the base and the Weyl permutations."""
+    fs = lambda xs: [frac_str(x) for x in xs]  # noqa: E731
+    return {"json": rd.to_json(), "coroots": [fs(c) for c in rd.coroots],
+            "mats": [[fs(r) for r in rd.defining_matrix(k)] for k in range(rd.dim_g)],
+            "e_pair": fs(rd.e_pair), "gram": [fs(r) for r in rd.gram],
+            "simple": list(rd.simple), "positive": list(rd.positive),
+            "weyl": [list(w.perm) for w in rd.weyl]}
+
+
+@pytest.mark.parametrize("lie_type, n", list(CLASSICAL_DIGESTS),
+                         ids=[f"{t}{n}" for t, n in CLASSICAL_DIGESTS])
+def test_classical_realisations_pinned(lie_type, n):
+    dump = json.dumps(_realisation_dump(root_datum(lie_type, n)), sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == CLASSICAL_DIGESTS[(lie_type, n)]
 
 
 def test_chevalley_root_strings(b2):
