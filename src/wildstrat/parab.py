@@ -115,24 +115,13 @@ def enumerate_parabolic_filtrations(rd, r, parabolics=None):
 # -- relative heights and words by weight ----------------------------------------
 
 
-def _chamber_containing(rd, mask):
-    """A w in W with the given roots inside w(Phi+); None if there is none."""
-    pos = mask_from_indices(rd.positive)
-    return next((w for w in rd.weyl if mask & ~weyl_mask(w, pos) == 0), None)
-
-
-def positive_system_containing(rd, mask):
-    """A positive system (as a mask) containing the given roots; None if impossible."""
-    w = _chamber_containing(rd, mask)
-    return None if w is None else weyl_mask(w, mask_from_indices(rd.positive))
-
-
 def height_functional(rd, nu_mask):
     """xi in t with <a|xi> >= 1 on nu; certifies the pointed-cone precondition.
 
     xi is 1 on the simple roots w(Delta) of a positive system w(Phi+) containing nu.
     """
-    w = _chamber_containing(rd, nu_mask)
+    pos = mask_from_indices(rd.positive)
+    w = next((w for w in rd.weyl if nu_mask & ~weyl_mask(w, pos) == 0), None)
     if w is None:
         raise ValueError("nilradical roots do not generate a pointed cone")
     simples = sorted(w.perm[i] for i in rd.simple)

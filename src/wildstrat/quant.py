@@ -4,12 +4,16 @@ Pipeline: per-weight Shapovalov matrices over the dilated character, their
 D*C*Qtilde factorisation, formal inversion in hbar = 1/c, the first-order
 Poisson check, projection to V0 = U(g_r)/(U(g_r) l) (the uea straightening
 engine over the neg and pos letters, with l acting by 0), and the exact
-truncated associativity identity B^(12,3) = B^(1,23) in V0^(x)3.
+truncated associativity identity B^(12,3) = B^(1,23) in V0^(x)3, factored over
+the outer slot and compared on integer coefficients (B times one denominator).
 
 All coefficients are rational and every comparison is an exact identity.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .linalg import CPoly, One, Zero, identity, unit_lower_inverse
 from .rootdata import all_letters
@@ -17,7 +21,7 @@ from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible, triangular_split)
 from .singmod import SingularityModule, factorize_block
 from .strat import ClaimViolation
-from .uea import UEAContext, acc, shuffle_coproduct
+from .uea import UEAContext, acc
 
 
 class UnbalancedFiltration(ValueError):
@@ -206,7 +210,7 @@ class V0Context:
         rd = pf.rd
         ts = triangular_split(pf)
         basis = [("E", rd.neg[a], i) for a, i in ts.gens] + [("E", a, i) for a, i in ts.gens]
-        self.ctx = UEAContext(rd, pf.depth, basis, {})
+        self.ctx = UEAContext(rd, pf.depth, basis, {}, one=1)
         for i in range(pf.depth):
             lm = ts.levi.mask(i)
             for b in range(rd.num_roots):
@@ -218,16 +222,17 @@ class V0Context:
     def project_word(self, word):
         """p of a single product of letters: {v0_word: coeff}.
 
-        Cached per context by the word tuple: the dict returned is shared
-        between calls, and every caller (project, star_bidiff,
+        Cached per context by the word tuple, integral coefficients as int:
+        the dict returned is shared between calls, and every caller (project,
         associativity_check) only reads it.
         """
         word = tuple(word)
         hit = self._proj_cache.get(word)
         if hit is None:
             basis = self.ctx.basis
-            hit = self._proj_cache[word] = {tuple(basis[k] for k in w): c
-                                            for w, c in self.ctx.normal_form(word).items()}
+            hit = self._proj_cache[word] = {
+                tuple(basis[k] for k in w): c.numerator if c.denominator == 1 else c
+                for w, c in self.ctx.normal_form(word).items()}
         return hit
 
     def project(self, element):
@@ -255,54 +260,67 @@ class StarBidiff:
         self.terms = terms
         self.v0 = v0
 
-    def degree0_is_identity(self):
-        return self.terms.get(0, {}) == {((), ()): One}
-
 
 def associativity_check(bid: StarBidiff, N=None, return_sides=False):
-    """(Delta x 1)(B) (B x 1) == (1 x Delta)(B) (1 x B) in V0^(x)3, truncated."""
+    """(Delta x 1)(B) (B x 1) == (1 x Delta)(B) (1 x B) in V0^(x)3, truncated.
+
+    The inner factor never touches the outer slot that Delta leaves alone, so
+    _inner(z) is formed once per word z and layer h2, then scattered over the
+    b paired with a = z (B^(12,3)) and the a paired with b = z (B^(1,23)).  B
+    is scaled to integers by the lcm D of its denominators, so both sides
+    carry D^2; return_sides divides it out.
+    """
     if N is None:
         N = bid.order
     if N > bid.order:
         raise TruncationError("cannot check beyond the computed truncation order")
-    v0 = bid.v0
+    den = math.lcm(*(c.denominator for h, d in bid.terms.items() if h <= N for c in d.values()))
+    terms = {h: {k: c.numerator * (den // c.denominator) for k, c in d.items()}
+             for h, d in bid.terms.items() if h <= N}
     left = {}
     right = {}
-    for h1, d1 in bid.terms.items():
-        for h2, d2 in bid.terms.items():
-            h = h1 + h2
-            if h > N:
+    for h2, d2 in terms.items():
+        memo = {}  # word -> _inner of this layer only
+        for h1, d1 in terms.items():
+            if h1 + h2 > N:
                 continue
+            out_l = left.setdefault(h1 + h2, {})
+            out_r = right.setdefault(h1 + h2, {})
             for (a, b), c1 in d1.items():
-                for (x, y), c2 in d2.items():
-                    c = c1 * c2
-                    # B^(12,3): Delta on the first slot of the OUTER factor
-                    for a_i, a_j in shuffle_coproduct(a):
-                        s1 = v0.project_word(a_i + x)
-                        if not s1:
-                            continue
-                        s2 = v0.project_word(a_j + y)
-                        if not s2:
-                            continue
-                        for w1, cc1 in s1.items():
-                            for w2, cc2 in s2.items():
-                                acc(left.setdefault(h, {}), (w1, w2, b), c * cc1 * cc2)
-                    # B^(1,23): Delta on the second slot of the outer factor
-                    for b_i, b_j in shuffle_coproduct(b):
-                        s2 = v0.project_word(b_i + x)
-                        if not s2:
-                            continue
-                        s3 = v0.project_word(b_j + y)
-                        if not s3:
-                            continue
-                        for w2, cc2 in s2.items():
-                            for w3, cc3 in s3.items():
-                                acc(right.setdefault(h, {}), (a, w2, w3), c * cc2 * cc3)
-    left = {h: d for h, d in left.items() if d}
-    right = {h: d for h, d in right.items() if d}
+                for (w1, w2), v in _inner(bid.v0, a, d2, memo).items():
+                    acc(out_l, (w1, w2, b), c1 * v)
+                for (w2, w3), v in _inner(bid.v0, b, d2, memo).items():
+                    acc(out_r, (a, w2, w3), c1 * v)
+    left, right = ({h: d for h, d in side.items() if d} for side in (left, right))
     if return_sides:
+        left, right = ({h: {k: Fraction(v, den * den) for k, v in d.items()}
+                        for h, d in side.items()} for side in (left, right))
         return left == right, left, right
     return left == right
+
+
+def _inner(v0, z, layer, memo):
+    """Delta(z) . (p x p)(layer): the sum over (x, y) in the layer and the
+    splits (z_i, z_j) of z of c p(z_i x) (x) p(z_j y), one letter at a time
+    from the right, as Delta(l z') = (l x 1 + 1 x l) Delta(z') and p(l u) = l . p(u)."""
+    hit = memo.get(z)
+    if hit is not None:
+        return hit
+    out = {}
+    if not z:
+        for (x, y), c in layer.items():
+            for w1, c1 in v0.project_word(x).items():
+                for w2, c2 in v0.project_word(y).items():
+                    acc(out, (w1, w2), c * c1 * c2)
+    else:
+        head = z[:1]
+        for (w1, w2), c in _inner(v0, z[1:], layer, memo).items():
+            for u, c1 in v0.project_word(head + w1).items():
+                acc(out, (u, w2), c * c1)
+            for u, c2 in v0.project_word(head + w2).items():
+                acc(out, (w1, u), c * c2)
+    memo[z] = out
+    return out
 
 
 def first_difference(left, right):

@@ -28,7 +28,7 @@ class UEAContext:
     """The action of g_r letters on the induced module with ordered `basis`.
 
     `scalar` maps each non-basis letter with a nonzero value on the cyclic
-    vector to that value; `one` is the unit coefficient (One or a CPoly).
+    vector to that value; `one` is the unit coefficient (1, One or a CPoly).
     """
 
     def __init__(self, rd, depth, basis, scalar, one=One):
@@ -94,17 +94,6 @@ def acc(d, k, v):
         d[k] = nv
     else:
         d.pop(k, None)
-
-
-def shuffle_coproduct(word):
-    """Delta(x_1...x_n) = sum over subsets I of x_I (x) x_J (primitives)."""
-    n = len(word)
-    out = []
-    for bits in range(1 << n):
-        left = tuple(word[t] for t in range(n) if (bits >> t) & 1)
-        right = tuple(word[t] for t in range(n) if not (bits >> t) & 1)
-        out.append((left, right))
-    return out
 
 
 def antipode(element):

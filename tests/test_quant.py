@@ -5,15 +5,78 @@ import pytest
 from wildstrat import parab, quant, singmod, strat, uea
 from wildstrat.linalg import CPoly
 from wildstrat.parab import FormalType, ParabolicFiltration, SingularCharacterError
-from wildstrat.quant import (TruncationError, UnbalancedFiltration, V0Context,
-                             associativity_check, check_invariance,
+from wildstrat.quant import (StarBidiff, TruncationError, UnbalancedFiltration, V0Context,
+                             associativity_check, check_invariance, first_difference,
                              first_order_check, inverse_shapovalov_series,
                              poisson_bivector, star_bidiff)
 from wildstrat.strat import mask_from_indices
+from wildstrat.uea import acc
 from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
-from test_block_oracles import _gl3_chain, _sl2_r3
+from test_block_oracles import _b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3
 from test_parab import gl3_ex_chain, gl3_ex_ft
+
+
+def shuffle_coproduct(word):
+    """Delta(x_1...x_n) = sum over subsets I of x_I (x) x_J (primitives)."""
+    n = len(word)
+    out = []
+    for bits in range(1 << n):
+        left = tuple(word[t] for t in range(n) if (bits >> t) & 1)
+        right = tuple(word[t] for t in range(n) if not (bits >> t) & 1)
+        out.append((left, right))
+    return out
+
+
+def oracle_associativity_check(bid: StarBidiff, N=None, return_sides=False):
+    """The unfactored check on Fraction coefficients: every pair of terms and
+    every shuffle split of the outer slot, projected word by word."""
+    if N is None:
+        N = bid.order
+    if N > bid.order:
+        raise TruncationError("cannot check beyond the computed truncation order")
+    v0 = bid.v0
+    left = {}
+    right = {}
+    for h1, d1 in bid.terms.items():
+        for h2, d2 in bid.terms.items():
+            h = h1 + h2
+            if h > N:
+                continue
+            for (a, b), c1 in d1.items():
+                for (x, y), c2 in d2.items():
+                    c = c1 * c2
+                    # B^(12,3): Delta on the first slot of the OUTER factor
+                    for a_i, a_j in shuffle_coproduct(a):
+                        s1 = v0.project_word(a_i + x)
+                        if not s1:
+                            continue
+                        s2 = v0.project_word(a_j + y)
+                        if not s2:
+                            continue
+                        for w1, cc1 in s1.items():
+                            for w2, cc2 in s2.items():
+                                acc(left.setdefault(h, {}), (w1, w2, b), c * cc1 * cc2)
+                    # B^(1,23): Delta on the second slot of the outer factor
+                    for b_i, b_j in shuffle_coproduct(b):
+                        s2 = v0.project_word(b_i + x)
+                        if not s2:
+                            continue
+                        s3 = v0.project_word(b_j + y)
+                        if not s3:
+                            continue
+                        for w2, cc2 in s2.items():
+                            for w3, cc3 in s3.items():
+                                acc(right.setdefault(h, {}), (a, w2, w3), c * cc2 * cc3)
+    left = {h: d for h, d in left.items() if d}
+    right = {h: d for h, d in right.items() if d}
+    if return_sides:
+        return left == right, left, right
+    return left == right
+
+
+def degree0_is_identity(bid):
+    return bid.terms.get(0, {}) == {((), ()): Fraction(1)}
 
 
 def sl2_setup(sl2, lams):
@@ -171,8 +234,52 @@ def test_star_degree_zero_and_assoc_trivial(sl2):
     pf, ft, _ = sl2_setup(sl2, [3])
     series = inverse_shapovalov_series(pf, ft, K=0, N=0)
     bid = star_bidiff(series)
-    assert bid.degree0_is_identity()
+    assert degree0_is_identity(bid)
     assert associativity_check(bid, 0)
+
+
+ASSOC_CASES = {"gl3 chain N=3": (_gl3_chain, 3), "sl2 r=3 N=4": (_sl2_r3, 4),
+               "B2 tame N=3": (_b2_tame, 3), "B2 borel r=2 N=2": (_b2_borel_r2, 2)}
+
+
+def _assoc_series(label):
+    make, order = ASSOC_CASES[label]
+    pf, ft = make()
+    return inverse_shapovalov_series(pf, ft, order, order)
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_associativity_check_matches_oracle(label):
+    """Both sides equal the unfactored Fraction oracle's, key for key, at every N."""
+    series = _assoc_series(label)
+    for N in range(series.order + 1):
+        got = associativity_check(star_bidiff(series), N, return_sides=True)
+        want = oracle_associativity_check(star_bidiff(series), N, return_sides=True)
+        assert want[0], (label, N)
+        assert got == want, (label, N)
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_associativity_check_negative_control(label):
+    """One coefficient of B moved by 1, at h = 1 and at h = order: the check
+    fails, and its sides first differ where the oracle's do."""
+    series = _assoc_series(label)
+    for h in sorted({1, series.order}):
+        # the term with the longest words: at h = order a change to single
+        # letters would be a Hochschild coboundary and could go unseen
+        key = max(sorted(series.terms[h]), key=lambda k: len(k[0]) + len(k[1]))
+        terms = {g: dict(d) for g, d in series.terms.items()}
+        terms[h][key] += 1
+
+        def bid():
+            return StarBidiff(series.pf, series.ft, series.order, terms, V0Context(series.pf))
+
+        ok, left, right = associativity_check(bid(), return_sides=True)
+        want_ok, want_left, want_right = oracle_associativity_check(bid(), return_sides=True)
+        assert not ok and not want_ok, (label, h)
+        assert associativity_check(bid()) is False
+        assert first_difference(left, right) == first_difference(want_left, want_right)
+        assert (left, right) == (want_left, want_right), (label, h)
 
 
 def test_associativity_sl2(sl2):
@@ -226,7 +333,7 @@ def test_rejections(sl2, sl4, gl3):
 
 def test_shuffle_coproduct_counts():
     word = ("a", "b", "c")
-    parts = uea.shuffle_coproduct(word)
+    parts = shuffle_coproduct(word)
     assert len(parts) == 8
     assert (("a", "b", "c"), ()) in parts and ((), ("a", "b", "c")) in parts
     assert (("a", "c"), ("b",)) in parts  # subwords keep their order
