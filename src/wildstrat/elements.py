@@ -359,10 +359,6 @@ class TcElement:
     def transpose(self):
         return TcElement(self.rd, self.depth, [g.transpose() for g in self.coeffs])
 
-    def cartan_theta(self):
-        """theta = -transpose, the Cartan involution on g_r."""
-        return self.transpose().scale(-1)
-
     def truncate(self, k):
         """tau_k: the depth-k prefix."""
         return TcElement(self.rd, k, list(self.coeffs[:k]))
@@ -429,8 +425,3 @@ def exp_ad(y: TcElement, x: TcElement) -> TcElement:
 def pairing_invariance_defect(z: TcElement, x: TcElement, y: TcElement, c: int):
     """( [z,x] | y )_c + ( x | [z,y] )_c: zero for all triples iff c = depth."""
     return z.bracket(x).pairing_c(y, c) + x.pairing_c(z.bracket(y), c)
-
-
-def antipode_sign(length: int) -> int:
-    """Sign of the Hopf antipode on a degree-`length` monomial."""
-    return -1 if length % 2 else 1

@@ -49,16 +49,6 @@ def enumerate_parabolic(rd):
     return out
 
 
-def levi_factor_map(rd, parabolics=None):
-    """The surjection Lf onto Levi subsystems, with its fibers."""
-    if parabolics is None:
-        parabolics = enumerate_parabolic(rd)
-    fibers = {}
-    for p in parabolics:
-        fibers.setdefault(levi_factor(rd, p), []).append(p)
-    return fibers
-
-
 def weyl_classes(rd, masks):
     return strat.weyl_orbits(rd, masks, weyl_mask)
 

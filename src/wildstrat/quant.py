@@ -7,6 +7,11 @@ engine over the neg and pos letters, with l acting by 0), and the exact
 truncated associativity identity B^(12,3) = B^(1,23) in V0^(x)3, factored over
 the outer slot and compared on integer coefficients (B times one denominator).
 
+The series carries the dilated singularity module its blocks came from and
+the V0 context that normal-ordered its dual letters; every later stage reads
+those two and builds no second one.  The slots of F are V0 basis words, so
+B = (p x p)(F) is F itself.
+
 All coefficients are rational and every comparison is an exact identity.
 """
 
@@ -38,14 +43,19 @@ class InverseShapovalov:
     terms[h] is a dict mapping (neg_word, pos_word) -> Fraction, where the
     words are tuples of g_r letters: the first slot lives in U(u^-), the
     second in U(u^+) (dual letters already expanded and normal-ordered).
+    Both slots are V0 basis words, so the series is also B = (p x p)(F).
+    module is the dilated singularity module the blocks came from and v0 the
+    V0 context that normal-ordered the dual letters.
     """
 
-    def __init__(self, pf, ft, order, terms, per_weight):
+    def __init__(self, pf, ft, order, terms, per_weight, module, v0):
         self.pf = pf
         self.ft = ft
         self.order = order
         self.terms = terms
         self.per_weight = per_weight
+        self.module = module
+        self.v0 = v0
 
     def term_items(self):
         for h, d in sorted(self.terms.items()):
@@ -97,7 +107,7 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
     for h in list(terms):
         if not terms[h]:
             del terms[h]
-    return InverseShapovalov(pf, ft, N, terms, per_weight)
+    return InverseShapovalov(pf, ft, N, terms, per_weight, mod, v0)
 
 
 def _invert_block(block, N):
@@ -171,8 +181,10 @@ def poisson_bivector(pf, ft):
     """Pi = sum X_{a,i} ^ Y_{a,i} over the mutually dual bases, as a tensor
     {(left_word, right_word): coeff} of single-letter words."""
     _require_balanced(pf)
-    mod = SingularityModule(pf, ft)
-    duals = mod.dual_letters()
+    return _bivector(pf, SingularityModule(pf, ft).dual_letters())
+
+
+def _bivector(pf, duals):
     out = {}
     for (a, i), combo in duals.items():
         x_letter = ("E", pf.rd.neg[a], i)
@@ -189,8 +201,7 @@ def first_order_check(series: InverseShapovalov):
     for (lw, rw), c in f1.items():
         acc(skew, (lw, rw), c)
         acc(skew, (rw, lw), -c)
-    pi = poisson_bivector(series.pf, series.ft)
-    return skew == pi
+    return skew == _bivector(series.pf, series.module.dual_letters())
 
 
 # -- V0 and the star bidifferential ------------------------------------------------
@@ -247,21 +258,12 @@ def star_bidiff(series: InverseShapovalov):
     """B = (p x p)(F): the formal bidifferential operator on the orbit.
 
     F's slots are already normal inside U(u^-) and U(u^+), so they are V0
-    basis words and the projection p x p keeps F as it is.
+    basis words, the projection p x p keeps F as it is, and B is the series.
     """
-    return StarBidiff(series.pf, series.ft, series.order, series.terms, V0Context(series.pf))
+    return series
 
 
-class StarBidiff:
-    def __init__(self, pf, ft, order, terms, v0):
-        self.pf = pf
-        self.ft = ft
-        self.order = order
-        self.terms = terms
-        self.v0 = v0
-
-
-def associativity_check(bid: StarBidiff, N=None, return_sides=False):
+def associativity_check(bid: InverseShapovalov, N=None, return_sides=False):
     """(Delta x 1)(B) (B x 1) == (1 x Delta)(B) (1 x B) in V0^(x)3, truncated.
 
     The inner factor never touches the outer slot that Delta leaves alone, so
@@ -340,32 +342,21 @@ def first_difference(left, right):
 def check_invariance(series: InverseShapovalov, letters=None):
     """Delta(g) . F = 0 via the module actions, on coverage-closed components.
 
-    For every g_r basis letter g, the element sum_t (g X_t) (x) Y_t + X_t (x)
-    (g Y_t) must vanish; components are compared only on weight pairs fully
-    covered by the truncation, which is exact when the generator alphabet has
-    single-letter heights (e.g. rank-one cases) and a sound partial check
-    otherwise.
+    Each term c hbar^h X (x) Y of F is X w^+ in M^+ (the series' module) and
+    Y w^- in M^-, both through their module's normal form, with coefficient
+    c^-h.  For every g_r basis letter g, the element sum_t (g X_t) (x) Y_t +
+    X_t (x) (g Y_t) must vanish; components are compared only on weight pairs
+    covered by the truncation (the weights of the left words, zero
+    included), which is exact when the generator alphabet has single-letter
+    heights (e.g. rank-one cases) and a sound partial check otherwise.
     """
-    pf, ft = series.pf, series.ft
-    mod_plus = SingularityModule(pf, ft, dilated=True)
-    mod_minus = SingularityModule(pf.opposite(), ft.scale(-1), dilated=True)
-    rd = pf.rd
-    duals = mod_plus.dual_letters()
+    mod_plus = series.module
+    mod_minus = SingularityModule(series.pf.opposite(), series.ft.scale(-1), dilated=True)
     if letters is None:
-        letters = all_letters(rd, pf.depth)
-    # rebuild F per weight: left slot X w^+ in M^+, right slot Y w^- in M^-
-    weights = set(series.per_weight)
-    pairs = []
-    for mu, (block, finv) in series.per_weight.items():
-        basis = block.basis
-        for i in range(len(basis)):
-            xv = {mod_plus.word_of(basis[i]): CPoly.const(1)}
-            for j in range(len(basis)):
-                if finv[i][j]:
-                    yv = _dual_vector(mod_plus, mod_minus, duals, basis[j])
-                    pairs.append((xv, yv, finv[i][j]))
-    pairs.append(({(): CPoly.const(1)}, {(): CPoly.const(1)}, CPoly.const(1)))
-    ok = True
+        letters = all_letters(series.pf.rd, series.pf.depth)
+    pairs = [(mod_plus.action.normal_form(lw), mod_minus.action.normal_form(rw), CPoly({-h: c}))
+             for h, lw, rw, c in series.term_items()]
+    weights = {mod_plus.weight_of_word(w) for xv, _, _ in pairs for w in xv}
     for g in letters:
         total = {}
         for xv, yv, series_cf in pairs:
@@ -380,25 +371,8 @@ def check_invariance(series: InverseShapovalov, letters=None):
         # restrict to covered components: both slot weights must be computed
         for (wl, wr), val in total.items():
             mul = mod_plus.weight_of_word(wl)
-            mur = tuple(-x for x in mod_minus.weight_of_word(wr))
-            if mul != mur:
+            if mul not in weights or mul != tuple(-x for x in mod_minus.weight_of_word(wr)):
                 continue
-            if mul not in weights and any(x != 0 for x in mul):
-                continue
-            truncated = CPoly({d: v for d, v in val.c.items() if -d <= series.order})
-            if truncated:
-                ok = False
-    return ok
-
-
-def _dual_vector(mod_plus, mod_minus, duals, mono):
-    """The vector Y_{f,i} w^- inside M^-, dual letters expanded and applied."""
-    vec = {(): CPoly.const(1)}
-    for g in reversed(mod_plus.word_of(mono)):
-        a, i = mod_plus.gens[g]
-        new = {}
-        for c, letter in duals[(a, i)]:
-            for w, cv in mod_minus.apply_letter(letter, vec).items():
-                acc(new, w, c * cv)
-        vec = new
-    return vec
+            if any(-d <= series.order for d in val.c):
+                return False
+    return True

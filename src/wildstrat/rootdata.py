@@ -337,11 +337,6 @@ class RootDatum:
             "structure_constants": {f"{i},{j}": frac_str(c) for (i, j), c in sorted(self.nsc.items())},
         }
 
-    @property
-    def center_dim(self):
-        """Dimension of the center of g = common kernel of all roots."""
-        return len(self.center_basis())
-
     def center_basis(self):
         """Basis of the center of g in Cartan coordinates, computed once."""
         if self._center is None:

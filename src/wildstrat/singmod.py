@@ -144,9 +144,6 @@ class SingularityModule:
                                      {w: k for k, w in enumerate(words)})
         return hit
 
-    def weight_space_dim(self, mu):
-        return len(self.weight_basis(mu))
-
     # -- Shapovalov forms -----------------------------------------------------------
 
     def transpose_letter(self, gen_index):

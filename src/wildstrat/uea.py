@@ -13,15 +13,14 @@ and V0 = U(g_r)/U(g_r) l (basis: the neg, then the pos letters) are its
 instances.
 
 The coefficient accumulator (acc) shared with singmod and quant also lives
-here; the bracket of two letters (letter_bracket) and the list of all letters
-(all_letters) live in rootdata, next to the tables they read, and are
-imported from there.
+here.  The bracket of two letters (letter_bracket) lives in rootdata, next to
+the tables it reads, and is imported from there.
 """
 
 from __future__ import annotations
 
 from .linalg import One
-from .rootdata import all_letters, letter_bracket
+from .rootdata import letter_bracket
 
 
 class UEAContext:

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from wildstrat.elements import (GElement, NotSemisimpleError, TcElement,
-                                antipode_sign, exp_ad, is_semisimple,
-                                pairing_invariance_defect, semisimple_split)
+from wildstrat.elements import (GElement, NotSemisimpleError, TcElement, exp_ad,
+                                is_semisimple, pairing_invariance_defect, semisimple_split)
 from wildstrat.linalg import Zero, mat_mul, minimal_polynomial, is_squarefree, nullspace
 from wildstrat.rootdata import root_datum
 from wildstrat.strat import ClaimViolation
@@ -270,16 +269,9 @@ def test_transpose_and_theta(sl2, sl2_efh):
     assert x.transpose().transpose() == x
     assert TcElement.pure(sl2, 2, 1, E).transpose() == TcElement.pure(sl2, 2, 1, F)
     assert TcElement.pure(sl2, 2, 0, H).transpose() == TcElement.pure(sl2, 2, 0, H)
-    assert x.cartan_theta() == x.transpose().scale(-1)
     # transpose is a Lie antihomomorphism: t[x,y] = [ty, tx]
     y = TcElement.from_parts(sl2, 2, [(0, E), (1, H)])
     assert x.bracket(y).transpose() == y.transpose().bracket(x.transpose())
-
-
-def test_antipode_sign():
-    assert antipode_sign(0) == 1
-    assert antipode_sign(1) == -1
-    assert antipode_sign(2) == 1  # iota(EF) = FE with sign (-1)^2
 
 
 def test_exp_ad_requires_birkhoff(sl2, sl2_efh):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from wildstrat import parab, quant, singmod, strat, uea
 from wildstrat.linalg import CPoly
 from wildstrat.parab import FormalType, ParabolicFiltration, SingularCharacterError
-from wildstrat.quant import (StarBidiff, TruncationError, UnbalancedFiltration, V0Context,
-                             associativity_check, check_invariance, first_difference,
-                             first_order_check, inverse_shapovalov_series,
+from wildstrat.quant import (InverseShapovalov, TruncationError, UnbalancedFiltration,
+                             V0Context, associativity_check, check_invariance,
+                             first_difference, first_order_check, inverse_shapovalov_series,
                              poisson_bivector, star_bidiff)
+from wildstrat.rootdata import all_letters
+from wildstrat.singmod import SingularityModule
 from wildstrat.strat import mask_from_indices
 from wildstrat.uea import acc
 from bubble_sort_uea import BubbleSortUEA
@@ -28,7 +31,7 @@ def shuffle_coproduct(word):
     return out
 
 
-def oracle_associativity_check(bid: StarBidiff, N=None, return_sides=False):
+def oracle_associativity_check(bid: InverseShapovalov, N=None, return_sides=False):
     """The unfactored check on Fraction coefficients: every pair of terms and
     every shuffle split of the outer slot, projected word by word."""
     if N is None:
@@ -73,6 +76,79 @@ def oracle_associativity_check(bid: StarBidiff, N=None, return_sides=False):
     if return_sides:
         return left == right, left, right
     return left == right
+
+
+def oracle_check_invariance(series: InverseShapovalov, letters=None):
+    """The per-weight check: F rebuilt from the inverted blocks, the dual
+    letters of each right slot expanded and applied inside M^-."""
+    pf, ft = series.pf, series.ft
+    mod_plus = SingularityModule(pf, ft, dilated=True)
+    mod_minus = SingularityModule(pf.opposite(), ft.scale(-1), dilated=True)
+    rd = pf.rd
+    duals = mod_plus.dual_letters()
+    if letters is None:
+        letters = all_letters(rd, pf.depth)
+    # rebuild F per weight: left slot X w^+ in M^+, right slot Y w^- in M^-
+    weights = set(series.per_weight)
+    pairs = []
+    for mu, (block, finv) in series.per_weight.items():
+        basis = block.basis
+        for i in range(len(basis)):
+            xv = {mod_plus.word_of(basis[i]): CPoly.const(1)}
+            for j in range(len(basis)):
+                if finv[i][j]:
+                    yv = _dual_vector(mod_plus, mod_minus, duals, basis[j])
+                    pairs.append((xv, yv, finv[i][j]))
+    pairs.append(({(): CPoly.const(1)}, {(): CPoly.const(1)}, CPoly.const(1)))
+    ok = True
+    for g in letters:
+        total = {}
+        for xv, yv, series_cf in pairs:
+            gx = mod_plus.apply_letter(g, xv)
+            gy = mod_minus.apply_letter(g, yv)
+            for wx, cx in gx.items():
+                for wy, cy in yv.items():
+                    acc(total, (wx, wy), cx * cy * series_cf)
+            for wx, cx in xv.items():
+                for wy, cy in gy.items():
+                    acc(total, (wx, wy), cx * cy * series_cf)
+        # restrict to covered components: both slot weights must be computed
+        for (wl, wr), val in total.items():
+            mul = mod_plus.weight_of_word(wl)
+            mur = tuple(-x for x in mod_minus.weight_of_word(wr))
+            if mul != mur:
+                continue
+            if mul not in weights and any(x != 0 for x in mul):
+                continue
+            truncated = CPoly({d: v for d, v in val.c.items() if -d <= series.order})
+            if truncated:
+                ok = False
+    return ok
+
+
+def _dual_vector(mod_plus, mod_minus, duals, mono):
+    """The vector Y_{f,i} w^- inside M^-, dual letters expanded and applied."""
+    vec = {(): CPoly.const(1)}
+    for g in reversed(mod_plus.word_of(mono)):
+        a, i = mod_plus.gens[g]
+        new = {}
+        for c, letter in duals[(a, i)]:
+            for w, cv in mod_minus.apply_letter(letter, vec).items():
+                acc(new, w, c * cv)
+        vec = new
+    return vec
+
+
+def _changed(series, h):
+    """The series with one more 1 on its term at hbar^h with the longest
+    words, over a fresh V0 context.  The longest words, because at h = order
+    a change to single letters would be a Hochschild coboundary and could go
+    unseen by the associativity check."""
+    key = max(sorted(series.terms[h]), key=lambda k: len(k[0]) + len(k[1]))
+    terms = {g: dict(d) for g, d in series.terms.items()}
+    terms[h][key] += 1
+    return InverseShapovalov(series.pf, series.ft, series.order, terms, series.per_weight,
+                             series.module, V0Context(series.pf))
 
 
 def degree0_is_identity(bid):
@@ -156,6 +232,25 @@ def test_invariance(sl2, gl3):
     assert check_invariance(inverse_shapovalov_series(pf3, ft3, 2, 2))
 
 
+def test_check_invariance_matches_oracle(sl2, gl3, sl3):
+    """The check on the series' own terms agrees with the per-weight oracle
+    on the cases of test_invariance and the sl3 chain."""
+    cases = [sl2_setup(sl2, [3])[:2], sl2_setup(sl2, [5, 7])[:2],
+             (gl3_ex_chain(gl3), gl3_ex_ft(gl3, 1, 2, 4, 6, 3)), sl3_chain(sl3)]
+    for pf, ft in cases:
+        series = inverse_shapovalov_series(pf, ft, 2, 2)
+        assert check_invariance(series) == oracle_check_invariance(series) is True
+
+
+def test_check_invariance_negative_control():
+    """One more 1 on the longest hbar^1 term of the sl2 r=3 series breaks
+    invariance: the check reads F from the terms, not from the blocks."""
+    pf, ft = _sl2_r3()
+    series = inverse_shapovalov_series(pf, ft, 3, 3)
+    assert check_invariance(series)
+    assert check_invariance(_changed(series, 1)) is False
+
+
 def test_project_v0(sl2):
     pf, ft, i_e = sl2_setup(sl2, [3])
     i_f = sl2.neg[i_e]
@@ -208,13 +303,21 @@ def test_project_word_matches_bubble_sort_oracle(monkeypatch, make, N):
         assert bid.v0.project_word(word) == want, word
 
 
-@pytest.mark.parametrize("make, N", [(_gl3_chain, 3), (_sl2_r3, 4)],
-                         ids=["gl3 chain N=3", "sl2 r=3 N=4"])
-def test_series_slots_are_v0_basis_words(make, N):
-    """star_bidiff keeps F as it is: every slot word of F is its own V0 projection."""
+ASSOC_CASES = {"gl3 chain N=3": (_gl3_chain, 3), "sl2 r=3 N=4": (_sl2_r3, 4),
+               "B2 tame N=3": (_b2_tame, 3), "B2 borel r=2 N=2": (_b2_borel_r2, 2)}
+
+
+def _assoc_series(label):
+    make, order = ASSOC_CASES[label]
     pf, ft = make()
-    series = inverse_shapovalov_series(pf, ft, N, N)
-    v0 = V0Context(pf)
+    return inverse_shapovalov_series(pf, ft, order, order)
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_series_slots_are_v0_basis_words(label):
+    """star_bidiff keeps F as it is: every slot word of F is its own V0 projection."""
+    series = _assoc_series(label)
+    v0 = V0Context(series.pf)
     words = {w for d in series.terms.values() for pair in d for w in pair}
     assert len(words) > 2
     for word in words:
@@ -238,14 +341,28 @@ def test_star_degree_zero_and_assoc_trivial(sl2):
     assert associativity_check(bid, 0)
 
 
-ASSOC_CASES = {"gl3 chain N=3": (_gl3_chain, 3), "sl2 r=3 N=4": (_sl2_r3, 4),
-               "B2 tame N=3": (_b2_tame, 3), "B2 borel r=2 N=2": (_b2_borel_r2, 2)}
-
-
-def _assoc_series(label):
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_one_module_v0_and_dual_basis_per_quantisation(monkeypatch, label):
+    """Series, first-order check, B and the associativity check build one
+    singularity module, one V0 context and one dual basis between them."""
     make, order = ASSOC_CASES[label]
     pf, ft = make()
-    return inverse_shapovalov_series(pf, ft, order, order)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SingularityModule, "__init__",
+                        counting("module", SingularityModule.__init__))
+    monkeypatch.setattr(V0Context, "__init__", counting("v0", V0Context.__init__))
+    monkeypatch.setattr(parab, "dual_basis", counting("dual_basis", parab.dual_basis))
+    series = inverse_shapovalov_series(pf, ft, order, order)
+    assert first_order_check(series)
+    assert associativity_check(star_bidiff(series))
+    assert counts == {"module": 1, "v0": 1, "dual_basis": 1}
 
 
 @pytest.mark.parametrize("label", list(ASSOC_CASES))
@@ -265,19 +382,11 @@ def test_associativity_check_negative_control(label):
     fails, and its sides first differ where the oracle's do."""
     series = _assoc_series(label)
     for h in sorted({1, series.order}):
-        # the term with the longest words: at h = order a change to single
-        # letters would be a Hochschild coboundary and could go unseen
-        key = max(sorted(series.terms[h]), key=lambda k: len(k[0]) + len(k[1]))
-        terms = {g: dict(d) for g, d in series.terms.items()}
-        terms[h][key] += 1
-
-        def bid():
-            return StarBidiff(series.pf, series.ft, series.order, terms, V0Context(series.pf))
-
-        ok, left, right = associativity_check(bid(), return_sides=True)
-        want_ok, want_left, want_right = oracle_associativity_check(bid(), return_sides=True)
+        ok, left, right = associativity_check(_changed(series, h), return_sides=True)
+        want_ok, want_left, want_right = oracle_associativity_check(_changed(series, h),
+                                                                    return_sides=True)
         assert not ok and not want_ok, (label, h)
-        assert associativity_check(bid()) is False
+        assert associativity_check(_changed(series, h)) is False
         assert first_difference(left, right) == first_difference(want_left, want_right)
         assert (left, right) == (want_left, want_right), (label, h)
 
@@ -460,17 +569,22 @@ def test_quantize_b2_tame(b2):
     assert associativity_check(star_bidiff(series), 2)
 
 
-def test_quantize_sl3_nongeneric_chain(sl3):
+def sl3_chain(sl3):
     """A depth-2 chain with a genuinely bigger second parabolic on sl3."""
     from wildstrat.linalg import nullspace
     pos = mask_from_indices(sl3.positive)
     span1 = strat.span_closure(sl3, mask_from_indices(sl3.simple[:1]))
     pf = ParabolicFiltration(sl3, [pos, pos | span1])
-    assert pf.is_balanced()
     lf = pf.levi_filtration()
     rows = [list(sl3.coroots[a]) for a in strat.indices(lf.mask(1))]
     lam1 = tuple(7 * b for b in nullspace(rows, cols=sl3.dim_t)[0])
-    ft = FormalType([(9, 16), lam1])
+    return pf, FormalType([(9, 16), lam1])
+
+
+def test_quantize_sl3_nongeneric_chain(sl3):
+    """A depth-2 chain with a genuinely bigger second parabolic on sl3."""
+    pf, ft = sl3_chain(sl3)
+    assert pf.is_balanced()
     assert parab.is_nonsingular(pf, ft)
     series = inverse_shapovalov_series(pf, ft, 2, 2)
     assert first_order_check(series)
