@@ -5,8 +5,8 @@ lists of rows).  No floating point is used anywhere.  There is one elimination,
 a fraction-free Gauss-Jordan on the rows scaled to integers (Bareiss, Math.
 Comp. 22, 1968; Cohen, GTM 138, section 2.2), and ``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse``, ``det``, ``minimal_polynomial`` and
-``is_squarefree`` all read it.  ``unit_lower_inverse`` is forward substitution
-without division.  Also provides Laurent polynomials in the dilation variable c.
+``is_squarefree`` all read it.  Also provides Laurent polynomials in the
+dilation variable c.
 """
 
 from __future__ import annotations
@@ -164,24 +164,6 @@ def inverse(m):
     return [row[n:] for row in red]
 
 
-def unit_lower_inverse(m):
-    """Inverse of a unit lower triangular matrix by forward substitution:
-    row i of the inverse is e_i - sum_{k<i} m[i][k] (row k), no division."""
-    n = len(m)
-    if any(m[i][j] != (1 if i == j else 0) for i in range(n) for j in range(i, n)):
-        raise ValueError("matrix is not unit lower triangular")
-    out = identity(n)
-    for i in range(n):
-        row = out[i]
-        for k in range(i):
-            c = m[i][k]
-            if c != 0:
-                for j, v in enumerate(out[k][:k + 1]):
-                    if v != 0:
-                        row[j] -= c * v
-    return out
-
-
 def det(m):
     """Determinant of a square matrix: sign * d / scale from the elimination,
     or 0 when a column has no pivot."""
@@ -240,6 +222,14 @@ class CPoly:
         self.c = c
 
     @classmethod
+    def _trusted(cls, c):
+        """A CPoly holding c as it is, with no coercion and no zero filtering:
+        the arithmetic's results, whose values are nonzero Fractions."""
+        out = object.__new__(cls)
+        out.c = c
+        return out
+
+    @classmethod
     def const(cls, v):
         return cls({0: frac(v)})
 
@@ -259,46 +249,33 @@ class CPoly:
             return NotImplemented
         out = dict(self.c)
         for d, v in other.c.items():
-            nv = out.get(d, Zero) + v
-            if nv == 0:
-                out.pop(d, None)
-            else:
-                out[d] = nv
-        return CPoly(out)
+            out[d] = out.get(d, Zero) + v
+        return CPoly._trusted({d: v for d, v in out.items() if v})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CPoly({d: -v for d, v in self.c.items()})
+        return CPoly._trusted({d: -v for d, v in self.c.items()})
 
     def __sub__(self, other):
         other = _as_cpoly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         other = _as_cpoly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CPoly({d: v * other for d, v in self.c.items()})
+            return CPoly._trusted({d: v * other for d, v in self.c.items()} if other else {})
         other = _as_cpoly(other)
         if other is None:
             return NotImplemented
         out = {}
         for d1, v1 in self.c.items():
             for d2, v2 in other.c.items():
-                d = d1 + d2
-                nv = out.get(d, Zero) + v1 * v2
-                if nv == 0:
-                    out.pop(d, None)
-                else:
-                    out[d] = nv
-        return CPoly(out)
+                out[d1 + d2] = out.get(d1 + d2, Zero) + v1 * v2
+        return CPoly._trusted({d: v for d, v in out.items() if v})
 
     __rmul__ = __mul__
 

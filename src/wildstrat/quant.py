@@ -1,7 +1,7 @@
 """Star products from the inverse Shapovalov form.
 
 Pipeline: per-weight Shapovalov matrices over the dilated character, their
-D*C*Qtilde factorisation, formal inversion in hbar = 1/c, the first-order
+hbar-adic inversion from the row-scaled parts (hbar = 1/c), the first-order
 Poisson check, projection to V0 = U(g_r)/(U(g_r) l) (the uea straightening
 engine over the neg and pos letters, with l acting by 0), and the exact
 truncated associativity identity B^(12,3) = B^(1,23) in V0^(x)3, factored over
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import CPoly, One, Zero, identity, unit_lower_inverse
+from .linalg import CPoly, One
 from .rootdata import all_letters
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible, triangular_split)
-from .singmod import SingularityModule, factorize_block
+from .singmod import SingularityModule, lower_solve, row_scaled_parts
 from .strat import ClaimViolation
 from .uea import UEAContext, acc
 
@@ -89,68 +89,53 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
     per_weight = {}
     for mu in mod.root_sums(N):
         block = mod.dual_block(mu)
-        finv = _invert_block(block, N)
+        finv = invert_block(block, N)
         per_weight[mu] = (block, finv)
         basis = block.basis
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                series = finv[i][j]
-                if not series:
-                    continue
+        for j in range(len(basis)):
+            column = [(i, finv[i][j]) for i in range(len(basis)) if finv[i][j]]
+            if not column:
+                continue
+            right = _expand_dual_mono(mod, v0, duals, basis[j]).items()
+            for i, series in column:
                 left = _neg_word(mod, basis[i])
-                for rword, rc in _expand_dual_mono(mod, v0, duals, basis[j]).items():
+                for rword, rc in right:
                     for deg, cv in series.c.items():
-                        h = -deg
-                        if h > N:
-                            continue
-                        acc(terms.setdefault(h, {}), (left, rword), cv * rc)
+                        acc(terms.setdefault(-deg, {}), (left, rword), cv * rc)
     for h in list(terms):
         if not terms[h]:
             del terms[h]
     return InverseShapovalov(pf, ft, N, terms, per_weight, mod, v0)
 
 
-def _invert_block(block, N):
-    """A^{-1} = Qtilde^{-1} C^{-1} D^{-1} truncated at hbar^N, exact.
+def invert_block(block, N):
+    """A^{-1} truncated at hbar^N, exact, for a dilated dual block
+    A = c^L sum_k A_k hbar^k (singmod.row_scaled_parts).
 
-    With Qtilde = Id + sum_{k>=1} Q_k hbar^k (Q_k rational), the inverse is
-    sum_k F_k hbar^k with F_0 = Id and F_k = -sum_{j=1..k} Q_j F_{k-j}.  Column
-    j of D^{-1} is hbar^{l_j} / d_j, so entry (i, j) of A^{-1} has the
-    coefficient (F_k C^{-1})[i][j] / d_j at hbar^{k + l_j}, kept for
-    k + l_j <= N.
+    The inverse of sum_k A_k hbar^k is sum_k G_k hbar^k with G_0 = A_0^{-1}
+    and G_k = -A_0^{-1} sum_{m=1..k} A_m G_{k-m}, one forward substitution
+    each.  A^{-1} = (sum_k G_k hbar^k) hbar^L, so entry (i, j) has the
+    coefficient G_k[i][j] at hbar^{k + l_j}, and column j of G_k is kept only
+    for k + l_j <= N.
     """
-    d, c, qt = factorize_block(block)
-    n = block.dim()
-    lengths = block.lengths()
-    top = N - min(lengths, default=N)
-    # Q_k as sparse rows: q[k][i] = [(l, Q_k[i][l]) for nonzero entries]
-    q = [None] + [[[(l, e.c[-k]) for l, e in enumerate(row) if -k in e.c] for row in qt]
-                  for k in range(1, top + 1)]
-    f = [identity(n)]
-    for k in range(1, top + 1):
-        fk = [[Zero] * n for _ in range(n)]
-        for j in range(1, k + 1):
-            prev = f[k - j]
-            for i, row in enumerate(q[j]):
-                dst = fk[i]
-                for l, v in row:
-                    for t, p in enumerate(prev[l]):
-                        if p:
-                            dst[t] -= v * p
-        f.append(fk)
-    cinv = unit_lower_inverse(c)
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        col = [(t, cinv[t][j]) for t in range(n) if cinv[t][j] != 0]
-        scale = 1 / d[j][j].coeff(lengths[j])
-        for i in range(n):
-            coeffs = {}
-            for k in range(N - lengths[j] + 1):
-                v = sum((f[k][i][t] * x for t, x in col), Zero)
-                if v:
-                    coeffs[-(k + lengths[j])] = v * scale
-            out[i][j] = CPoly(coeffs)
-    return out
+    lengths, d, parts = row_scaled_parts(block)
+    n = len(lengths)
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    g = []
+    for k in range(N - min(lengths, default=N) + 1):
+        rhs = [{i: One} if k == 0 and lengths[i] <= N else {} for i in range(n)]
+        for m in range(1, min(k, len(parts) - 1) + 1):
+            for i, row in enumerate(parts[m]):
+                dst = rhs[i]
+                for t, v in row.items():
+                    for j, w in g[k - m][t].items():
+                        if lengths[j] + k <= N:
+                            dst[j] = dst.get(j, 0) - v * w
+        g.append(lower_solve(parts[0], d, rhs))
+        for i, row in enumerate(g[k]):
+            for j, v in row.items():
+                out[i][j][-(k + lengths[j])] = v
+    return [[CPoly(e) for e in row] for row in out]
 
 
 def _neg_word(mod, mono):

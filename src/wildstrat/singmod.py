@@ -12,13 +12,14 @@ Shapovalov entries are computed through the module action as the coefficient
 of the cyclic vector (the zero-weight space is a line).  Blocks are built by
 recursion on the weight: row g.y' of the block at mu pairs the letter images
 of the columns with row y' of the block at mu - alpha_g.  Blocks, radicals, the
-D*C*Qtilde factorisation of the dilated matrices, the truncated-quotient
-criterion and the simplicity probe all live here.
+row-scaled parts of the dilated dual blocks and their D*C*Qtilde
+factorisation, the truncated-quotient criterion and the simplicity probe all
+live here.
 """
 
 from __future__ import annotations
 
-from .linalg import CPoly, One, Zero, frac_str, nullspace, rank, unit_lower_inverse
+from .linalg import CPoly, One, Zero, det, frac_str, nullspace, rank
 from .rootdata import all_letters
 from .strat import indices
 from . import parab
@@ -118,14 +119,21 @@ class SingularityModule:
     def weights_up_to(self, K):
         """All monoid elements of relative height <= K, sorted deterministically.
 
-        The relative height of mu is the length of its first basis word."""
-        out = []
-        for mu in self.root_sums(K):
-            h = len(self._words(mu)[0])
-            if h <= K:
-                out.append((h, mu))
-        out.sort()
-        return [mu for _, mu in out]
+        The relative height of mu (the length of its first basis word) is the
+        largest n with mu a sum of n generator roots, found layer by layer up
+        to the largest <.|xi> of the candidates; no word is enumerated."""
+        xi = self.split.xi
+        roots = [self.rd.roots[a] for a in self.nu0]
+        candidates = self.root_sums(K)
+        top = max((sum(m * x for m, x in zip(mu, xi)) for mu in candidates), default=0)
+        longest = {}
+        layer = {tuple([Zero] * self.rd.dim_t)}
+        for n in range(1, int(top) + 1):
+            layer = {nu for nu in (tuple(m + r for m, r in zip(mu, a)) for mu in layer for a in roots)
+                     if sum(m * x for m, x in zip(nu, xi)) <= top}
+            longest.update(dict.fromkeys(layer, n))
+        return sorted((mu for mu in candidates if longest[mu] <= K),
+                      key=lambda mu: (longest[mu], mu))
 
     def weight_basis(self, mu):
         """Ordered PBW basis of M[mu]: nonincreasing length, then lexicographic."""
@@ -209,45 +217,54 @@ class SingularityModule:
 
     def _block(self, mu, dual):
         """Matrix of the Shapovalov (dual=False) or signed dual block at mu,
-        built and kept once.
+        built and kept once, with the missing blocks below it.
 
         The letter L_g of generator g is its transpose letter, or its dual
         letter Y_g when dual.  Row y = g y' (g the first letter of the word of
         y) is the image L_g x of each column x paired with row y' of the block
-        at mu - alpha_g, which is built first when missing; the dual sign
-        (-1)^len(y) flips once per letter.  The weight-zero block is [[1]].
+        at mu - alpha_g; the dual sign (-1)^len(y) flips once per letter.  The
+        weight-zero block is [[1]].  Missing blocks come from a worklist,
+        lowest <.|xi> first.
         """
-        key = (dual, mu)
-        mat = self._blocks.get(key)
-        if mat is not None:
-            return mat
+        blocks = self._blocks
+        pending = {}  # weight -> <weight|xi>, for the blocks to build
+        stack = [mu]
+        while stack:
+            nu = stack.pop()
+            if (dual, nu) not in blocks and nu not in pending:
+                pending[nu] = sum(m * x for m, x in zip(nu, self.split.xi))
+                stack.extend(tuple(m - r for m, r in zip(nu, self._letter_roots[g]))
+                             for g in {w[0] for w in self._words(nu) if w})
+        for nu in sorted(pending, key=pending.get):
+            blocks[(dual, nu)] = self._build_block(nu, dual)
+        return blocks[(dual, mu)]
+
+    def _build_block(self, mu, dual):
         words = self._words(mu)
         if words == [()]:
-            mat = [[self._one()]]
-        else:
-            rows_by_letter = {}
-            for row, word in enumerate(words):
-                rows_by_letter.setdefault(word[0], []).append(row)
-            mat = [None] * len(words)
-            zero = self._zero()
-            for g, rows in rows_by_letter.items():
-                lower_mu = tuple(m - r for m, r in zip(mu, self.rd.roots[self.gens[g][0]]))
-                lower = self._block(lower_mu, dual)
-                index = self._basis(lower_mu)[1]
-                images = [[(index[w], c) for w, c in self._letter_image(g, x, dual).items()]
-                          for x in words]
-                for row in rows:
-                    lower_row = lower[index[words[row][1:]]]
-                    entries = []
-                    for img in images:
-                        val = zero
-                        for k, c in img:
-                            v = lower_row[k]
-                            if v:
-                                val = val + c * v
-                        entries.append(-val if dual and val else val)
-                    mat[row] = entries
-        self._blocks[key] = mat
+            return [[self._one()]]
+        rows_by_letter = {}
+        for row, word in enumerate(words):
+            rows_by_letter.setdefault(word[0], []).append(row)
+        mat = [None] * len(words)
+        zero = self._zero()
+        for g, rows in rows_by_letter.items():
+            lower_mu = tuple(m - r for m, r in zip(mu, self._letter_roots[g]))
+            lower = self._blocks[(dual, lower_mu)]
+            index = self._basis(lower_mu)[1]
+            images = [[(index[w], c) for w, c in self._letter_image(g, x, dual).items()]
+                      for x in words]
+            for row in rows:
+                lower_row = lower[index[words[row][1:]]]
+                entries = []
+                for img in images:
+                    val = zero
+                    for k, c in img:
+                        v = lower_row[k]
+                        if v:
+                            val = val + c * v
+                    entries.append(-val if dual and val else val)
+                mat[row] = entries
         return mat
 
     def _letter_image(self, g, word, dual):
@@ -295,7 +312,6 @@ class ShapovalovBlock:
         return nullspace(self.matrix, cols=len(self.basis))
 
     def determinant(self):
-        from .linalg import det
         self._require_scalar()
         return det(self.matrix)
 
@@ -304,9 +320,15 @@ class FactorisationError(RuntimeError):
     """The degree bounds of the factorisation claim failed on actual data."""
 
 
-def factorize_block(block: ShapovalovBlock):
-    """A[mu] = D C Qtilde: D diagonal d_i c^{l_i}, C unipotent lower triangular
-    constant, Qtilde - Id with only negative powers of c.  Exact."""
+def row_scaled_parts(block: ShapovalovBlock):
+    """(lengths, d, parts) of a dilated dual block A = c^L sum_k A_k hbar^k.
+
+    L = diag(l_i) holds the word lengths; row i of A_k = parts[k] is the
+    sparse row {j: coefficient of c^{l_i - k} in A[i][j]}.  Checked on the
+    data, in this order: each entry has degree at most the min length of its
+    row and column, strictly less off the diagonal between equal lengths;
+    each d_i is a positive integer; A_0 = diag(d) C is lower triangular.
+    """
     mu = "(" + ", ".join(frac_str(x) for x in block.mu) + ")"
     if not block.dual or not block.module.dilated:
         raise ValueError(f"block of weight mu = {mu}: factorisation applies to dilated "
@@ -318,45 +340,64 @@ def factorize_block(block: ShapovalovBlock):
     lengths = block.lengths()
     n = block.dim()
     a = block.matrix
+    parts = [[{} for _ in range(n)]]
     for i in range(n):
         for j in range(n):
             dmax = a[i][j].degree()
-            if dmax is not None and dmax > min(lengths[i], lengths[j]):
+            if dmax is None:
+                continue
+            if dmax > min(lengths[i], lengths[j]):
                 raise fail(i, j, f"degree {dmax} exceeds the min length "
                                  f"{min(lengths[i], lengths[j])}")
-            if lengths[i] == lengths[j] and i != j:
-                if dmax is not None and dmax >= lengths[i]:
-                    raise fail(i, j, "no strict degree drop off the diagonal")
-    d = []
-    for i in range(n):
-        lead = a[i][i].coeff(lengths[i])
+            if lengths[i] == lengths[j] and i != j and dmax >= lengths[i]:
+                raise fail(i, j, "no strict degree drop off the diagonal")
+            for deg, v in a[i][j].c.items():
+                k = lengths[i] - deg
+                while len(parts) <= k:
+                    parts.append([{} for _ in range(n)])
+                parts[k][i][j] = v
+    d = [a[i][i].coeff(lengths[i]) for i in range(n)]
+    for i, lead in enumerate(d):
         if lead == 0 or lead.denominator != 1 or lead <= 0:
             raise fail(i, i, f"diagonal leading coefficient {lead} is not a positive integer")
-        d.append(lead)
-    dmat = [[CPoly({lengths[i]: d[i]}) if i == j else CPoly() for j in range(n)] for i in range(n)]
-    cmat = [[Zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            dij = a[i][j].coeff(lengths[i])
-            if i < j and dij != 0:
+    for i, row in enumerate(parts[0]):
+        for j in row:
+            if j > i:
                 raise fail(i, j, "upper-triangular leading coefficient is nonzero")
-            cmat[i][j] = dij / d[i]
-    # Qtilde = C^{-1} D^{-1} A: entry (i, j) gathers cinv[i][k] / d[k] times
-    # the coefficients of a[k][j], each degree shifted down by l_k
-    cinv = unit_lower_inverse(cmat)
-    qt = [[None] * n for _ in range(n)]
-    for i in range(n):
-        scales = [(k, cinv[i][k] / d[k]) for k in range(n) if cinv[i][k] != 0]
-        for j in range(n):
-            coeffs = {}
-            for k, f in scales:
-                shift = lengths[k]
-                for deg, v in a[k][j].c.items():
-                    acc(coeffs, deg - shift, f * v)
-            if coeffs.get(0, 0) != (1 if i == j else 0) or any(deg > 0 for deg in coeffs):
-                raise fail(i, j, "Qtilde - Id has a nonnegative power of c")
-            qt[i][j] = CPoly(coeffs)
-    return dmat, cmat, qt
+    return lengths, d, parts
+
+
+def lower_solve(a0, d, rhs):
+    """X with A_0 X = rhs for A_0 = parts[0] of row_scaled_parts, by forward
+    substitution on sparse rows: X_i = (rhs_i - sum_{t<i} A_0[i][t] X_t) / d_i."""
+    out = []
+    for i, row in enumerate(rhs):
+        x = dict(row)
+        for t, v in a0[i].items():
+            if t < i:
+                for j, w in out[t].items():
+                    x[j] = x.get(j, Zero) - v * w
+        out.append({j: w / d[i] for j, w in x.items() if w})
+    return out
+
+
+def factorize_block(block: ShapovalovBlock):
+    """A[mu] = D C Qtilde: D diagonal d_i c^{l_i}, C unipotent lower triangular
+    constant, Qtilde - Id with only negative powers of c.  Exact.
+
+    With A = c^L sum_k A_k hbar^k (row_scaled_parts), D C = c^L A_0 and
+    Qtilde = sum_k A_0^{-1} A_k hbar^k: Id, then one forward substitution per k.
+    """
+    lengths, d, parts = row_scaled_parts(block)
+    n = len(lengths)
+    dmat = [[CPoly({lengths[i]: d[i]}) if i == j else CPoly() for j in range(n)] for i in range(n)]
+    cmat = [[row.get(j, Zero) / d[i] for j in range(n)] for i, row in enumerate(parts[0])]
+    qt = [[{0: One} if i == j else {} for j in range(n)] for i in range(n)]
+    for k in range(1, len(parts)):
+        for i, row in enumerate(lower_solve(parts[0], d, parts[k])):
+            for j, v in row.items():
+                qt[i][j][-k] = v
+    return dmat, cmat, [[CPoly(e) for e in row] for row in qt]
 
 
 def reassemble(dmat, cmat, qt):
@@ -403,12 +444,9 @@ def truncated_quotient_saturation(pf, ft, k, K):
             if vec:
                 gens.append(vec)
 
-    def height_ok(word):
-        return len(word) <= K
-
     span = []  # list of dicts, kept in echelon form via word ordering
     def reduce(vec):
-        vec = {w: c for w, c in vec.items() if height_ok(w)}
+        vec = {w: c for w, c in vec.items() if len(w) <= K}
         for basis_vec, lead in span:
             c = vec.get(lead)
             if c:
@@ -435,7 +473,7 @@ def truncated_quotient_saturation(pf, ft, k, K):
         for vec in frontier:
             for letter in letters:
                 img = mod.apply_letter(letter, vec)
-                img = {w: c for w, c in img.items() if height_ok(w)}
+                img = {w: c for w, c in img.items() if len(w) <= K}
                 if img and insert(img):
                     new_frontier.append(img)
         frontier = new_frontier

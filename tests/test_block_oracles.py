@@ -1,11 +1,12 @@
 """The block kernels against the per-entry and CPoly algorithms they replaced.
 
 `SingularityModule.shapovalov_block` and `dual_block` (weight recursion), `factorize_block`
-(coefficient-dict Qtilde) and `quant._invert_block` (hbar-series recursion on
-rational matrices) are compared, block by block and exactly, with the earlier
-implementations kept here as oracles: one letter chain per matrix entry,
-Qtilde by CPoly shift/multiply/add, and the truncated Neumann series of CPoly
-matrices.
+(Qtilde by forward substitution on the row-scaled parts) and `quant.invert_block`
+(hbar-adic inverse of the row-scaled parts) are compared, block by block and
+exactly, with the earlier implementations kept here as oracles: one letter
+chain per matrix entry, Qtilde by CPoly shift/multiply/add, the recursion
+F_k = -sum_j Q_j F_{k-j} on rational matrices through Qtilde and C^{-1}, and
+the truncated Neumann series of CPoly matrices.
 """
 
 from fractions import Fraction
@@ -13,13 +14,14 @@ from fractions import Fraction
 import pytest
 
 from wildstrat import quant
-from wildstrat.linalg import CPoly, inverse
+from wildstrat.linalg import CPoly, Zero, identity, inverse
 from wildstrat.parab import FormalType, ParabolicFiltration
 from wildstrat.rootdata import root_datum
 from wildstrat.singmod import SingularityModule, factorize_block
 from wildstrat.strat import mask_from_indices
 from wildstrat.uea import acc
 from conftest import gl_root_index
+from test_linalg import unit_lower_inverse
 from test_parab import gl3_ex_chain, gl3_ex_ft
 
 
@@ -107,6 +109,54 @@ def oracle_invert_block(block, N):
     return out
 
 
+def recursion_invert_block(block, N):
+    """A^{-1} = Qtilde^{-1} C^{-1} D^{-1} truncated at hbar^N, exact.
+
+    With Qtilde = Id + sum_{k>=1} Q_k hbar^k (Q_k rational), the inverse is
+    sum_k F_k hbar^k with F_0 = Id and F_k = -sum_{j=1..k} Q_j F_{k-j}.  Column
+    j of D^{-1} is hbar^{l_j} / d_j, so entry (i, j) of A^{-1} has the
+    coefficient (F_k C^{-1})[i][j] / d_j at hbar^{k + l_j}, kept for
+    k + l_j <= N.
+    """
+    d, c, qt = oracle_factorize_block(block)
+    n = block.dim()
+    lengths = block.lengths()
+    top = N - min(lengths, default=N)
+    # Q_k as sparse rows: q[k][i] = [(l, Q_k[i][l]) for nonzero entries]
+    q = [None] + [[[(l, e.c[-k]) for l, e in enumerate(row) if -k in e.c] for row in qt]
+                  for k in range(1, top + 1)]
+    f = [identity(n)]
+    for k in range(1, top + 1):
+        fk = [[Zero] * n for _ in range(n)]
+        for j in range(1, k + 1):
+            prev = f[k - j]
+            for i, row in enumerate(q[j]):
+                dst = fk[i]
+                for l, v in row:
+                    for t, p in enumerate(prev[l]):
+                        if p:
+                            dst[t] -= v * p
+        f.append(fk)
+    cinv = unit_lower_inverse(c)
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        col = [(t, cinv[t][j]) for t in range(n) if cinv[t][j] != 0]
+        scale = 1 / d[j][j].coeff(lengths[j])
+        for i in range(n):
+            coeffs = {}
+            for k in range(N - lengths[j] + 1):
+                v = sum((f[k][i][t] * x for t, x in col), Zero)
+                if v:
+                    coeffs[-(k + lengths[j])] = v * scale
+            out[i][j] = CPoly(coeffs)
+    return out
+
+
+def assert_inverse_matches_oracles(block, finv, N):
+    assert finv == recursion_invert_block(block, N), block.mu
+    assert finv == oracle_invert_block(block, N), block.mu
+
+
 def oracle_mat_mul_trunc(a, b, N):
     n = len(a)
     out = [[CPoly() for _ in range(n)] for _ in range(n)]
@@ -163,7 +213,8 @@ CASES = {
 
 @pytest.mark.parametrize("label", list(CASES))
 def test_blocks_match_cpoly_oracles(label):
-    """Dual block, (D, C, Qtilde) and the truncated inverse, per weight.
+    """Dual block, (D, C, Qtilde) and the truncated inverse (against both
+    inverse oracles), per weight.
 
     Some inverse entry reaches hbar^N, so the comparison covers the deepest
     step of the recursion.
@@ -177,8 +228,8 @@ def test_blocks_match_cpoly_oracles(label):
         block = mod.dual_block(mu)
         assert block.matrix == oracle_dual_block(mod, mu, duals), mu
         assert factorize_block(block) == oracle_factorize_block(block), mu
-        finv = quant._invert_block(block, N)
-        assert finv == oracle_invert_block(block, N), mu
+        finv = quant.invert_block(block, N)
+        assert_inverse_matches_oracles(block, finv, N)
         degrees.update(-d for row in finv for entry in row for d in entry.c)
     assert max(degrees) == N
 

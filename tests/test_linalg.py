@@ -229,9 +229,55 @@ def test_inverse_and_det():
     assert linalg.det([[frac(1), frac(2)], [frac(2), frac(4)]]) == 0
 
 
+def test_cpoly_arithmetic_matches_the_coercing_constructor():
+    """Sums, products (also by a scalar) and negatives, built without
+    coercion, equal CPoly(dict) of the same coefficients and store no zero;
+    the constructor still rejects floats."""
+    rng = random.Random(11)
+
+    def draw():
+        return CPoly({rng.randint(-3, 3): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(rng.randint(0, 4))})
+
+    for _ in range(300):
+        p, q = draw(), draw()
+        s = rng.choice([0, 1, -2, Fraction(3, 5)])
+        total, prod = {}, {}
+        for d, v in p.c.items():
+            total[d] = total.get(d, 0) + v
+            for e, w in q.c.items():
+                prod[d + e] = prod.get(d + e, 0) + v * w
+        for d, w in q.c.items():
+            total[d] = total.get(d, 0) + w
+        for got, want in [(p + q, total), (p * q, prod), (-p, {d: -v for d, v in p.c.items()}),
+                          (p * s, {d: v * s for d, v in p.c.items()}), (p - p, {})]:
+            assert got == CPoly(want)
+            assert all(type(v) is Fraction and v != 0 for v in got.c.values())
+    with pytest.raises(TypeError):
+        CPoly({0: 0.5})
+
+
+def unit_lower_inverse(m):
+    """Inverse of a unit lower triangular matrix by forward substitution:
+    row i of the inverse is e_i - sum_{k<i} m[i][k] (row k), no division."""
+    n = len(m)
+    if any(m[i][j] != (1 if i == j else 0) for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not unit lower triangular")
+    out = linalg.identity(n)
+    for i in range(n):
+        row = out[i]
+        for k in range(i):
+            c = m[i][k]
+            if c != 0:
+                for j, v in enumerate(out[k][:k + 1]):
+                    if v != 0:
+                        row[j] -= c * v
+    return out
+
+
 def test_unit_lower_inverse_vs_inverse():
-    """Forward substitution against the rref inverse on seeded sparse unit
-    lower triangular matrices; anything else is rejected."""
+    """The forward-substitution oracle against the rref inverse on seeded
+    sparse unit lower triangular matrices; anything else is rejected."""
     rng = random.Random(5)
     for n in range(9):
         for _ in range(4):
@@ -239,10 +285,10 @@ def test_unit_lower_inverse_vs_inverse():
                   (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if j < i and rng.random() < 0.5
                    else frac(0))
                   for j in range(n)] for i in range(n)]
-            assert linalg.unit_lower_inverse(m) == linalg.inverse(m)
+            assert unit_lower_inverse(m) == linalg.inverse(m)
     for bad in ([[frac(2)]], [[frac(1), frac(1)], [frac(0), frac(1)]]):
         with pytest.raises(ValueError):
-            linalg.unit_lower_inverse(bad)
+            unit_lower_inverse(bad)
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,7 +16,8 @@ from wildstrat.strat import mask_from_indices
 from wildstrat.uea import acc
 from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
-from test_block_oracles import _b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3
+from test_block_oracles import (_b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3,
+                                assert_inverse_matches_oracles)
 from test_parab import gl3_ex_chain, gl3_ex_ft
 
 
@@ -323,6 +324,15 @@ def test_series_slots_are_v0_basis_words(label):
     for word in words:
         assert v0.project_word(word) == {word: 1}, word
     assert star_bidiff(series).terms == series.terms
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_series_block_inverses_match_oracles(label):
+    """Every block inverse the series is built from equals the Qtilde
+    recursion and the CPoly Neumann series, exactly."""
+    series = _assoc_series(label)
+    for block, finv in series.per_weight.values():
+        assert_inverse_matches_oracles(block, finv, series.order)
 
 
 def test_v0_rejects_a_letter_outside_the_triangular_split(gl3):

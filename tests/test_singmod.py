@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wildstrat import parab, rootdata, singmod, strat, uea
+from wildstrat import parab, quant, rootdata, singmod, strat, uea
 from wildstrat.elements import GElement, TcElement
 from wildstrat.linalg import CPoly
 from wildstrat.parab import FormalType, InadmissibleCharacter, ParabolicFiltration
@@ -16,7 +16,7 @@ from wildstrat.singmod import (FactorisationError, SingularityModule,
 from wildstrat.strat import full_mask, mask_from_indices
 from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
-from test_block_oracles import _b2_borel_r2, _b2_tame, _sl2_r3
+from test_block_oracles import _b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3
 from test_parab import decompositions, gl3_ex_chain, gl3_ex_ft
 
 
@@ -318,6 +318,71 @@ def test_factorisation_error_names_the_weight(sl2):
         tampered = singmod.ShapovalovBlock(blk.mu, blk.basis, matrix, m, dual=True)
         with pytest.raises(FactorisationError, match=rf"mu = \(4\), entry \({i},{j}\): .*{reason}"):
             factorize_block(tampered)
+
+
+def test_factorisation_and_inverse_share_the_checks(sl2):
+    """Each check on the row-scaled parts fails with the same message in
+    factorize_block and in quant.invert_block.  The upper-triangular check is
+    reached by a B2 tame block listed shortest word first."""
+    m = sl2_module(sl2, [5, 7], depth=2, dilated=True)
+    blk = m.dual_block(tuple(2 * x for x in alpha_of(sl2)))
+    assert blk.lengths() == [2, 2, 2]
+    lead = blk.matrix[1][1].coeff(2)
+    pf, ft = _b2_tame()
+    b2 = SingularityModule(pf, ft, dilated=True)
+    mixed = next(b for b in map(b2.dual_block, b2.weights_up_to(2)) if b.lengths() == [2, 1])
+    shortest_first = singmod.ShapovalovBlock(mixed.mu, mixed.basis[::-1],
+                                             [row[::-1] for row in mixed.matrix[::-1]], b2,
+                                             dual=True)
+    for block, (i, j), bump, reason in [
+            (blk, (0, 1), CPoly({3: 1}), "exceeds the min length"),
+            (blk, (0, 1), CPoly({2: 1}), "no strict degree drop off the diagonal"),
+            (blk, (1, 1), CPoly({2: -2 * lead}), "not a positive integer"),
+            (shortest_first, (0, 1), CPoly(), "upper-triangular leading coefficient")]:
+        matrix = [list(row) for row in block.matrix]
+        matrix[i][j] = matrix[i][j] + bump
+        tampered = singmod.ShapovalovBlock(block.mu, block.basis, matrix, block.module,
+                                           dual=True)
+        messages = []
+        for run in (factorize_block, lambda b: quant.invert_block(b, 4)):
+            with pytest.raises(FactorisationError, match=rf"entry \({i},{j}\): .*{reason}") as err:
+                run(tampered)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_cold_block_at_height_1100(sl2):
+    """A cold shapovalov_block far up the weight lattice builds its lower
+    blocks from a worklist, not by one recursion per weight, and equals the
+    block built bottom up."""
+    alpha = alpha_of(sl2)
+    top = tuple(1100 * x for x in alpha)
+    cold = sl2_module(sl2, [Fraction(1, 3)]).shapovalov_block(top)
+    warm = sl2_module(sl2, [Fraction(1, 3)])
+    for h in range(1, 1101):
+        block = warm.shapovalov_block(tuple(h * x for x in alpha))
+    assert cold.basis == block.basis == [(1100,)]
+    assert cold.matrix == block.matrix
+
+
+def test_weights_up_to_enumerates_only_the_kept_words():
+    """On the gl3 chain at K = 5, the words of the weights of relative height
+    > K are never enumerated: the word table holds the 107 basis words of the
+    20 weights returned (and the empty word), where enumerating every root sum
+    of at most K roots kept 504, and the weights are those of that full
+    enumeration."""
+    pf, ft = _gl3_chain()
+    m = SingularityModule(pf, ft)
+    weights = m.weights_up_to(5)
+    for mu in weights:
+        m.weight_basis(mu)
+    full = SingularityModule(pf, ft)
+    kept = sorted((len(full._words(mu)[0]), mu) for mu in full.root_sums(5)
+                  if len(full._words(mu)[0]) <= 5)
+    assert weights == [mu for _, mu in kept] and len(weights) == 20
+    assert sum(len(m.weight_basis(mu)) for mu in weights) == 107
+    assert sum(map(len, m._word_table.values())) == 108
+    assert sum(map(len, full._word_table.values())) == 504
 
 
 def test_tame_2alpha_factorial(sl2):
