@@ -55,15 +55,8 @@ def _reject_float(s):
     raise ValidationError(f"floats are not accepted in config files: {s}")
 
 
-def _emit(args, payload, suffix=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        path = out if suffix is None else out + suffix
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(args, payload, suffix=""):
+    _emit_text(args, json.dumps(payload, indent=2, sort_keys=True), suffix)
 
 
 def _emit_text(args, text, suffix):
@@ -129,7 +122,10 @@ def _parse_formal_type(rd, data, depth):
     if depth and len(lams) != depth:
         raise ValidationError("formal_type.lambdas: the formal type depth does not match "
                               "the filtration depth")
-    return FormalType(lams)
+    try:
+        return FormalType(lams)
+    except ValueError as exc:
+        raise ValidationError(f"formal_type.{exc}") from exc
 
 
 def _parse_element(rd, data):
@@ -181,7 +177,7 @@ def cmd_levi(args):
             "stabilizer_order": s.setwise_order,
             "out_order": s.out_order,
         } for s in strata]
-    _emit(args, payload, suffix=".json" if args.out else None)
+    _emit(args, payload, ".json")
     if args.dot or args.out:
         _emit_text(args, poset.hasse_dot(), ".dot")
     return 0
@@ -261,12 +257,16 @@ def cmd_character(args):
     return 0
 
 
-def cmd_shapovalov(args):
+def _module_inputs(args):
+    """(rd, pf, ft) from --type, --depth and the config's filtration and formal type."""
     rd = _root_datum(args)
     config = _load_config(args.config) if args.config else {}
-    depth = args.depth or config.get("depth")
-    pf = _parse_filtration(rd, config.get("filtration"), depth)
-    ft = _parse_formal_type(rd, config.get("formal_type"), pf.depth)
+    pf = _parse_filtration(rd, config.get("filtration"), args.depth or config.get("depth"))
+    return rd, pf, _parse_formal_type(rd, config.get("formal_type"), pf.depth)
+
+
+def cmd_shapovalov(args):
+    rd, pf, ft = _module_inputs(args)
     mod = SingularityModule(pf, ft)
     weights = mod.weights_up_to(args.height)
     # the zero-weight block is the line through the cyclic vector
@@ -321,22 +321,14 @@ def cmd_shapovalov(args):
 
 
 def cmd_simplicity(args):
-    rd = _root_datum(args)
-    config = _load_config(args.config) if args.config else {}
-    depth = args.depth or config.get("depth")
-    pf = _parse_filtration(rd, config.get("filtration"), depth)
-    ft = _parse_formal_type(rd, config.get("formal_type"), pf.depth)
+    rd, pf, ft = _module_inputs(args)
     probe = singmod.conjecture_probe(pf, ft, args.height)
     _emit(args, {"type": rd.label, "height": args.height, **probe})
     return 0
 
 
 def cmd_quantize(args):
-    rd = _root_datum(args)
-    config = _load_config(args.config) if args.config else {}
-    depth = args.depth or config.get("depth")
-    pf = _parse_filtration(rd, config.get("filtration"), depth)
-    ft = _parse_formal_type(rd, config.get("formal_type"), pf.depth)
+    rd, pf, ft = _module_inputs(args)
     series = quant.inverse_shapovalov_series(pf, ft, args.height, args.order)
     poisson_ok = quant.first_order_check(series)
     bid = quant.star_bidiff(series)
@@ -443,7 +435,7 @@ def _run(argv):
         return args.func(args)
     except (ValidationError, InadmissibleCharacter, SingularCharacterError,
             quant.UnbalancedFiltration, quant.TruncationError, RootDatumError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ClaimViolation, FactorisationError) as exc:

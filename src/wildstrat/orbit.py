@@ -204,11 +204,8 @@ def marking_index(x: TcElement) -> int:
 
 
 def _tail_commutes(x, s):
-    for i in range(s):
-        for j in range(s, x.depth):
-            if not x.coeffs[i].bracket(x.coeffs[j]).is_zero():
-                return False
-    return True
+    return all(x.coeffs[i].bracket(x.coeffs[j]).is_zero()
+               for i in range(s) for j in range(s, x.depth))
 
 
 def marking_filtration(x: TcElement, s=None) -> LeviFiltration:
@@ -295,26 +292,16 @@ def _structural_basis(x):
 
 def _kernel_in_envelope(x, kernel, filt, s):
     """Necessary conditions: Y_i in l_{phi_i} for i < s and Y_0 central for X_s."""
-    rd = x.rd
     xs = x.coeffs[s] if s < x.depth else None
-    for v in kernel:
-        for i in range(s):
-            allowed = set(indices(filt.mask(i)))
-            if any(j not in allowed for j in v.coeffs[i].root):
-                return False
-        if xs is not None and not v.coeffs[0].bracket(xs).is_zero():
-            return False
-    return True
+    allowed = [set(indices(filt.mask(i))) for i in range(s)]
+    return all(all(j in allowed[i] for i in range(s) for j in v.coeffs[i].root)
+               and (xs is None or v.coeffs[0].bracket(xs).is_zero()) for v in kernel)
 
 
 def structural_centralizer_dim(rd, filt: LeviFiltration, r):
     """dim g^X + sum of Levi-factor dimensions: the closed-form prediction
     for r-semisimple markings with orbit-side filtration filt."""
-    total = 0
-    for i in range(r):
-        m = filt.mask(i)
-        total += rd.dim_t + len(indices(m))
-    return total
+    return sum(rd.dim_t + len(indices(filt.mask(i))) for i in range(r))
 
 
 # -- classification --------------------------------------------------------------
@@ -338,8 +325,5 @@ def classify_unmarked(x: TcElement, y: TcElement):
             raise ValueError("classification requires r-semisimple markings in t_r")
     xt = [g.cartan for g in x.coeffs]
     yt = [g.cartan for g in y.coeffs]
-    for w in rd.weyl:
-        if all(w.apply_cartan(a) == tuple(b) for a, b in zip(xt, yt)):
-            return True
-    return False
+    return any(all(w.apply_cartan(a) == tuple(b) for a, b in zip(xt, yt)) for w in rd.weyl)
 

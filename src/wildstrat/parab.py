@@ -20,12 +20,8 @@ from .strat import (ClaimViolation, LeviFiltration, RootChain, full_mask, indice
 
 def is_closed(rd, mask):
     members = indices(mask)
-    for i in members:
-        for j in members:
-            k = rd.root_sum.get((i, j))
-            if k is not None and not (mask >> k) & 1:
-                return False
-    return True
+    return all((mask >> k) & 1 for i in members for j in members
+               if (k := rd.root_sum.get((i, j))) is not None)
 
 
 def is_parabolic(rd, mask):
@@ -203,6 +199,9 @@ class FormalType:
 
     def __init__(self, lams):
         self.lams = tuple(tuple(frac(x) for x in lam) for lam in lams)
+        if len({len(lam) for lam in self.lams}) != 1:
+            raise ValueError(f"lambdas: one or more covectors of one width are required, "
+                             f"got widths {[len(lam) for lam in self.lams]}")
 
     @property
     def depth(self):
@@ -231,10 +230,6 @@ class FormalType:
         return {"depth": self.depth,
                 "lambdas": [[frac_str(x) for x in lam] for lam in self.lams]}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([[frac(x) for x in lam] for lam in data["lambdas"]])
-
     def __repr__(self):
         return f"FormalType({self.lams})"
 
@@ -262,14 +257,16 @@ def is_admissible(pf, ft: FormalType):
     if ft.depth != pf.depth or any(len(lam) != pf.rd.dim_t for lam in ft.lams):
         return False
     lf = pf.levi_filtration()
-    for i in range(pf.depth):
-        for a in indices(lf.mask(i)):
-            if ft.pair_coroot(pf.rd, i, a) != 0:
-                return False
-    return True
+    return all(ft.pair_coroot(pf.rd, i, a) == 0
+               for i in range(pf.depth) for a in indices(lf.mask(i)))
 
 
 def require_admissible(pf, ft):
+    """Raise InadmissibleCharacter naming a depth or width mismatch of the
+    lambdas, or else their failure to extend to a character."""
+    for what, got, want in (("depth", ft.depth, pf.depth), ("width", len(ft[0]), pf.rd.dim_t)):
+        if got != want:
+            raise InadmissibleCharacter(f"lambdas: formal type {what} {got}, expected {want}")
     if not is_admissible(pf, ft):
         raise InadmissibleCharacter(
             "formal type does not extend to a character of the singularity algebra")

@@ -8,8 +8,8 @@ The action is the straightening engine of uea over the generator letters:
 Cartan letters act on the cyclic vector through the character lambda (c lambda
 when dilated), every other letter by 0.
 
-Shapovalov entries are computed through the module action as the coefficient
-of the cyclic vector (the zero-weight space is a line).  Blocks are built by
+Shapovalov entries are the coefficient of the cyclic vector (the zero-weight
+space is a line).  Blocks are integer rows over one denominator, built by
 recursion on the weight: row g.y' of the block at mu pairs the letter images
 of the columns with row y' of the block at mu - alpha_g.  Blocks, radicals, the
 row-scaled parts of the dilated dual blocks and their D*C*Qtilde
@@ -18,6 +18,10 @@ live here.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .linalg import CPoly, One, Zero, det, frac_str, nullspace, rank
 from .rootdata import all_letters
@@ -53,18 +57,12 @@ class SingularityModule:
                 if v:
                     scalar[("H", t, i)] = CPoly({1: v}) if dilated else v
         self.action = UEAContext(self.rd, self.depth, [self.gen_letter(g) for g in self.gens],
-                                 scalar, self._one())
+                                 scalar, CPoly.const(1) if dilated else One)
         self._letter_roots = [self.rd.roots[a] for a, _ in self.gens]
         self._word_table = {}  # mu -> generator words of weight mu
         self._bases = {}     # mu -> (PBW basis, {word: position})
-        self._blocks = {}    # (dual, mu) -> block matrix (no back reference, no cycle)
+        self._blocks = {}    # (dual, mu) -> (den, rows) (no back reference, no cycle)
         self._duals = None
-
-    def _zero(self):
-        return CPoly() if self.dilated else Zero
-
-    def _one(self):
-        return CPoly.const(1) if self.dilated else One
 
     def gen_letter(self, gen):
         a, i = gen
@@ -158,18 +156,20 @@ class SingularityModule:
         a, i = self.gens[gen_index]
         return ("E", a, i)
 
+    def _cyclic_coeff(self, letters, mono_x):
+        """The coefficient of w in the letters applied to X w, first to last."""
+        vec = {self.word_of(mono_x): self.action.one}
+        for letter in letters:
+            vec = self.apply_letter(letter, vec)
+        return vec.get((), CPoly() if self.dilated else Zero)
+
     def shapovalov_entry(self, mono_y, mono_x):
         """S(Y w, X w) = coefficient of w in (tY) . (X w), transpose variant."""
-        vec = {self.word_of(mono_x): self._one()}
-        for g in self.word_of(mono_y):
-            vec = self.apply_letter(self.transpose_letter(g), vec)
-            if not vec:
-                return self._zero()
-        return vec.get((), self._zero())
+        return self._cyclic_coeff([self.transpose_letter(g) for g in self.word_of(mono_y)], mono_x)
 
     def shapovalov_block(self, mu):
         """Matrix S(Y w, X w) over the PBW basis of M[mu], by the weight recursion."""
-        return ShapovalovBlock(mu, self.weight_basis(mu), self._block(mu, False), self)
+        return ShapovalovBlock(mu, self.weight_basis(mu), *self._block(mu, False), self)
 
     def radical_dim(self, mu):
         blk = self.shapovalov_block(mu)
@@ -188,14 +188,8 @@ class SingularityModule:
 
         iota(Y_1...Y_k) = (-1)^k Y_k...Y_1 applied to X w^+ (rightmost first).
         """
-        vec = {self.word_of(mono_x): self._one()}
-        for letter in plus_word:
-            vec = self.apply_letter(letter, vec)
-            if not vec:
-                return self._zero()
-        sign = -1 if len(plus_word) % 2 else 1
-        val = vec.get((), self._zero())
-        return val if sign == 1 else -val
+        val = self._cyclic_coeff(plus_word, mono_x)
+        return -val if len(plus_word) % 2 else val
 
     def dual_letters(self):
         """Expansion of the dual-basis vectors Y_{a,i} into u^+ letters, once per module."""
@@ -212,19 +206,19 @@ class SingularityModule:
         Y_{f_1} X w^+ for the word f_1 ... f_k of y, the dual letters applied
         first to last.
         """
-        return ShapovalovBlock(mu, self.weight_basis(mu), self._block(mu, True), self,
+        return ShapovalovBlock(mu, self.weight_basis(mu), *self._block(mu, True), self,
                                dual=True)
 
     def _block(self, mu, dual):
-        """Matrix of the Shapovalov (dual=False) or signed dual block at mu,
-        built and kept once, with the missing blocks below it.
+        """(den, rows) of the Shapovalov (dual=False) or signed dual block at
+        mu, built and kept once, with the missing blocks below it.
 
         The letter L_g of generator g is its transpose letter, or its dual
         letter Y_g when dual.  Row y = g y' (g the first letter of the word of
         y) is the image L_g x of each column x paired with row y' of the block
-        at mu - alpha_g; the dual sign (-1)^len(y) flips once per letter.  The
-        weight-zero block is [[1]].  Missing blocks come from a worklist,
-        lowest <.|xi> first.
+        at mu - alpha_g, on integer numerators; the dual sign (-1)^len(y)
+        flips once per letter.  The weight-zero block is [[1]].  Missing
+        blocks come from a worklist, lowest <.|xi> first.
         """
         blocks = self._blocks
         pending = {}  # weight -> <weight|xi>, for the blocks to build
@@ -240,54 +234,99 @@ class SingularityModule:
         return blocks[(dual, mu)]
 
     def _build_block(self, mu, dual):
+        """(den, rows) of the block at mu: rows[i] is the sparse row
+        {j: {deg: int}} of the numerators over den of the coefficients of c^deg
+        (degree 0 alone when scalar), reduced by their gcd."""
         words = self._words(mu)
         if words == [()]:
-            return [[self._one()]]
-        rows_by_letter = {}
+            return 1, [{0: {0: 1}}]
+        by_letter = {}
         for row, word in enumerate(words):
-            rows_by_letter.setdefault(word[0], []).append(row)
-        mat = [None] * len(words)
-        zero = self._zero()
-        for g, rows in rows_by_letter.items():
+            by_letter.setdefault(word[0], []).append(row)
+        groups = []  # per first letter: (den, its rows, letter images, lower rows)
+        for g, members in by_letter.items():
             lower_mu = tuple(m - r for m, r in zip(mu, self._letter_roots[g]))
-            lower = self._blocks[(dual, lower_mu)]
+            lower_den, lower = self._blocks[(dual, lower_mu)]
             index = self._basis(lower_mu)[1]
-            images = [[(index[w], c) for w, c in self._letter_image(g, x, dual).items()]
-                      for x in words]
-            for row in rows:
-                lower_row = lower[index[words[row][1:]]]
-                entries = []
-                for img in images:
-                    val = zero
-                    for k, c in img:
-                        v = lower_row[k]
-                        if v:
-                            val = val + c * v
-                    entries.append(-val if dual and val else val)
-                mat[row] = entries
-        return mat
+            img_den, images = self._letter_images(g, words, index, dual)
+            groups.append((img_den * lower_den, members, images,
+                           [lower[index[words[row][1:]]] for row in members]))
+        den = lcm(*(t[0] for t in groups))
+        rows = [None] * len(words)
+        for d, members, images, lower_rows in groups:
+            f = den // d
+            for row, lower_row in zip(members, lower_rows):
+                out = rows[row] = {}
+                for j, img in enumerate(images):
+                    entry = {}
+                    for k, p in img:
+                        q = lower_row.get(k)
+                        if q:
+                            for d1, v1 in p.items():
+                                for d2, v2 in q.items():
+                                    entry[d1 + d2] = entry.get(d1 + d2, 0) + v1 * v2
+                    entry = {deg: v * f for deg, v in entry.items() if v}
+                    if entry:
+                        out[j] = entry
+        common = gcd(den, *(v for row in rows for e in row.values() for v in e.values()))
+        if common != 1:
+            rows = [{j: {deg: v // common for deg, v in e.items()} for j, e in row.items()}
+                    for row in rows]
+        return den // common, rows
 
-    def _letter_image(self, g, word, dual):
-        """L_g applied to the basis word: {word: coeff}."""
-        act = self.action.act
-        if not dual:
-            return act(self.transpose_letter(g), word)
-        out = {}
-        for coeff, letter in self.dual_letters()[self.gens[g]]:
-            for w, c in act(letter, word).items():
-                acc(out, w, coeff * c)
-        return out
+    def _letter_images(self, g, words, index, dual):
+        """(den, images): images[j] lists (k, {deg: int}) for L_g applied to
+        words[j], k the position of each word in the basis of the weight below,
+        integer numerators over one den; the dual sign is folded in."""
+        if dual:
+            letters = [(-c, letter) for c, letter in self.dual_letters()[self.gens[g]]]
+        else:
+            letters = [(One, self.transpose_letter(g))]
+        terms = [[(index[w], deg, coeff.numerator * v.numerator, coeff.denominator * v.denominator)
+                  for coeff, letter in letters for w, c in self.action.act(letter, x).items()
+                  for deg, v in (c.c.items() if self.dilated else ((0, c),))] for x in words]
+        den = lcm(*(t[3] for col in terms for t in col))
+        images = []
+        for col in terms:
+            img = {}
+            for k, deg, num, d in col:
+                p = img.setdefault(k, {})
+                p[deg] = p.get(deg, 0) + num * (den // d)
+            images.append(list(img.items()))
+        return den, images
 
 
 class ShapovalovBlock:
-    """Per-weight Shapovalov matrix with its factorisation interface."""
+    """Per-weight Shapovalov matrix with its factorisation interface.
 
-    def __init__(self, mu, basis, matrix, module, dual=False):
+    rows[i] is {j: {deg: int}}: entry (i, j) is sum_deg rows[i][j][deg] c^deg / den
+    (degree 0 alone when scalar).  matrix, built on first use, holds the
+    entries as Fractions, or as CPolys when the module is dilated.
+    """
+
+    def __init__(self, mu, basis, den, rows, module, dual=False):
         self.mu = mu
         self.basis = basis
-        self.matrix = matrix
+        self.den = den
+        self.rows = rows
         self.module = module
         self.dual = dual
+
+    @cached_property
+    def matrix(self):
+        n, den = len(self.basis), self.den
+        if self.module.dilated:
+            return [[CPoly({d: Fraction(v, den) for d, v in row.get(j, {}).items()})
+                     for j in range(n)] for row in self.rows]
+        return [[Fraction(row[j][0], den) if j in row else Zero for j in range(n)]
+                for row in self.rows]
+
+    def _numerators(self):
+        """den times the scalar block, as dense integer rows."""
+        if self.module.dilated:
+            raise ValueError("rank/radical need scalar entries: specialize c first")
+        return [[row[j][0] if j in row else 0 for j in range(len(self.basis))]
+                for row in self.rows]
 
     def lengths(self):
         return [sum(m) for m in self.basis]
@@ -295,25 +334,14 @@ class ShapovalovBlock:
     def dim(self):
         return len(self.basis)
 
-    def _require_scalar(self):
-        if self.module.dilated:
-            raise ValueError("rank/radical need scalar entries: specialize c first")
-
     def rank(self):
-        if not self.basis:
-            return 0
-        self._require_scalar()
-        return rank(self.matrix)
+        return rank(self._numerators()) if self.basis else 0
 
     def radical(self):
-        if not self.basis:
-            return []
-        self._require_scalar()
-        return nullspace(self.matrix, cols=len(self.basis))
+        return nullspace(self._numerators(), cols=len(self.basis)) if self.basis else []
 
     def determinant(self):
-        self._require_scalar()
-        return det(self.matrix)
+        return det(self._numerators()) / self.den ** len(self.basis)
 
 
 class FactorisationError(RuntimeError):
@@ -339,27 +367,28 @@ def row_scaled_parts(block: ShapovalovBlock):
 
     lengths = block.lengths()
     n = block.dim()
-    a = block.matrix
+    den = block.den
     parts = [[{} for _ in range(n)]]
-    for i in range(n):
-        for j in range(n):
-            dmax = a[i][j].degree()
-            if dmax is None:
-                continue
+    for i, row in enumerate(block.rows):
+        for j, entry in sorted(row.items()):
+            dmax = max(entry)
             if dmax > min(lengths[i], lengths[j]):
                 raise fail(i, j, f"degree {dmax} exceeds the min length "
                                  f"{min(lengths[i], lengths[j])}")
             if lengths[i] == lengths[j] and i != j and dmax >= lengths[i]:
                 raise fail(i, j, "no strict degree drop off the diagonal")
-            for deg, v in a[i][j].c.items():
+            for deg, v in entry.items():
                 k = lengths[i] - deg
                 while len(parts) <= k:
                     parts.append([{} for _ in range(n)])
-                parts[k][i][j] = v
-    d = [a[i][i].coeff(lengths[i]) for i in range(n)]
-    for i, lead in enumerate(d):
-        if lead == 0 or lead.denominator != 1 or lead <= 0:
-            raise fail(i, i, f"diagonal leading coefficient {lead} is not a positive integer")
+                parts[k][i][j] = Fraction(v, den)
+    d = []
+    for i, row in enumerate(block.rows):
+        lead = row.get(i, {}).get(lengths[i], 0)
+        if lead <= 0 or lead % den:
+            raise fail(i, i, f"diagonal leading coefficient {Fraction(lead, den)} "
+                             f"is not a positive integer")
+        d.append(lead // den)
     for i, row in enumerate(parts[0]):
         for j in row:
             if j > i:
@@ -424,12 +453,8 @@ def truncated_quotient_proper(pf, ft, k):
     if not 1 <= k <= pf.depth - 1:
         raise ValueError("k must lie in 1..r-1")
     require_admissible(pf, ft)
-    rd = pf.rd
-    for i in range(k, pf.depth):
-        for a in range(rd.num_roots):
-            if ft.pair_coroot(rd, i, a) != 0:
-                return False
-    return True
+    return all(ft.pair_coroot(pf.rd, i, a) == 0
+               for i in range(k, pf.depth) for a in range(pf.rd.num_roots))
 
 
 def truncated_quotient_saturation(pf, ft, k, K):
@@ -485,14 +510,10 @@ def truncated_quotient_saturation(pf, ft, k, K):
 def conjecture_probe(pf, ft, K):
     """Evidence report for the simplicity conjecture; never asserts it."""
     require_admissible(pf, ft)
-    rd = pf.rd
     cond1 = parab.is_nonsingular(pf, ft)
     lf = pf.levi_filtration()
-    cond2 = True
-    for a in indices(lf.mask(1) & ~lf.mask(0)):
-        v = ft.pair_coroot(rd, 0, a)
-        if v.denominator == 1 and v > 0:
-            cond2 = False
+    pairings = [ft.pair_coroot(pf.rd, 0, a) for a in indices(lf.mask(1) & ~lf.mask(0))]
+    cond2 = not any(v.denominator == 1 and v > 0 for v in pairings)
     mod = SingularityModule(pf, ft)
     observed = mod.is_simple_up_to(K)
     predicted = cond1 and cond2

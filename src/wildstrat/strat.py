@@ -312,16 +312,10 @@ def _suffix_vanishing_masks(rd, vectors, xs):
 
 def _in_stratum(vectors, filt, xs):
     """On each x_i the vectors of phi_i vanish and those of phi_{i+1} - phi_i do not."""
-    if len(xs) != filt.depth:
-        return False
-    for i, x in enumerate(xs):
-        for a in indices(filt.mask(i)):
-            if dot(vectors[a], x) != 0:
-                return False
-        for a in indices(filt.mask(i + 1) & ~filt.mask(i)):
-            if dot(vectors[a], x) == 0:
-                return False
-    return True
+    return len(xs) == filt.depth and all(
+        all(dot(vectors[a], x) == 0 for a in indices(filt.mask(i)))
+        and all(dot(vectors[a], x) != 0 for a in indices(filt.mask(i + 1) & ~filt.mask(i)))
+        for i, x in enumerate(xs))
 
 
 def stratum_witness(filt):

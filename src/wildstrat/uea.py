@@ -40,29 +40,40 @@ class UEAContext:
         self._memo = {}  # (letter, word) -> {word: coeff}, shared, read only
 
     def act(self, letter, word):
-        """letter . word for a nondecreasing word of basis positions."""
+        """letter . word for a nondecreasing word of basis positions.
+
+        The suffixes of word that are neither cached nor immediate are
+        straightened shortest first, by a.(y.rest) = y.(a.rest) + [a, y].rest,
+        so no call recurses once per letter."""
         k = self.rank.get(letter)
         if k is not None and (not word or k <= word[0]):
             return {(k,) + word: self.one}
+        memo = self._memo
         key = (letter, word)
-        hit = self._memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if not word:
-            v = self.scalar.get(letter)
-            result = {(): v} if v else {}
-        else:
-            y, rest = word[0], word[1:]
-            head = self.basis[y]
+        cold = [word]  # word and its cold suffixes, longest first
+        while word:
+            word = word[1:]
+            if (letter, word) in memo or k is not None and (not word or k <= word[0]):
+                break
+            cold.append(word)
+        for word in reversed(cold):
+            if not word:
+                v = self.scalar.get(letter)
+                memo[(letter, word)] = {(): v} if v else {}
+                continue
+            head, rest = self.basis[word[0]], word[1:]
             result = {}
             for w, c in self.act(letter, rest).items():
                 for w2, c2 in self.act(head, w).items():
-                    acc(result, w2, c * c2)
+                    acc(result, w2, c if c2 is self.one else c * c2)
             for coeff, b in letter_bracket(self.rd, self.depth, letter, head):
                 for w, c in self.act(b, rest).items():
                     acc(result, w, coeff * c)
-        self._memo[key] = result
-        return result
+            memo[(letter, word)] = result
+        return memo[key]
 
     def apply(self, letter, vec):
         """letter . vec for a module vector {word: coeff}."""

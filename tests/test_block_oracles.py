@@ -1,10 +1,12 @@
 """The block kernels against the per-entry and CPoly algorithms they replaced.
 
-`SingularityModule.shapovalov_block` and `dual_block` (weight recursion), `factorize_block`
+`SingularityModule.shapovalov_block` and `dual_block` (weight recursion on
+integer rows over one denominator), `factorize_block`
 (Qtilde by forward substitution on the row-scaled parts) and `quant.invert_block`
 (hbar-adic inverse of the row-scaled parts) are compared, block by block and
-exactly, with the earlier implementations kept here as oracles: one letter
-chain per matrix entry, Qtilde by CPoly shift/multiply/add, the recursion
+exactly, with the earlier implementations kept here as oracles: the weight
+recursion on CPoly or Fraction entries, one letter chain per matrix entry,
+Qtilde by CPoly shift/multiply/add, the recursion
 F_k = -sum_j Q_j F_{k-j} on rational matrices through Qtilde and C^{-1}, and
 the truncated Neumann series of CPoly matrices.
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from wildstrat import quant
-from wildstrat.linalg import CPoly, Zero, identity, inverse
+from wildstrat.linalg import CPoly, One, Zero, identity, inverse
 from wildstrat.parab import FormalType, ParabolicFiltration
 from wildstrat.rootdata import root_datum
 from wildstrat.singmod import SingularityModule, factorize_block
@@ -36,6 +38,64 @@ def shift(p, k):
 def truncate_below(p, lo):
     """Drop the monomials of degree < lo (hbar-order truncation)."""
     return CPoly({d: v for d, v in p.c.items() if d >= lo})
+
+
+def cpoly_build_block(mod, mu, dual, blocks):
+    """The block matrix at mu by the weight recursion on CPoly (dilated) or
+    Fraction entries.  blocks maps (dual, weight) to the matrices built so
+    far; the missing lower blocks are built first, into it."""
+    words = mod._words(mu)
+    if words == [()]:
+        return [[CPoly.const(1) if mod.dilated else One]]
+    rows_by_letter = {}
+    for row, word in enumerate(words):
+        rows_by_letter.setdefault(word[0], []).append(row)
+    mat = [None] * len(words)
+    zero = CPoly() if mod.dilated else Zero
+    for g, rows in rows_by_letter.items():
+        lower_mu = tuple(m - r for m, r in zip(mu, mod._letter_roots[g]))
+        if (dual, lower_mu) not in blocks:
+            blocks[(dual, lower_mu)] = cpoly_build_block(mod, lower_mu, dual, blocks)
+        lower = blocks[(dual, lower_mu)]
+        index = mod._basis(lower_mu)[1]
+        images = [[(index[w], c) for w, c in cpoly_letter_image(mod, g, x, dual).items()]
+                  for x in words]
+        for row in rows:
+            lower_row = lower[index[words[row][1:]]]
+            entries = []
+            for img in images:
+                val = zero
+                for k, c in img:
+                    v = lower_row[k]
+                    if v:
+                        val = val + c * v
+                entries.append(-val if dual and val else val)
+            mat[row] = entries
+    return mat
+
+
+def cpoly_letter_image(mod, g, word, dual):
+    """L_g applied to the basis word: {word: coeff}."""
+    act = mod.action.act
+    if not dual:
+        return act(mod.transpose_letter(g), word)
+    out = {}
+    for coeff, letter in mod.dual_letters()[mod.gens[g]]:
+        for w, c in act(letter, word).items():
+            acc(out, w, coeff * c)
+    return out
+
+
+def assert_blocks_match_cpoly(mod, weights):
+    """The Shapovalov blocks (dual blocks when the module is dilated) at the
+    weights: .matrix of the integer rows equals the CPoly/Fraction recursion,
+    and each dual block also equals the per-entry oracle."""
+    blocks = {}
+    for mu in weights:
+        block = mod.dual_block(mu) if mod.dilated else mod.shapovalov_block(mu)
+        assert block.matrix == cpoly_build_block(mod, mu, mod.dilated, blocks), mu
+        if mod.dilated:
+            assert block.matrix == oracle_dual_block(mod, mu, mod.dual_letters()), mu
 
 
 def oracle_dual_block(mod, mu, duals):
@@ -202,6 +262,12 @@ def _gl2_r3():
             FormalType([(Fraction(5, 2), 0), (3, 1), (1, 0)]))
 
 
+def _sl2_r2():
+    sl2 = root_datum("sl", 2)
+    e = mask_from_indices([sl2.root_index[(Fraction(2),)]])
+    return ParabolicFiltration(sl2, [e] * 2), FormalType([(5,), (7,)])
+
+
 CASES = {
     "gl3 chain N=4": (_gl3_chain, 4),
     "sl2 r=3 N=4": (_sl2_r3, 4),
@@ -209,12 +275,27 @@ CASES = {
     "B2 borel r=2 N=2": (_b2_borel_r2, 2),
     "gl2 r=3 N=3": (_gl2_r3, 3),
 }
+# the configs of the shapovalov and simplicity runs of the survey workload
+SURVEY_CASES = {"gl3 chain height 5": (_gl3_chain, 5), "sl2 r=2 height 8": (_sl2_r2, 8)}
+
+
+@pytest.mark.parametrize("label", list(CASES) + list(SURVEY_CASES))
+def test_integer_blocks_match_cpoly_recursion(label):
+    """Scalar and dilated modules, every weight of relative height up to the
+    order (or the survey's height); the dual blocks at the root sums the
+    series reads are compared in test_blocks_match_cpoly_oracles."""
+    make, height = {**CASES, **SURVEY_CASES}[label]
+    pf, ft = make()
+    for dilated in (False, True):
+        mod = SingularityModule(pf, ft, dilated=dilated)
+        assert_blocks_match_cpoly(mod, mod.weights_up_to(height))
 
 
 @pytest.mark.parametrize("label", list(CASES))
 def test_blocks_match_cpoly_oracles(label):
-    """Dual block, (D, C, Qtilde) and the truncated inverse (against both
-    inverse oracles), per weight.
+    """Dual block (against the per-entry oracle and the CPoly recursion),
+    (D, C, Qtilde) and the truncated inverse (against both inverse oracles),
+    per weight.
 
     Some inverse entry reaches hbar^N, so the comparison covers the deepest
     step of the recursion.
@@ -224,9 +305,11 @@ def test_blocks_match_cpoly_oracles(label):
     mod = SingularityModule(pf, ft, dilated=True)
     duals = mod.dual_letters()
     degrees = set()
+    blocks = {}
     for mu in mod.root_sums(N):
         block = mod.dual_block(mu)
         assert block.matrix == oracle_dual_block(mod, mu, duals), mu
+        assert block.matrix == cpoly_build_block(mod, mu, True, blocks), mu
         assert factorize_block(block) == oracle_factorize_block(block), mu
         finv = quant.invert_block(block, N)
         assert_inverse_matches_oracles(block, finv, N)

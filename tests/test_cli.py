@@ -307,6 +307,9 @@ def test_golden_stdout(tmp_path, capsys, name):
      ("character", "--type", "gl3", "--depth", "1"), "formal_type.depth"),
     # a present element is read, never passed over for the top-level keys
     ({"element": 0, "tuple": [["1"]]}, ("classify", "--type", "sl2"), "element"),
+    # a depth-0 chain has no formal type: one covector at least is required
+    ({"depth": 0, "filtration": "borel", "formal_type": {"lambdas": []}},
+     ("shapovalov", "--type", "sl2"), "formal_type.lambdas"),
 ], ids=["negative-depth", "negative-order", "array-config", "no-depth-no-filtration",
         "array-formal-type", "filtration-index-range", "filtration-index-negative",
         "filtration-index-type", "tuple-width", "coeffs-width", "coeffs-root-range",
@@ -314,7 +317,8 @@ def test_golden_stdout(tmp_path, capsys, name):
         "tuple-depth-0", "coeffs-depth-0", "coeffs-string", "lambda-not-a-list",
         "filtration-not-a-chain", "tuple-string-row", "coeffs-string-cartan", "tuple-bool",
         "coeffs-bool-cartan", "coeffs-bool-root", "coeffs-bool-depth", "lambda-bool",
-        "formal-type-depth", "formal-type-depth-bool", "element-not-an-object"])
+        "formal-type-depth", "formal-type-depth-bool", "element-not-an-object",
+        "formal-type-depth-0"])
 def test_input_errors_exit_2(tmp_path, capsys, config, argv, field):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -382,12 +386,18 @@ def test_config_shapes_exit_0_or_2(tmp_path, capsys):
 
 def test_stratification_and_classify_exit_0_or_2(tmp_path, capsys):
     """levi and parabolic at depths 0..3, and classify on malformed and
-    well-formed element configs: every run exits 0 or 2 without a traceback,
-    and repeats its stdout exactly."""
+    well-formed element configs, each with or without an --out prefix under
+    tmp_path (in an existing directory, in a missing one, below a file, or an
+    existing directory itself): every run exits 0 or 2 without a traceback,
+    and repeats its stdout and stderr exactly."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     cfg = tmp_path / "cfg.json"
+    (tmp_path / "outs").mkdir()
+    (tmp_path / "a-file").write_text("")
+    prefixes = [None, tmp_path / "outs" / "run", tmp_path / "missing" / "run",
+                tmp_path / "a-file" / "run", tmp_path / "outs"]
     value = st.one_of(st.integers(-2, 3), st.sampled_from(["1/3", "-5/2", "0"]))
     bad = st.sampled_from(["1/0", "x", "", None, [], {}])
 
@@ -418,12 +428,19 @@ def test_stratification_and_classify_exit_0_or_2(tmp_path, capsys):
             config = data.draw(st.sampled_from([{"element": element}, element]))
             cfg.write_text(json.dumps(config))
             argv += ["--config", str(cfg)]
+        prefix = data.draw(st.sampled_from(prefixes))
+        if prefix is not None:
+            argv += ["--out", str(prefix)]
         runs = [run_cli(capsys, *argv) for _ in range(2)]
         for code, _, err in runs:
             assert code in (0, 2) and "Traceback" not in err
         assert runs[0] == runs[1]
 
     check()
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+    assert written <= {"cfg.json", "a-file", "outs", "outs/run", "outs/run.json",
+                       "outs/run.dot", "outs.json", "outs.dot"}
+    assert {"outs/run", "outs/run.json"} <= written
 
 
 def test_long_exact_output_exits_0(tmp_path, capsys):

@@ -13,7 +13,8 @@ from wildstrat.parab import (FormalType, InadmissibleCharacter,
                              character_space_dim, enumerate_parabolic,
                              enumerate_parabolic_filtrations, height_functional,
                              is_admissible, is_nonsingular, is_parabolic, levi_factor,
-                             triangular_split, weyl_classes)
+                             require_admissible, triangular_split, weyl_classes)
+from wildstrat.singmod import SingularityModule
 from wildstrat.strat import full_mask, indices, mask_from_indices
 from conftest import gl_root_index
 
@@ -362,6 +363,27 @@ def test_zero_character_is_singular(gl3):
     mat, _ = b_pairing_matrix(pf, zero)
     assert all(all(v == 0 for v in row) for row in mat)
     assert not is_nonsingular(pf, zero)
+
+
+def test_formal_type_rejects_ragged_or_empty_lambdas():
+    for lams, widths in (([(1,), (1, 2)], r"\[1, 2\]"), ([], r"\[\]")):
+        with pytest.raises(ValueError, match=rf"^lambdas: .* got widths {widths}$"):
+            FormalType(lams)
+
+
+def test_require_admissible_names_a_mismatch_of_the_lambdas(gl3):
+    """A depth or width mismatch is named as such (the gl3 module given
+    width-2 lambdas used to fail as "does not extend to a character"); a
+    formal type of the right shape that pairs nonzero with phi_1 is the true
+    inadmissibility."""
+    pf = gl3_ex_chain(gl3)
+    for ft, named in ((FormalType([(1, 2), (3, 4)]), "lambdas: formal type width 2, expected 3"),
+                      (FormalType([(1, 1, 2)]), "lambdas: formal type depth 1, expected 2"),
+                      (FormalType([(1, 2, 3), (5, 6, 7)]), "does not extend to a character")):
+        with pytest.raises(InadmissibleCharacter, match=named):
+            require_admissible(pf, ft)
+    with pytest.raises(InadmissibleCharacter, match="width 2, expected 3"):
+        SingularityModule(pf, FormalType([(1, 2), (3, 4)]))
 
 
 def test_short_lambda_is_inadmissible(gl3):

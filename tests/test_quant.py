@@ -17,6 +17,7 @@ from wildstrat.uea import acc
 from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
 from test_block_oracles import (_b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3,
+                                assert_blocks_match_cpoly,
                                 assert_inverse_matches_oracles)
 from test_parab import gl3_ex_chain, gl3_ex_ft
 
@@ -324,6 +325,17 @@ def test_series_slots_are_v0_basis_words(label):
     for word in words:
         assert v0.project_word(word) == {word: 1}, word
     assert star_bidiff(series).terms == series.terms
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_series_blocks_match_cpoly_recursion(label):
+    """The dual blocks the series is built from, and the scalar Shapovalov
+    blocks up to the order, equal the CPoly/Fraction weight recursion (and
+    the dual ones the per-entry oracle)."""
+    series = _assoc_series(label)
+    assert_blocks_match_cpoly(series.module, list(series.per_weight))
+    scalar = SingularityModule(series.pf, series.ft)
+    assert_blocks_match_cpoly(scalar, scalar.weights_up_to(series.order))
 
 
 @pytest.mark.parametrize("label", list(ASSOC_CASES))

@@ -304,45 +304,52 @@ def test_factorization_trivial_weight(sl2):
     assert d[0][0] == CPoly.const(1) and q[0][0] == CPoly.const(1)
 
 
+def bumped(block, i, j, deg, value):
+    """A copy of a dual block with value * c^deg added to entry (i, j), on its
+    integer rows (value an integer, so the denominator stays)."""
+    rows = [{k: dict(e) for k, e in row.items()} for row in block.rows]
+    entry = rows[i].setdefault(j, {})
+    entry[deg] = entry.get(deg, 0) + value * block.den
+    return singmod.ShapovalovBlock(block.mu, block.basis, block.den, rows, block.module,
+                                   dual=True)
+
+
 def test_factorisation_error_names_the_weight(sl2):
     """A tampered entry of a dilated dual block fails with mu and the entry named."""
     m = sl2_module(sl2, [5, 7], depth=2, dilated=True)
     blk = m.dual_block(tuple(2 * x for x in alpha_of(sl2)))
     length = blk.lengths()[1]
-    lead = blk.matrix[1][1].coeff(length)
+    lead = blk.rows[1][1][length] // blk.den
+    assert lead == blk.matrix[1][1].coeff(length) > 0
     # a degree past the word lengths off the diagonal, then a negative diagonal lead
-    for (i, j), bump, reason in [((0, 1), CPoly({length + 1: 1}), "exceeds the min length"),
-                                 ((1, 1), CPoly({length: -2 * lead}), "not a positive integer")]:
-        matrix = [list(row) for row in blk.matrix]
-        matrix[i][j] = matrix[i][j] + bump
-        tampered = singmod.ShapovalovBlock(blk.mu, blk.basis, matrix, m, dual=True)
+    for (i, j), deg, value, reason in [((0, 1), length + 1, 1, "exceeds the min length"),
+                                       ((1, 1), length, -2 * lead, "not a positive integer")]:
         with pytest.raises(FactorisationError, match=rf"mu = \(4\), entry \({i},{j}\): .*{reason}"):
-            factorize_block(tampered)
+            factorize_block(bumped(blk, i, j, deg, value))
 
 
 def test_factorisation_and_inverse_share_the_checks(sl2):
     """Each check on the row-scaled parts fails with the same message in
     factorize_block and in quant.invert_block.  The upper-triangular check is
-    reached by a B2 tame block listed shortest word first."""
+    reached by a B2 tame block listed shortest word first.  The tampering is
+    done on the integer rows the checks read."""
     m = sl2_module(sl2, [5, 7], depth=2, dilated=True)
     blk = m.dual_block(tuple(2 * x for x in alpha_of(sl2)))
     assert blk.lengths() == [2, 2, 2]
-    lead = blk.matrix[1][1].coeff(2)
+    lead = blk.rows[1][1][2] // blk.den
     pf, ft = _b2_tame()
     b2 = SingularityModule(pf, ft, dilated=True)
     mixed = next(b for b in map(b2.dual_block, b2.weights_up_to(2)) if b.lengths() == [2, 1])
-    shortest_first = singmod.ShapovalovBlock(mixed.mu, mixed.basis[::-1],
-                                             [row[::-1] for row in mixed.matrix[::-1]], b2,
-                                             dual=True)
-    for block, (i, j), bump, reason in [
-            (blk, (0, 1), CPoly({3: 1}), "exceeds the min length"),
-            (blk, (0, 1), CPoly({2: 1}), "no strict degree drop off the diagonal"),
-            (blk, (1, 1), CPoly({2: -2 * lead}), "not a positive integer"),
-            (shortest_first, (0, 1), CPoly(), "upper-triangular leading coefficient")]:
-        matrix = [list(row) for row in block.matrix]
-        matrix[i][j] = matrix[i][j] + bump
-        tampered = singmod.ShapovalovBlock(block.mu, block.basis, matrix, block.module,
-                                           dual=True)
+    last = mixed.dim() - 1
+    shortest_first = singmod.ShapovalovBlock(
+        mixed.mu, mixed.basis[::-1], mixed.den,
+        [{last - j: e for j, e in row.items()} for row in mixed.rows[::-1]], b2, dual=True)
+    assert shortest_first.matrix == [row[::-1] for row in mixed.matrix[::-1]]
+    for tampered, (i, j), reason in [
+            (bumped(blk, 0, 1, 3, 1), (0, 1), "exceeds the min length"),
+            (bumped(blk, 0, 1, 2, 1), (0, 1), "no strict degree drop off the diagonal"),
+            (bumped(blk, 1, 1, 2, -2 * lead), (1, 1), "not a positive integer"),
+            (shortest_first, (0, 1), "upper-triangular leading coefficient")]:
         messages = []
         for run in (factorize_block, lambda b: quant.invert_block(b, 4)):
             with pytest.raises(FactorisationError, match=rf"entry \({i},{j}\): .*{reason}") as err:
@@ -363,6 +370,19 @@ def test_cold_block_at_height_1100(sl2):
         block = warm.shapovalov_block(tuple(h * x for x in alpha))
     assert cold.basis == block.basis == [(1100,)]
     assert cold.matrix == block.matrix
+
+
+def test_cold_letter_on_a_word_of_length_1100(sl2):
+    """E acting on a cold word of 1100 letters straightens its suffixes
+    iteratively: it equals the action on the same word in a module warmed
+    from the shorter words up, and the closed form E F^n w = n (l - n + 1) F^(n-1) w
+    (l = 1/3 on the coroot)."""
+    e = ("E", sl2.root_index[(Fraction(2),)], 0)
+    cold = sl2_module(sl2, [Fraction(1, 3)]).apply_letter(e, {(0,) * 1100: 1})
+    warm = sl2_module(sl2, [Fraction(1, 3)])
+    for n in range(1, 1101):
+        image = warm.apply_letter(e, {(0,) * n: 1})
+    assert cold == image == {(0,) * 1099: 1100 * (Fraction(1, 3) - 1099)}
 
 
 def test_weights_up_to_enumerates_only_the_kept_words():
