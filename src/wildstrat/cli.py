@@ -78,7 +78,7 @@ def _root_datum(args):
         raise ValidationError(str(exc)) from exc
 
 
-def _parse_filtration(rd, spec, depth, parabolic=True):
+def _parse_filtration(rd, spec, depth):
     """spec: list of root-index lists, or the preset 'borel'."""
     if depth is not None and (type(depth) is not int or depth < 0):
         raise ValidationError("depth: must be a nonnegative integer")
@@ -97,9 +97,7 @@ def _parse_filtration(rd, spec, depth, parabolic=True):
         if depth and len(masks) != depth:
             raise ValidationError("filtration length does not match the depth")
     try:
-        if parabolic:
-            return ParabolicFiltration(rd, masks)
-        return strat.LeviFiltration(rd, masks)
+        return ParabolicFiltration(rd, masks)
     except ValueError as exc:
         raise ValidationError(f"filtration: {exc}") from exc
 
@@ -372,10 +370,10 @@ def build_parser():
     p = argparse.ArgumentParser(prog="wildstrat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, height_default=4, order=False):
+    def common(sp, order=False):
         sp.add_argument("--type", required=True, help="Lie type label, e.g. gl3, sl2, B2")
         sp.add_argument("--depth", type=int, default=0)
-        sp.add_argument("--height", "-K", dest="height", type=int, default=height_default)
+        sp.add_argument("--height", "-K", dest="height", type=int, default=4)
         if order:
             sp.add_argument("--order", "-N", dest="order", type=int, default=2)
         sp.add_argument("--config", help="JSON config file (rationals as 'p/q' strings)")

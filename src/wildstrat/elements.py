@@ -3,9 +3,9 @@
 GElement: Cartan part (coordinates on the chosen t basis) + root coefficients.
 TcElement: depth r and a coefficient GElement per epsilon degree.
 
-The bracket, invariant form, depth-graded pairing ( . | . )_c, transposition,
-semisimplicity test, and the kernel/image splitting for semisimple operators
-all live here.
+The bracket (the bilinear extension of rootdata.letter_bracket), invariant
+form, depth-graded pairing ( . | . )_c, transposition, semisimplicity test,
+and the kernel/image splitting for semisimple operators all live here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from functools import lru_cache
 
 from .linalg import (One, Zero, frac, frac_str, inverse, is_squarefree, mat_vec,
                      minimal_polynomial, nullspace, rank, rref, transpose)
+from .rootdata import letter_bracket
 from .strat import ClaimViolation
+from .uea import acc
 
 
 class GElement:
@@ -68,11 +70,7 @@ class GElement:
         self._check(other)
         root = dict(self.root)
         for i, c in other.root.items():
-            nc = root.get(i, Zero) + c
-            if nc == 0:
-                root.pop(i, None)
-            else:
-                root[i] = nc
+            acc(root, i, c)
         return GElement(self.rd, tuple(a + b for a, b in zip(self.cartan, other.cartan)), root)
 
     def __sub__(self, other):
@@ -117,41 +115,15 @@ class GElement:
 
     # -- Lie structure -------------------------------------------------------
 
+    def _letters(self, d=0):
+        """The nonzero (letter, coefficient) pairs of x placed at epsilon degree d."""
+        return ([(("H", t, d), c) for t, c in enumerate(self.cartan) if c]
+                + [(("E", i, d), c) for i, c in self.root.items()])
+
     def bracket(self, other):
+        """[x, y]: the bilinear extension of letter_bracket at depth 1."""
         self._check(other)
-        rd = self.rd
-        out_cartan = [Zero] * rd.dim_t
-        out_root = {}
-
-        def add_root(i, c):
-            if c == 0:
-                return
-            nc = out_root.get(i, Zero) + c
-            if nc == 0:
-                out_root.pop(i, None)
-            else:
-                out_root[i] = nc
-
-        # [t, root part]
-        if any(x != 0 for x in self.cartan):
-            for j, cj in other.root.items():
-                add_root(j, rd.pair(j, self.cartan) * cj)
-        if any(x != 0 for x in other.cartan):
-            for i, ci in self.root.items():
-                add_root(i, -rd.pair(i, other.cartan) * ci)
-        # [root, root]
-        for i, ci in self.root.items():
-            for j, cj in other.root.items():
-                if j == rd.neg[i]:
-                    co = rd.coroots[i]
-                    f = ci * cj
-                    for t in range(rd.dim_t):
-                        out_cartan[t] += f * co[t]
-                else:
-                    n = rd.nsc.get((i, j))
-                    if n is not None:
-                        add_root(rd.root_sum[(i, j)], ci * cj * n)
-        return GElement(rd, out_cartan, out_root)
+        return _bracket(self.rd, 1, self._letters(), other._letters())[0]
 
     def pairing(self, other):
         """Invariant bilinear form; (E_a | E_{-a}) = 1 on gl/sl/A types."""
@@ -225,6 +197,24 @@ class GElement:
             label = ",".join(frac_str(x) for x in rd.roots[i])
             parts.append(f"{frac_str(c)}*E({label})")
         return " + ".join(parts) if parts else "0"
+
+
+def _bracket(rd, depth, xs, ys):
+    """The bilinear extension of letter_bracket to (letter, coefficient) lists,
+    as one GElement per epsilon degree below depth."""
+    out = {}
+    for a, c in xs:
+        for b, c2 in ys:
+            for n, w in letter_bracket(rd, depth, a, b):
+                acc(out, w, n * c * c2)
+    cartans = [[Zero] * rd.dim_t for _ in range(depth)]
+    roots = [{} for _ in range(depth)]
+    for (kind, i, d), c in out.items():
+        if kind == "H":
+            cartans[d][i] = c
+        else:
+            roots[d][i] = c
+    return [GElement(rd, h, e) for h, e in zip(cartans, roots)]
 
 
 @lru_cache(maxsize=None)
@@ -334,17 +324,8 @@ class TcElement:
     def bracket(self, other):
         """Degree-l coefficient = sum of [X_i, Y_j] over i + j = l, truncated."""
         self._check(other)
-        out = [GElement.zero(self.rd) for _ in range(self.depth)]
-        for i, xi in enumerate(self.coeffs):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(other.coeffs):
-                if i + j >= self.depth:
-                    break
-                if yj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + xi.bracket(yj)
-        return TcElement(self.rd, self.depth, out)
+        xs, ys = ([p for d, g in enumerate(x.coeffs) for p in g._letters(d)] for x in (self, other))
+        return TcElement(self.rd, self.depth, _bracket(self.rd, self.depth, xs, ys))
 
     def pairing_c(self, other, c):
         """(X e^i | Y e^j)_c = (X|Y) delta_{i+j,c-1}."""

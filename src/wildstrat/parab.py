@@ -10,6 +10,7 @@ carry the character spaces that singularity modules are induced from.
 from __future__ import annotations
 
 from .linalg import One, Zero, frac, frac_str, inverse, rank, solve
+from .rootdata import letter_bracket
 from . import strat
 from .strat import (ClaimViolation, LeviFiltration, RootChain, full_mask, indices,
                     mask_from_indices, negate_mask, weyl_mask)
@@ -73,19 +74,15 @@ class ParabolicFiltration(RootChain):
                                              for m in self.masks])
 
     def is_balanced(self):
-        """[u_{psi_i}, u_{psi_j}] inside u_{psi_{i+j}} for i + j <= r - 1."""
-        rd = self.rd
-        nus = [self.nu(i) for i in range(self.depth)]
-        for i in range(self.depth):
-            for j in range(self.depth - i):
-                target = nus[i + j]
-                for a in indices(nus[i]):
-                    for b in indices(nus[j]):
-                        k = rd.root_sum.get((a, b))
-                        if k is not None and rd.nsc.get((a, b)) is not None:
-                            if not (target >> k) & 1:
-                                return False
-        return True
+        """[u_{psi_i}, u_{psi_j}] inside u_{psi_{i+j}} for i + j <= r - 1: every
+        root letter of [E_a e^i, E_b e^j], a in nu_i and b in nu_j, is in nu_{i+j}."""
+        rd, r = self.rd, self.depth
+        nus = [self.nu(i) for i in range(r)]
+        return all((nus[i + j] >> k) & 1
+                   for i in range(r) for j in range(r - i)
+                   for a in indices(nus[i]) for b in indices(nus[j])
+                   for _, (kind, k, _) in letter_bracket(rd, r, ("E", a, i), ("E", b, j))
+                   if kind == "E")
 
 
 def enumerate_parabolic_filtrations(rd, r, parabolics=None):

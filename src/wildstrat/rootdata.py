@@ -6,12 +6,13 @@ N(a,b) for [E_a, E_b] = N(a,b) E_{a+b}, and Weyl group generators.
 
 The supported types are built from exact matrix realizations (gl_n, sl_n,
 and the classical series B/C/D via the standard antidiagonal bilinear
-forms), so every structure constant comes out of an honest matrix
-commutator.  The Chevalley axioms and the Jacobi identity are verified at
-construction time and a violation raises immediately.
+forms), so every root, coroot and structure constant comes out of an honest
+matrix commutator.  The Chevalley axioms and the Jacobi identity are verified
+at construction time and a violation raises immediately.
 
 The bracket of g_r = g (x) C[e]/e^r basis letters (letter_bracket) reads these
-tables; at depth 1 it is the bracket of g that the Jacobi check uses.
+tables and is the one bracket of the package: elements extend it bilinearly,
+and at depth 1 it is the bracket of g that the Jacobi check uses.
 """
 
 from __future__ import annotations
@@ -78,12 +79,11 @@ def _trace_product(a, b):
 class WeylElement:
     """A Weyl group element: a permutation of the root list plus its matrix on t."""
 
-    __slots__ = ("perm", "tmat", "word")
+    __slots__ = ("perm", "tmat")
 
-    def __init__(self, perm, tmat, word=()):
+    def __init__(self, perm, tmat):
         self.perm = tuple(perm)
         self.tmat = tuple(tuple(row) for row in tmat)
-        self.word = tuple(word)
 
     def __eq__(self, other):
         return self.perm == other.perm
@@ -97,15 +97,18 @@ class WeylElement:
 
 
 class RootDatum:
-    def __init__(self, lie_type, n, *, t_mats, root_list, label=None):
-        """root_list: list of (covector tuple, matrix) with covector on the t basis."""
+    def __init__(self, lie_type, n, *, t_mats, root_mats):
+        """t_mats: the Cartan basis H_t; root_mats: the root vectors E_a.  Each
+        root is read off its matrix: [H_t, E_a] = <a|H_t> E_a."""
         self.lie_type = lie_type
         self.n = n
-        self.label = label or f"{lie_type}{n}"
+        self.label = f"{lie_type}{n}"
         self.dim_t = len(t_mats)
         self._t_mats = t_mats
-        self.roots = tuple(tuple(frac(x) for x in cov) for cov, _ in root_list)
-        self._root_mats = [m for _, m in root_list]
+        self._root_mats = root_mats
+        self._root_entries = [_entries(m) for m in root_mats]
+        self._t_entries = [_entries(m) for m in t_mats]
+        self.roots = tuple(self._covector(e) for e in self._root_entries)
         self.num_roots = len(self.roots)
         self.dim_g = self.dim_t + self.num_roots
         self.root_index = {r: i for i, r in enumerate(self.roots)}
@@ -120,15 +123,21 @@ class RootDatum:
 
     # -- construction ------------------------------------------------------
 
+    def _covector(self, e):
+        """<a|H_t> over the Cartan basis, for the root vector E_a given by its entries."""
+        cov = tuple(_multiple_of(_commutator(h, e), e) for h in self._t_entries)
+        if None in cov:
+            raise RootDatumError("root matrix is not an eigenvector of the Cartan subalgebra")
+        return cov
+
     def _build_tables(self):
-        mats = self._root_entries = [_entries(m) for m in self._root_mats]
+        mats = self._root_entries
         # coroots: [E_a, E_{-a}] solved on the Cartan matrices alone, on the
         # positions where some Cartan matrix is nonzero; a commutator entry
         # off those positions cannot be matched
-        t_entries = [_entries(m) for m in self._t_mats]
-        support = set().union(*t_entries)
+        support = set().union(*self._t_entries)
         positions = sorted(support)
-        cartan = [[e.get(p, Zero) for e in t_entries] for p in positions]
+        cartan = [[e.get(p, Zero) for e in self._t_entries] for p in positions]
         self.coroots = []
         for i in range(self.num_roots):
             br = _commutator(mats[i], mats[self.neg[i]])
@@ -215,7 +224,7 @@ class RootDatum:
         # s(H) = H - <alpha|H> alpha^v ; entry (r,c) = delta - coroot[r]*alpha[c]
         tmat = [[(One if r == c else Zero) - co[r] * al[c] for c in range(n)]
                 for r in range(n)]
-        return WeylElement(perm, tmat, (i,))
+        return WeylElement(perm, tmat)
 
     def _generate_weyl(self, gens):
         ident = WeylElement(tuple(range(self.num_roots)), identity(self.dim_t))
@@ -228,7 +237,7 @@ class RootDatum:
                     perm = tuple(g.perm[w.perm[i]] for i in range(self.num_roots))
                     if perm not in seen:
                         tmat = mat_mul(g.tmat, [list(r) for r in w.tmat])
-                        new = WeylElement(perm, tmat, g.word + w.word)
+                        new = WeylElement(perm, tmat)
                         seen[perm] = new
                         nxt.append(new)
             frontier = nxt
@@ -254,7 +263,7 @@ class RootDatum:
         scale = One / base
         self.e_pair = tuple(scale * _trace_product(mats[i], mats[self.neg[i]])
                             for i in range(self.num_roots))
-        ts = [_entries(m) for m in self._t_mats]
+        ts = self._t_entries
         self.gram = [[scale * _trace_product(a, b) for b in ts] for a in ts]
         # normalization sanity: (H_a | H) = <a|H> (E_a|E_{-a}) for all a, H
         for i in range(self.num_roots):
@@ -395,30 +404,15 @@ def all_letters(rd, depth):
 # ---------------------------------------------------------------------------
 
 
-def _eps_cov(n, coeffs):
-    return tuple(frac(coeffs.get(k, 0)) for k in range(n))
-
-
-def _build_gl(n):
-    t_mats = [_matrix(n, (i, i, 1)) for i in range(n)]
-    roots = [(_eps_cov(n, {i: 1, j: -1}), _matrix(n, (i, j, 1)))
-             for i in range(n) for j in range(n) if i != j]
-    return RootDatum("gl", n, t_mats=t_mats, root_list=roots)
-
-
-def _build_sl(n):
-    t_mats = [_matrix(n, (i, i, 1), (i + 1, i + 1, -1)) for i in range(n - 1)]
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # alpha_ij(h_k) with h_k = E_kk - E_{k+1,k+1}
-            cov = tuple((One if k == i else Zero) - (One if k + 1 == i else Zero)
-                        - (One if k == j else Zero) + (One if k + 1 == j else Zero)
-                        for k in range(n - 1))
-            roots.append((cov, _matrix(n, (i, j, 1))))
-    return RootDatum("sl", n, t_mats=t_mats, root_list=roots)
+def _build_type_a(kind, n):
+    """gl_n on the diagonal units E_ii, sl_n on E_ii - E_{i+1,i+1}; in both the
+    root vectors are the units E_ij, i != j."""
+    if kind == "gl":
+        t_mats = [_matrix(n, (i, i, 1)) for i in range(n)]
+    else:
+        t_mats = [_matrix(n, (i, i, 1), (i + 1, i + 1, -1)) for i in range(n - 1)]
+    root_mats = [_matrix(n, (i, j, 1)) for i in range(n) for j in range(n) if i != j]
+    return RootDatum(kind, n, t_mats=t_mats, root_mats=root_mats)
 
 
 def _build_classical(kind, n):
@@ -436,28 +430,26 @@ def _build_classical(kind, n):
         return size - 1 - i
 
     t_mats = [_matrix(size, (i, i, 1), (pr(i), pr(i), -1)) for i in range(n)]
-    roots = [(_eps_cov(n, {i: 1, j: -1}), _matrix(size, (i, j, 1), (pr(j), pr(i), -1)))
+    roots = [_matrix(size, (i, j, 1), (pr(j), pr(i), -1))
              for i in range(n) for j in range(n) if i != j]
     for i in range(n):
         for j in range(i + 1, n):
-            roots.append((_eps_cov(n, {i: 1, j: 1}),
-                           _matrix(size, (i, pr(j), 1), (j, pr(i), s))))
-            roots.append((_eps_cov(n, {i: -1, j: -1}),
-                           _matrix(size, (pr(j), i, 1), (pr(i), j, s))))
+            roots.append(_matrix(size, (i, pr(j), 1), (j, pr(i), s)))
+            roots.append(_matrix(size, (pr(j), i, 1), (pr(i), j, s)))
     for i in range(n):
         if kind == "B":  # n is the centre
-            roots.append((_eps_cov(n, {i: 1}), _matrix(size, (i, n, 2), (n, pr(i), -1))))
-            roots.append((_eps_cov(n, {i: -1}), _matrix(size, (n, i, 1), (pr(i), n, -2))))
+            roots.append(_matrix(size, (i, n, 2), (n, pr(i), -1)))
+            roots.append(_matrix(size, (n, i, 1), (pr(i), n, -2)))
         elif kind == "C":
-            roots.append((_eps_cov(n, {i: 2}), _matrix(size, (i, pr(i), 1))))
-            roots.append((_eps_cov(n, {i: -2}), _matrix(size, (pr(i), i, 1))))
-    return RootDatum(kind, n, t_mats=t_mats, root_list=roots)
+            roots.append(_matrix(size, (i, pr(i), 1)))
+            roots.append(_matrix(size, (pr(i), i, 1)))
+    return RootDatum(kind, n, t_mats=t_mats, root_mats=roots)
 
 
 _BUILDERS = {
-    "gl": _build_gl,
-    "sl": _build_sl,
-    "A": lambda n: _build_sl(n + 1),
+    "gl": lambda n: _build_type_a("gl", n),
+    "sl": lambda n: _build_type_a("sl", n),
+    "A": lambda n: _build_type_a("sl", n + 1),
     "B": lambda n: _build_classical("B", n),
     "C": lambda n: _build_classical("C", n),
     "D": lambda n: _build_classical("D", n),

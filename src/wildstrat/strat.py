@@ -185,14 +185,10 @@ class LeviPoset:
         return (a | b) == a
 
     def covers(self):
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if a != b and self.leq(a, b):
-                    if not any(c not in (a, b) and self.leq(a, c) and self.leq(c, b)
-                               for c in self.elements):
-                        out.append((a, b))
-        return out
+        """Pairs a <= b one rank apart: Levi subsystems are flats, graded by
+        kernel_dim, and distinct flats have distinct kernels."""
+        return [(a, b) for a in self.elements for b in self.elements
+                if self.rank[b] == self.rank[a] + 1 and self.leq(a, b)]
 
     def hasse_dot(self):
         lines = ["digraph levi_poset {", "  rankdir=BT;"]
@@ -461,7 +457,7 @@ def dual_stratum_contains(rd, filt, lams):
 # -- stratification axioms -----------------------------------------------------
 
 
-def verify_stratification_axioms(rd, filtrations, extra_points=()):
+def verify_stratification_axioms(rd, filtrations):
     """Combinatorial check of the stratification axioms on a finite family.
 
     - partition: every sample point lies in exactly one member stratum;
@@ -477,7 +473,6 @@ def verify_stratification_axioms(rd, filtrations, extra_points=()):
     # ambient sample: witnesses of every depth-s stratum, not just the family's
     points = [stratum_witness(f) for f in enumerate_filtrations(rd, s)]
     points.extend(stratum_witness(f) for f in filtrations)
-    points.extend(extra_points)
     for xs in points:
         hits = [f for f in filtrations if stratum_contains(f, xs)]
         if len(hits) != 1:

@@ -19,7 +19,6 @@ the tables it reads, and is imported from there.
 
 from __future__ import annotations
 
-from .linalg import One
 from .rootdata import letter_bracket
 
 
@@ -30,7 +29,7 @@ class UEAContext:
     vector to that value; `one` is the unit coefficient (1, One or a CPoly).
     """
 
-    def __init__(self, rd, depth, basis, scalar, one=One):
+    def __init__(self, rd, depth, basis, scalar, one):
         self.rd = rd
         self.depth = depth
         self.basis = basis

@@ -30,21 +30,28 @@ def test_sl2_defining_relations(sl2, sl2_efh):
     assert H.bracket(F) == F.scale(-2)
 
 
+# realisations whose brackets are checked against the defining representation
+BRACKET_TYPES = [("gl", 3), ("sl", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4)]
+
+
+def _matrix_commutator(x, y):
+    mx, my = x.defining_matrix(), y.defining_matrix()
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(mat_mul(mx, my), mat_mul(my, mx))]
+
+
 def test_gl3_bracket_oracle(gl3):
-    # oracle: 3x3 matrix commutator in the defining representation
+    # oracle: the matrix commutator in the defining representation
     i12 = gl_root_index(gl3, 0, 1)
     i23 = gl_root_index(gl3, 1, 2)
     i13 = gl_root_index(gl3, 0, 2)
     assert GElement.root_vec(gl3, i12).bracket(GElement.root_vec(gl3, i23)) \
         == GElement.root_vec(gl3, i13)
     rng = random.Random(11)
-    for _ in range(10):
-        x, y = rand_gelement(gl3, rng), rand_gelement(gl3, rng)
-        z = x.bracket(y)
-        mx, my = x.defining_matrix(), y.defining_matrix()
-        comm = [[a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(mat_mul(mx, my), mat_mul(my, mx))]
-        assert z.defining_matrix() == comm
+    for lie_type, n in BRACKET_TYPES:
+        rd = root_datum(lie_type, n)
+        for _ in range(10):
+            x, y = rand_gelement(rd, rng), rand_gelement(rd, rng)
+            assert x.bracket(y).defining_matrix() == _matrix_commutator(x, y), rd.label
 
 
 def test_bracket_bilinear_antisymmetric(gl3):
@@ -73,24 +80,98 @@ def test_bracket_gr_examples(sl2, sl2_efh):
     assert x.bracket(y) == expected
 
 
-def test_bracket_gr_polynomial_matrix_oracle(gl3):
-    """Oracle: commutator of matrix polynomials modulo eps^r."""
+def test_bracket_gr_polynomial_matrix_oracle():
+    """Oracle: commutator of matrix polynomials modulo eps^r, at r = 1 and 3."""
     rng = random.Random(23)
-    r = 3
-    for _ in range(5):
-        x = TcElement(gl3, r, [rand_gelement(gl3, rng) for _ in range(r)])
-        y = TcElement(gl3, r, [rand_gelement(gl3, rng) for _ in range(r)])
-        z = x.bracket(y)
-        for l in range(r):
-            acc = None
-            for i in range(l + 1):
-                mx = x.coeffs[i].defining_matrix()
-                my = y.coeffs[l - i].defining_matrix()
-                comm = [[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(mat_mul(mx, my), mat_mul(my, mx))]
-                acc = comm if acc is None else [[a + b for a, b in zip(ra, rb)]
-                                                for ra, rb in zip(acc, comm)]
-            assert z.coeffs[l].defining_matrix() == acc
+    for lie_type, n in BRACKET_TYPES:
+        rd = root_datum(lie_type, n)
+        for r in (1, 3):
+            for _ in range(5):
+                x = TcElement(rd, r, [rand_gelement(rd, rng) for _ in range(r)])
+                y = TcElement(rd, r, [rand_gelement(rd, rng) for _ in range(r)])
+                z = x.bracket(y)
+                for l in range(r):
+                    acc = None
+                    for i in range(l + 1):
+                        comm = _matrix_commutator(x.coeffs[i], y.coeffs[l - i])
+                        acc = comm if acc is None else [[a + b for a, b in zip(ra, rb)]
+                                                        for ra, rb in zip(acc, comm)]
+                    assert z.coeffs[l].defining_matrix() == acc, (rd.label, r)
+
+
+def oracle_bracket(self, other):
+    """The exact oracle for GElement.bracket: the case analysis [t, E],
+    [E_a, E_-a], N(a, b) on the root-datum tables."""
+    self._check(other)
+    rd = self.rd
+    out_cartan = [Zero] * rd.dim_t
+    out_root = {}
+
+    def add_root(i, c):
+        if c == 0:
+            return
+        nc = out_root.get(i, Zero) + c
+        if nc == 0:
+            out_root.pop(i, None)
+        else:
+            out_root[i] = nc
+
+    # [t, root part]
+    if any(x != 0 for x in self.cartan):
+        for j, cj in other.root.items():
+            add_root(j, rd.pair(j, self.cartan) * cj)
+    if any(x != 0 for x in other.cartan):
+        for i, ci in self.root.items():
+            add_root(i, -rd.pair(i, other.cartan) * ci)
+    # [root, root]
+    for i, ci in self.root.items():
+        for j, cj in other.root.items():
+            if j == rd.neg[i]:
+                co = rd.coroots[i]
+                f = ci * cj
+                for t in range(rd.dim_t):
+                    out_cartan[t] += f * co[t]
+            else:
+                n = rd.nsc.get((i, j))
+                if n is not None:
+                    add_root(rd.root_sum[(i, j)], ci * cj * n)
+    return GElement(rd, out_cartan, out_root)
+
+
+def oracle_tc_bracket(self, other):
+    """The exact oracle for TcElement.bracket: oracle_bracket summed over the
+    degree pairs i + j < depth."""
+    self._check(other)
+    out = [GElement.zero(self.rd) for _ in range(self.depth)]
+    for i, xi in enumerate(self.coeffs):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(other.coeffs):
+            if i + j >= self.depth:
+                break
+            if yj.is_zero():
+                continue
+            out[i + j] = out[i + j] + oracle_bracket(xi, yj)
+    return TcElement(self.rd, self.depth, out)
+
+
+@pytest.mark.parametrize("lie_type, n", BRACKET_TYPES, ids=[f"{t}{n}" for t, n in BRACKET_TYPES])
+def test_brackets_match_the_case_analysis_oracle(lie_type, n):
+    """Both brackets equal the case-analysis oracle exactly: on every pair of
+    basis vectors, and on dense and sparse elements at depth 1 and 3."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(rd.label.encode()))
+    basis = list(GElement.basis(rd))
+    for x in basis:
+        for y in basis:
+            assert x.bracket(y) == oracle_bracket(x, y)
+    for r in (1, 3):
+        for _ in range(4):
+            x, y = (TcElement(rd, r, [rand_gelement(rd, rng, cartan=rng.random() < 0.7,
+                                                    roots=rng.random() < 0.7)
+                                      for _ in range(r)]) for _ in range(2))
+            assert x.coeffs[0].bracket(y.coeffs[0]) == oracle_bracket(x.coeffs[0], y.coeffs[0])
+            assert x.bracket(y) == oracle_tc_bracket(x, y)
 
 
 def test_is_semisimple(sl2, sl2_efh):

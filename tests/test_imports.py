@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and only
+rootdata reads the structure-constant table."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,20 @@ def test_unused_imports_finds_an_unread_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def attribute_reads(source, attr):
+    """Line numbers at which `source` reads the attribute `attr` of any object."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_attribute_reads_finds_a_read():
+    assert attribute_reads("x = rd.nsc.get(k)\ny = nsc\nz = a.b.nsc\n", "nsc") == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "rootdata.py"],
+                         ids=lambda p: p.name)
+def test_only_rootdata_reads_nsc(path):
+    """Every other module brackets through rootdata.letter_bracket."""
+    assert attribute_reads(path.read_text(), "nsc") == [], path.name

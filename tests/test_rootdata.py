@@ -206,9 +206,9 @@ def test_center_basis_is_the_root_nullspace_once(label):
     assert len(center) == (1 if label.startswith("gl") else 0)
 
 
-def _unit(i, j):
+def _unit(i, j, c=1):
     m = [[Fraction(0)] * 3 for _ in range(3)]
-    m[i][j] = Fraction(1)
+    m[i][j] = Fraction(c)
     return m
 
 
@@ -216,38 +216,45 @@ def _plus(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-_IDENTITY = _plus(_plus(_unit(0, 0), _unit(1, 1)), _unit(2, 2))
+def _direct_sum(a, b):
+    """a + b in gl3 + gl3, block diagonal in gl6."""
+    zero = [Fraction(0)] * 3
+    return [ra + zero for ra in a] + [zero + rb for rb in b]
 
 
-def _gl3_realisation(tamper=None):
-    """The gl3 realisation as RootDatum arguments, some roots replaced.
+_ZERO = _unit(0, 0, 0)
 
-    tamper maps "ij" (the root e_i - e_j with matrix E_ij) to a pair
-    (covector, matrix); None in the pair keeps the gl3 value.
+
+def _gl3_realisation(tamper=None, doubled=False):
+    """The gl3 realisation as RootDatum arguments: Cartan matrices E_ii and root
+    matrices E_ij (i != j), each X as X + X in gl3 + gl3 when doubled.
+
+    tamper maps "ij" to the matrix that replaces the root matrix of E_ij, or to
+    None, which drops it.
     """
-    roots = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                cov = tuple(1 if k == i else (-1 if k == j else 0) for k in range(3))
-                new_cov, new_mat = (tamper or {}).get(f"{i}{j}", (None, None))
-                roots.append((new_cov or cov, new_mat or _unit(i, j)))
-    return {"t_mats": [_unit(i, i) for i in range(3)], "root_list": roots}
+    lift = (lambda m: _direct_sum(m, m)) if doubled else (lambda m: m)
+    tamper = tamper or {}
+    root_mats = [tamper.get(f"{i}{j}", lift(_unit(i, j)))
+                 for i in range(3) for j in range(3) if i != j]
+    return {"t_mats": [lift(_unit(i, i)) for i in range(3)],
+            "root_mats": [m for m in root_mats if m is not None]}
 
 
-@pytest.mark.parametrize("tamper, message", [
-    # [E_12, E_21 + E_11] = E_11 - E_22 - E_12 leaves the Cartan subalgebra
-    ({"10": (None, _plus(_unit(1, 0), _unit(0, 0)))}, "not in the Cartan subalgebra"),
-    # relabelling +-(e1 - e3) as +-2(e1 - e3): [E_12, E_23] = E_13 but e1 - e3 is no root
-    ({"02": ((2, 0, -2), None), "20": ((-2, 0, 2), None)},
-     "bracket escapes the root decomposition"),
-    # E_13 + 1 still has a Cartan coroot, but [E_12, E_23] = E_13 is no multiple of it
-    ({"02": (None, _plus(_unit(0, 2), _IDENTITY))},
-     "bracket not a multiple of a single root vector"),
-], ids=["coroot", "escapes", "not-a-multiple"])
-def test_tampered_realisation_rejected(tamper, message):
+@pytest.mark.parametrize("tamper, doubled, message", [
+    # [E_01 + E_01, E_10 + 0] = (E_00 - E_11) + 0 is no diagonal copy H + H
+    ({"10": _direct_sum(_unit(1, 0), _ZERO)}, True, "not in the Cartan subalgebra"),
+    # without +-(e0 - e2): [E_01, E_12] = E_02 but e0 - e2 is no root
+    ({"02": None, "20": None}, False, "bracket escapes the root decomposition"),
+    # [E_01 + E_01, E_12 + E_12] = E_02 + E_02 is no multiple of E_02 + 2 E_02
+    ({"02": _direct_sum(_unit(0, 2), _unit(0, 2, 2)),
+      "20": _direct_sum(_unit(2, 0), _unit(2, 0, Fraction(1, 2)))},
+     True, "bracket not a multiple of a single root vector"),
+    # [E_00, E_10 + E_00] = -E_10 is no multiple of E_10 + E_00: no root to read off
+    ({"10": _plus(_unit(1, 0), _unit(0, 0))}, False, "not an eigenvector"),
+], ids=["coroot", "escapes", "not-a-multiple", "eigenvector"])
+def test_tampered_realisation_rejected(tamper, doubled, message):
     with pytest.raises(RootDatumError, match=message):
-        RootDatum("gl", 3, **_gl3_realisation(tamper))
+        RootDatum("gl", 3, **_gl3_realisation(tamper, doubled))
 
 
 def test_tampered_structure_constants_fail_jacobi():

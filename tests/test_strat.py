@@ -84,6 +84,27 @@ def test_levi_poset_sl2_chain(sl2):
     assert poset.covers() == [(full_mask(sl2), 0)]
 
 
+def cubic_covers(poset):
+    """LeviPoset.covers as the search for pairs with nothing in between: the oracle."""
+    out = []
+    for a in poset.elements:
+        for b in poset.elements:
+            if a != b and poset.leq(a, b):
+                if not any(c not in (a, b) and poset.leq(a, c) and poset.leq(c, b)
+                           for c in poset.elements):
+                    out.append((a, b))
+    return out
+
+
+COVER_TYPES = [("gl", 3), ("gl", 4), ("gl", 5), ("gl", 6), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]
+
+
+@pytest.mark.parametrize("lie_type, n", COVER_TYPES, ids=[f"{t}{n}" for t, n in COVER_TYPES])
+def test_graded_covers_match_the_cubic_search(lie_type, n):
+    poset = LeviPoset(root_datum(lie_type, n))
+    assert poset.covers() == cubic_covers(poset)
+
+
 def test_gl4_rank_function_surjective(gl4=None):
     gl4 = root_datum("gl", 4)
     poset = LeviPoset(gl4)
