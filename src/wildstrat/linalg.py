@@ -68,6 +68,21 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
+def generic_point(basis, covectors):
+    """sum_k t^k basis[k] for the least integer t >= 1 at which no covector
+    vanishes, or None when a covector vanishes on every basis vector (then no
+    t works).  Otherwise each pairing sum_k t^k <v|basis[k]> is a nonzero
+    polynomial in t, so the search ends."""
+    pairings = [[dot(v, b) for b in basis] for v in covectors]
+    if not all(map(any, pairings)):
+        return None
+    t = 1
+    while any(sum(c * t ** k for k, c in enumerate(p)) == 0 for p in pairings):
+        t += 1
+    powers = [t ** k for k in range(len(basis))]
+    return tuple(dot(powers, col) for col in zip(*basis))
+
+
 def _eliminate(m):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of a rational matrix.
 

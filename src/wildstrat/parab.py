@@ -122,7 +122,8 @@ def weight_words(letter_roots, mu, xi, table):
     a letter >= g.  Every letter has <alpha_g|xi> >= 1, so a nonzero weight
     with <mu|xi> <= 0 has no words.  The words of each weight are kept in the
     caller's table; missing lower weights are filled first, lowest <.|xi>
-    first, from an explicit worklist.
+    first, from an explicit worklist, so every mu - alpha_g of a weight mu in
+    the table comes before mu in the table's order.
     """
     table.setdefault(tuple(0 * m for m in mu), [()])
     hit = table.get(mu)
@@ -151,6 +152,29 @@ def weight_words(letter_roots, mu, xi, table):
     return table.get(mu, [])
 
 
+def weight_layers(letter_roots, xi, n):
+    """Layer k = 1, 2, ...: {mu: <mu|xi>} for the sums mu of exactly k letter
+    roots with <mu|xi> at most n times the largest letter height.  The first
+    n layers hold every sum of at most n letters; as <alpha_g|xi> >= 1, the
+    walk ends, and a weight's relative height is the last layer holding it."""
+    letter_hts = [sum(a * x for a, x in zip(root, xi)) for root in letter_roots]
+    top = n * max(letter_hts, default=0)
+    layer = {root: ht for root, ht in zip(letter_roots, letter_hts) if ht <= top}
+    while layer:
+        yield layer
+        layer = {tuple(m + a for m, a in zip(mu, root)): ht + lht
+                 for mu, ht in layer.items()
+                 for root, lht in zip(letter_roots, letter_hts) if ht + lht <= top}
+
+
+def relative_heights(letter_roots, xi, n):
+    """{mu: the last layer of weight_layers(letter_roots, xi, n) holding mu}."""
+    last = {}
+    for k, layer in enumerate(weight_layers(letter_roots, xi, n), 1):
+        last.update(dict.fromkeys(layer, k))
+    return last
+
+
 # -- triangular splitting -------------------------------------------------------
 
 
@@ -171,9 +195,8 @@ class TriangularSplit:
         nu0 = indices(pf.nu(0))
         xi = height_functional(rd, pf.nu(0)) if nu0 else None
         self.xi = xi
-        # the relative height of a is the length of its longest word over nu0
-        letters, table = [rd.roots[a] for a in nu0], {}
-        heights = {a: len(weight_words(letters, rd.roots[a], xi, table)[0]) for a in nu0}
+        last = relative_heights([rd.roots[a] for a in nu0], xi, 1)
+        heights = {a: last[rd.roots[a]] for a in nu0}
         self.nu0 = sorted(nu0, key=lambda a: (heights[a], a))
         self.heights = heights
         self.levels = {a: lf.level(a) for a in self.nu0}

@@ -324,7 +324,7 @@ def first_difference(left, right):
 # -- invariance of the inverse form ------------------------------------------------
 
 
-def check_invariance(series: InverseShapovalov, letters=None):
+def check_invariance(series: InverseShapovalov):
     """Delta(g) . F = 0 via the module actions, on coverage-closed components.
 
     Each term c hbar^h X (x) Y of F is X w^+ in M^+ (the series' module) and
@@ -337,12 +337,10 @@ def check_invariance(series: InverseShapovalov, letters=None):
     """
     mod_plus = series.module
     mod_minus = SingularityModule(series.pf.opposite(), series.ft.scale(-1), dilated=True)
-    if letters is None:
-        letters = all_letters(series.pf.rd, series.pf.depth)
     pairs = [(mod_plus.action.normal_form(lw), mod_minus.action.normal_form(rw), CPoly({-h: c}))
              for h, lw, rw, c in series.term_items()]
     weights = {mod_plus.weight_of_word(w) for xv, _, _ in pairs for w in xv}
-    for g in letters:
+    for g in all_letters(series.pf.rd, series.pf.depth):
         total = {}
         for xv, yv, series_cf in pairs:
             gx = mod_plus.apply_letter(g, xv)

@@ -17,10 +17,9 @@ and at depth 1 it is the bracket of g that the Jacobi check uses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import (One, Zero, dot, frac, frac_str, identity, mat_mul,
+from .linalg import (One, Zero, dot, frac, frac_str, generic_point, identity, mat_mul,
                      nullspace, solve)
 
 
@@ -179,7 +178,7 @@ class RootDatum:
 
     def _build_base_and_weyl(self):
         # positive roots: those with positive pairing against a generic vector
-        xi = self._generic_regular_vector()
+        xi = generic_point(identity(self.dim_t), self.roots)
         pos = [i for i in range(self.num_roots) if self.pair(i, xi) > 0]
         self.positive = tuple(sorted(pos))
         # simple roots of that system: positive roots not a sum of two positives
@@ -200,14 +199,6 @@ class RootDatum:
         if x.denominator != 1:
             raise RootDatumError("Cartan integer is not an integer")
         return int(x)
-
-    def _generic_regular_vector(self):
-        t = 1
-        while True:
-            v = tuple(Fraction(t) ** k for k in range(self.dim_t))
-            if all(self.pair(i, v) != 0 for i in range(self.num_roots)):
-                return v
-            t += 1
 
     def _reflection(self, i):
         """Reflection in root i, as permutation of the roots and matrix on t."""

@@ -11,16 +11,18 @@ when dilated), every other letter by 0.
 Shapovalov entries are the coefficient of the cyclic vector (the zero-weight
 space is a line).  Blocks are integer rows over one denominator, built by
 recursion on the weight: row g.y' of the block at mu pairs the letter images
-of the columns with row y' of the block at mu - alpha_g.  Blocks, radicals, the
-row-scaled parts of the dilated dual blocks and their D*C*Qtilde
-factorisation, the truncated-quotient criterion and the simplicity probe all
-live here.
+of the columns with row y' of the block at mu - alpha_g, in the word table's
+order.  Weights come from parab.weight_layers; no weight order is decided
+here.  Blocks, radicals, the row-scaled parts of the dilated dual blocks and
+their D*C*Qtilde factorisation, the truncated-quotient criterion and the
+simplicity probe all live here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 
 from .linalg import CPoly, One, Zero, det, frac_str, nullspace, rank
@@ -59,6 +61,7 @@ class SingularityModule:
         self.action = UEAContext(self.rd, self.depth, [self.gen_letter(g) for g in self.gens],
                                  scalar, CPoly.const(1) if dilated else One)
         self._letter_roots = [self.rd.roots[a] for a, _ in self.gens]
+        self._nu0_roots = [self.rd.roots[a] for a in self.nu0]
         self._word_table = {}  # mu -> generator words of weight mu
         self._bases = {}     # mu -> (PBW basis, {word: position})
         self._blocks = {}    # (dual, mu) -> (den, rows) (no back reference, no cycle)
@@ -98,40 +101,17 @@ class SingularityModule:
         return tuple(tot)
 
     def root_sums(self, n):
-        """Nonzero sums of at most n generator roots, in breadth-first discovery order."""
-        rd = self.rd
-        zero = tuple([Zero] * rd.dim_t)
-        seen = {zero: None}
-        frontier = [zero]
-        for _ in range(n):
-            nxt = []
-            for mu in frontier:
-                for a in self.nu0:
-                    cand = tuple(x + y for x, y in zip(mu, rd.roots[a]))
-                    if cand not in seen:
-                        seen[cand] = None
-                        nxt.append(cand)
-            frontier = nxt
-        return list(seen)[1:]
+        """Nonzero sums of at most n generator roots, by first layer."""
+        layers = parab.weight_layers(self._nu0_roots, self.split.xi, n)
+        return list(dict.fromkeys(mu for layer in islice(layers, n) for mu in layer))
 
     def weights_up_to(self, K):
         """All monoid elements of relative height <= K, sorted deterministically.
 
         The relative height of mu (the length of its first basis word) is the
-        largest n with mu a sum of n generator roots, found layer by layer up
-        to the largest <.|xi> of the candidates; no word is enumerated."""
-        xi = self.split.xi
-        roots = [self.rd.roots[a] for a in self.nu0]
-        candidates = self.root_sums(K)
-        top = max((sum(m * x for m, x in zip(mu, xi)) for mu in candidates), default=0)
-        longest = {}
-        layer = {tuple([Zero] * self.rd.dim_t)}
-        for n in range(1, int(top) + 1):
-            layer = {nu for nu in (tuple(m + r for m, r in zip(mu, a)) for mu in layer for a in roots)
-                     if sum(m * x for m, x in zip(nu, xi)) <= top}
-            longest.update(dict.fromkeys(layer, n))
-        return sorted((mu for mu in candidates if longest[mu] <= K),
-                      key=lambda mu: (longest[mu], mu))
+        last layer of parab.weight_layers that holds mu; no word is enumerated."""
+        last = parab.relative_heights(self._nu0_roots, self.split.xi, K)
+        return sorted((mu for mu, k in last.items() if k <= K), key=lambda mu: (last[mu], mu))
 
     def weight_basis(self, mu):
         """Ordered PBW basis of M[mu]: nonincreasing length, then lexicographic."""
@@ -217,20 +197,19 @@ class SingularityModule:
         letter Y_g when dual.  Row y = g y' (g the first letter of the word of
         y) is the image L_g x of each column x paired with row y' of the block
         at mu - alpha_g, on integer numerators; the dual sign (-1)^len(y)
-        flips once per letter.  The weight-zero block is [[1]].  Missing
-        blocks come from a worklist, lowest <.|xi> first.
+        flips once per letter.  The weight-zero block is [[1]].  The word
+        table lists every weight below mu first: missing blocks of weights
+        with words are built in its order up to mu.
         """
         blocks = self._blocks
-        pending = {}  # weight -> <weight|xi>, for the blocks to build
-        stack = [mu]
-        while stack:
-            nu = stack.pop()
-            if (dual, nu) not in blocks and nu not in pending:
-                pending[nu] = sum(m * x for m, x in zip(nu, self.split.xi))
-                stack.extend(tuple(m - r for m, r in zip(nu, self._letter_roots[g]))
-                             for g in {w[0] for w in self._words(nu) if w})
-        for nu in sorted(pending, key=pending.get):
-            blocks[(dual, nu)] = self._build_block(nu, dual)
+        if (dual, mu) not in blocks:
+            if self._words(mu):
+                for nu, words in self._word_table.items():
+                    if nu == mu:
+                        break
+                    if words and (dual, nu) not in blocks:
+                        blocks[(dual, nu)] = self._build_block(nu, dual)
+            blocks[(dual, mu)] = self._build_block(mu, dual)
         return blocks[(dual, mu)]
 
     def _build_block(self, mu, dual):

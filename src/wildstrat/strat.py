@@ -8,10 +8,9 @@ implemented as finite, testable procedures.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from weakref import WeakKeyDictionary
 
-from .linalg import Zero, dot, nullspace, rank
+from .linalg import Zero, dot, generic_point, nullspace, rank
 
 
 class ClaimViolation(RuntimeError):
@@ -109,26 +108,16 @@ def kernel_dim(rd, mask):
 def levi_witness(rd, mask):
     """Deterministic rational X in t with phi_X == mask.
 
-    Found by a lexicographic perturbation over the kernel basis; raises when
-    the subset is not Levi (no such point exists then).
+    X is linalg.generic_point over the kernel basis, avoiding the roots
+    outside the mask; raises when the subset is not Levi (some avoided root
+    then vanishes on the whole kernel, and no such point exists).
     """
-    basis = kernel_basis(rd, mask)
-    avoid = [i for i in range(rd.num_roots) if not (mask >> i) & 1]
-    if not basis:
-        if avoid:
-            raise ValueError("subset is the full root system only if nothing is left to avoid")
-        return tuple(Zero for _ in range(rd.dim_t))
-    t = 1
-    while True:
-        x = [Zero] * rd.dim_t
-        for k, b in enumerate(basis):
-            f = Fraction(t) ** k
-            x = [a + f * c for a, c in zip(x, b)]
-        if all(rd.pair(i, x) != 0 for i in avoid):
-            return tuple(x)
-        t += 1
-        if t > 10000:
-            raise ValueError("no witness point: subset is not Levi")
+    basis = kernel_basis(rd, mask) or [(Zero,) * rd.dim_t]  # a zero kernel holds X = 0
+    avoid = [rd.roots[i] for i in range(rd.num_roots) if not (mask >> i) & 1]
+    x = generic_point(basis, avoid)
+    if x is None:
+        raise ValueError("no witness point: subset is not Levi")
+    return x
 
 
 def _vanishing_mask(vectors, x):
@@ -388,7 +377,7 @@ def _fixes(w, p):
     return list(map(p.__getitem__, w.perm)) == p
 
 
-def weyl_orbits_and_quotient(rd, s, check_freeness=True, filts=None):
+def weyl_orbits_and_quotient(rd, s, filts=None):
     """Partition the depth-s filtrations into W-orbits, with stabilizer data.
 
     ``filts`` is the list of all depth-s filtrations when the caller has it.
@@ -404,9 +393,7 @@ def weyl_orbits_and_quotient(rd, s, check_freeness=True, filts=None):
         setwise = [w for w in rd.weyl if rep.weyl_image(w) == rep]
         pointwise = pointwise_stabilizer(rd, rep)
         out_order = len(setwise) // len(pointwise)
-        free = None
-        if check_freeness:
-            free = _out_acts_freely_on_sample(rd, rep, setwise, pointwise)
+        free = _out_acts_freely_on_sample(rd, rep, setwise, pointwise)
         strata.append(QuotientStratum(orbit, len(setwise), len(pointwise), out_order, free))
 
     def leq(i, j):

@@ -430,6 +430,18 @@ def _times_quadratic(n):
     return [[frac(1) if j in (i, i + 2) else Zero for j in range(n + 2)] for i in range(n)]
 
 
+def test_generic_point_takes_the_least_t_or_none():
+    """sum_k t^k b_k at the least t >= 1 where no covector vanishes, and
+    None when a covector vanishes on every basis vector."""
+    basis = [[frac(1), Zero], [Zero, frac(1)]]
+    # <(1, -1)|(1, t)> = 1 - t and <(2, -1)|(1, t)> = 2 - t vanish at t = 1, 2
+    point = linalg.generic_point(basis, [[frac(1), frac(-1)], [frac(2), frac(-1)]])
+    assert point == (1, 3) and all(isinstance(x, Fraction) for x in point)
+    assert linalg.generic_point(basis, []) == (1, 1)
+    assert linalg.generic_point([[frac(1), frac(1), Zero]], [[frac(1), frac(-1), frac(5)]]) is None
+    assert linalg.generic_point([], [[frac(1)]]) is None
+
+
 def test_cpoly_arithmetic():
     c = CPoly({1: 1})
     h = CPoly({-1: 1})

@@ -387,6 +387,31 @@ def test_one_module_v0_and_dual_basis_per_quantisation(monkeypatch, label):
     assert counts == {"module": 1, "v0": 1, "dual_basis": 1}
 
 
+@pytest.mark.parametrize("label, dual_builds, scalar_builds",
+                         [("gl3 chain N=3", 16, 10), ("sl2 r=3 N=4", 5, 5),
+                          ("B2 tame N=3", 28, 10), ("B2 borel r=2 N=2", 15, 6)])
+def test_block_builds_per_quantisation(monkeypatch, label, dual_builds, scalar_builds):
+    """The series builds each dual block it needs once, as many as the weight
+    worklist built before blocks followed the word table's order; so do the
+    scalar Shapovalov blocks up to the order."""
+    make, order = ASSOC_CASES[label]
+    pf, ft = make()
+    builds = Counter()
+    build = SingularityModule._build_block
+
+    def counting(self, mu, dual):
+        builds[self.dilated, dual] += 1
+        return build(self, mu, dual)
+
+    monkeypatch.setattr(SingularityModule, "_build_block", counting)
+    series = inverse_shapovalov_series(pf, ft, order, order)
+    scalar = SingularityModule(pf, ft)
+    for mu in scalar.weights_up_to(order):
+        scalar.shapovalov_block(mu)
+    assert builds == {(True, True): dual_builds, (False, False): scalar_builds}
+    assert len(series.module._blocks) == dual_builds and len(scalar._blocks) == scalar_builds
+
+
 @pytest.mark.parametrize("label", list(ASSOC_CASES))
 def test_associativity_check_matches_oracle(label):
     """Both sides equal the unfactored Fraction oracle's, key for key, at every N."""

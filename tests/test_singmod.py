@@ -405,6 +405,100 @@ def test_weights_up_to_enumerates_only_the_kept_words():
     assert sum(map(len, full._word_table.values())) == 504
 
 
+# -- the breadth-first root sums and the layer loop that parab.weight_layers
+# replaced, kept as oracles
+
+
+def bfs_root_sums(mod, n):
+    """Nonzero sums of at most n generator roots, in breadth-first discovery order."""
+    rd = mod.rd
+    zero = tuple([Fraction(0)] * rd.dim_t)
+    seen = {zero: None}
+    frontier = [zero]
+    for _ in range(n):
+        nxt = []
+        for mu in frontier:
+            for a in mod.nu0:
+                cand = tuple(x + y for x, y in zip(mu, rd.roots[a]))
+                if cand not in seen:
+                    seen[cand] = None
+                    nxt.append(cand)
+        frontier = nxt
+    return list(seen)[1:]
+
+
+def layer_loop_weights_up_to(mod, K):
+    """All monoid elements of relative height <= K, sorted deterministically.
+
+    The relative height of mu (the length of its first basis word) is the
+    largest n with mu a sum of n generator roots, found layer by layer up
+    to the largest <.|xi> of the candidates; no word is enumerated."""
+    xi = mod.split.xi
+    roots = [mod.rd.roots[a] for a in mod.nu0]
+    candidates = bfs_root_sums(mod, K)
+    top = max((sum(m * x for m, x in zip(mu, xi)) for mu in candidates), default=0)
+    longest = {}
+    layer = {tuple([Fraction(0)] * mod.rd.dim_t)}
+    for n in range(1, int(top) + 1):
+        layer = {nu for nu in (tuple(m + r for m, r in zip(mu, a)) for mu in layer for a in roots)
+                 if sum(m * x for m, x in zip(nu, xi)) <= top}
+        longest.update(dict.fromkeys(layer, n))
+    return sorted((mu for mu in candidates if longest[mu] <= K),
+                  key=lambda mu: (longest[mu], mu))
+
+
+LAYER_CASES = {"gl3 chain": _gl3_chain, "B2 borel r=2": _b2_borel_r2,
+               "B2 tame": _b2_tame, "sl2 r=3": _sl2_r3}
+
+
+@pytest.mark.parametrize("label", list(LAYER_CASES))
+def test_layer_walk_matches_bfs_and_layer_loop(label):
+    """root_sums is the breadth-first set, without repeats, and weights_up_to
+    the layer loop's list, at every n and K up to 5."""
+    m = SingularityModule(*LAYER_CASES[label]())
+    for n in range(6):
+        sums = m.root_sums(n)
+        assert len(sums) == len(set(sums)) and set(sums) == set(bfs_root_sums(m, n)), n
+        assert m.weights_up_to(n) == layer_loop_weights_up_to(m, n), n
+
+
+def _borel3(kind):
+    rd = rootdata.root_datum(kind, 3)
+    return ParabolicFiltration(rd, [mask_from_indices(rd.positive)]), None
+
+
+WORD_CASES = {**LAYER_CASES, "B3 borel": lambda: _borel3("B"), "C3 borel": lambda: _borel3("C")}
+
+
+@pytest.mark.parametrize("label", list(WORD_CASES))
+def test_weight_layers_match_word_enumeration(label):
+    """Over the nu_0 roots, layer k holds exactly the weights with a word of
+    length k under the height bound, so each weight's last layer is the
+    length of its first word in weight_words."""
+    pf = WORD_CASES[label]()[0]
+    split = parab.triangular_split(pf)
+    letters = [pf.rd.roots[a] for a in split.nu0]
+    xi = split.xi
+    n = 2
+    table = {}
+    layers = list(parab.weight_layers(letters, xi, n))
+    in_layers = {}
+    for k, layer in enumerate(layers, 1):
+        for mu, ht in layer.items():
+            assert ht == sum(m * x for m, x in zip(mu, xi))
+            in_layers.setdefault(mu, set()).add(k)
+    last = parab.relative_heights(letters, xi, n)
+    assert last == {mu: max(ks) for mu, ks in in_layers.items()}
+    for mu, ks in in_layers.items():
+        words = parab.weight_words(letters, mu, xi, table)
+        assert {len(w) for w in words} == ks, mu
+        assert len(words[0]) == last[mu]
+    top = n * max(sum(a * x for a, x in zip(root, xi)) for root in letters)
+    worded = {mu for mu, words in table.items()
+              if any(words) and sum(m * x for m, x in zip(mu, xi)) <= top}
+    assert worded == set(in_layers)
+
+
 def test_tame_2alpha_factorial(sl2):
     m = sl2_module(sl2, [3], dilated=True)
     a = alpha_of(sl2)

@@ -8,7 +8,7 @@ import pytest
 
 from wildstrat import strat
 from wildstrat.elements import TcElement
-from wildstrat.linalg import rank as mat_rank
+from wildstrat.linalg import generic_point, rank as mat_rank
 from wildstrat.parab import ParabolicFiltration
 from wildstrat.rootdata import parse_type, root_datum
 from wildstrat.strat import (LeviFiltration, LeviPoset, cardinality_bound,
@@ -53,6 +53,17 @@ def test_three_levi_criteria_agree(gl3, b2):
     long_idx = [i for i in range(b2.num_roots) if b2.e_pair[i] != 1]
     with pytest.raises(ValueError):
         levi_witness(b2, mask_from_indices(long_idx))
+
+
+def test_levi_witness_rejects_one_root_masks_without_a_search():
+    """{a} is never Levi: -a vanishes on Ker(a), so generic_point returns None
+    and levi_witness raises at once."""
+    for lie_type, n in (("gl", 3), ("B", 3), ("D", 4)):
+        rd = root_datum(lie_type, n)
+        for i in range(rd.num_roots):
+            assert generic_point(kernel_basis(rd, 1 << i), [rd.roots[rd.neg[i]]]) is None
+            with pytest.raises(ValueError, match="not Levi"):
+                levi_witness(rd, 1 << i)
 
 
 def test_enumerate_levi_counts(sl2, gl3, b2):
@@ -266,7 +277,7 @@ def test_stratum_contains_its_tuple_hypothesis(gl3):
 
 
 def test_quotient_poset_is_partial_order(gl3):
-    strata, leq = weyl_orbits_and_quotient(gl3, 2, check_freeness=False)
+    strata, leq = weyl_orbits_and_quotient(gl3, 2)
     n = len(strata)
     for i in range(n):
         assert leq(i, i)
