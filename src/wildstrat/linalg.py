@@ -6,7 +6,8 @@ a fraction-free Gauss-Jordan on the rows scaled to integers (Bareiss, Math.
 Comp. 22, 1968; Cohen, GTM 138, section 2.2), and ``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse``, ``det``, ``minimal_polynomial`` and
 ``is_squarefree`` all read it.  Also provides Laurent polynomials in the
-dilation variable c.
+dilation variable c (CPoly), the entries of dilated blocks and block inverses
+at the API edge; no engine computes with them.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ the V0 context that normal-ordered its dual letters; every later stage reads
 those two and builds no second one.  The slots of F are V0 basis words, so
 B = (p x p)(F) is F itself.
 
+The dilated module acts on rationals, with c a central module letter (a
+word may end in c^d), and check_invariance gathers its terms by c-degree;
+CPoly appears only in the inverse block entries that invert_block returns.
 All coefficients are rational and every comparison is an exact identity.
 """
 
@@ -206,7 +209,7 @@ class V0Context:
         rd = pf.rd
         ts = triangular_split(pf)
         basis = [("E", rd.neg[a], i) for a, i in ts.gens] + [("E", a, i) for a, i in ts.gens]
-        self.ctx = UEAContext(rd, pf.depth, basis, {}, one=1)
+        self.ctx = UEAContext(rd, pf.depth, basis, {})
         for i in range(pf.depth):
             lm = ts.levi.mask(i)
             for b in range(rd.num_roots):
@@ -330,32 +333,32 @@ def check_invariance(series: InverseShapovalov):
     Each term c hbar^h X (x) Y of F is X w^+ in M^+ (the series' module) and
     Y w^- in M^-, both through their module's normal form, with coefficient
     c^-h.  For every g_r basis letter g, the element sum_t (g X_t) (x) Y_t +
-    X_t (x) (g Y_t) must vanish; components are compared only on weight pairs
-    covered by the truncation (the weights of the left words, zero
+    X_t (x) (g Y_t) must vanish; it is gathered on rationals keyed by the two
+    generator words and the total c-degree.  Components are compared only on
+    weight pairs covered by the truncation (the weights of the left words, zero
     included), which is exact when the generator alphabet has single-letter
     heights (e.g. rank-one cases) and a sound partial check otherwise.
     """
     mod_plus = series.module
     mod_minus = SingularityModule(series.pf.opposite(), series.ft.scale(-1), dilated=True)
-    pairs = [(mod_plus.action.normal_form(lw), mod_minus.action.normal_form(rw), CPoly({-h: c}))
+    pairs = [(mod_plus.action.normal_form(lw), mod_minus.action.normal_form(rw), h, c)
              for h, lw, rw, c in series.term_items()]
-    weights = {mod_plus.weight_of_word(w) for xv, _, _ in pairs for w in xv}
+    weights = {mod_plus.weight_of_word(w) for xv, _, _, _ in pairs for w in xv}
     for g in all_letters(series.pf.rd, series.pf.depth):
         total = {}
-        for xv, yv, series_cf in pairs:
-            gx = mod_plus.apply_letter(g, xv)
-            gy = mod_minus.apply_letter(g, yv)
-            for wx, cx in gx.items():
-                for wy, cy in yv.items():
-                    acc(total, (wx, wy), cx * cy * series_cf)
-            for wx, cx in xv.items():
-                for wy, cy in gy.items():
-                    acc(total, (wx, wy), cx * cy * series_cf)
+        for xv, yv, h, series_cf in pairs:
+            for left, right in ((mod_plus.apply_letter(g, xv), yv),
+                                (xv, mod_minus.apply_letter(g, yv))):
+                for wx, cx in left.items():
+                    sx, dx = mod_plus.split_c(wx)
+                    for wy, cy in right.items():
+                        sy, dy = mod_minus.split_c(wy)
+                        acc(total, (sx, sy, dx + dy - h), cx * cy * series_cf)
         # restrict to covered components: both slot weights must be computed
-        for (wl, wr), val in total.items():
+        for wl, wr, deg in total:
             mul = mod_plus.weight_of_word(wl)
             if mul not in weights or mul != tuple(-x for x in mod_minus.weight_of_word(wr)):
                 continue
-            if any(-d <= series.order for d in val.c):
+            if -deg <= series.order:
                 return False
     return True

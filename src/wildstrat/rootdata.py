@@ -356,7 +356,9 @@ class RootDatum:
 def letter_bracket(rd, depth, a, b):
     """[a, b] of two g_r letters as a list of (coeff, letter).
 
-    Empty when the epsilon degrees add up to depth or more (e^r = 0).
+    Empty when the epsilon degrees add up to depth or more (e^r = 0).  A
+    letter of any other kind, such as the dilation letter ("c", 0, 0), is
+    central: it brackets to zero.
     """
     deg = a[2] + b[2]
     if deg >= depth:

@@ -5,8 +5,14 @@ generators X_{a,i} = E_{-a} e^i (a in nu_0, i < d_a) applied to the cyclic
 vector.  Bases, like blocks, come from recursion on the weight: a basis word
 of M[mu] is g.w' for a basis word w' of M[mu - alpha_g] (parab.weight_words).
 The action is the straightening engine of uea over the generator letters:
-Cartan letters act on the cyclic vector through the character lambda (c lambda
-when dilated), every other letter by 0.
+Cartan letters act on the cyclic vector through the character lambda, every
+other letter by 0.  The dilated module (character c lambda) runs the same
+rational engine with one more basis letter, the central letter c after the
+generators: a module vector is {word: rational}, a word being a generator
+word followed by c^d, and Cartan letters put lambda(H) c w on w.  Readers
+take the c-degree off the word (split_c); CPoly appears only at the API edge,
+in the dilated block entries, the dilated cyclic coefficient and the
+factorisation.
 
 Shapovalov entries are the coefficient of the cyclic vector (the zero-weight
 space is a line).  Blocks are integer rows over one denominator, built by
@@ -20,6 +26,7 @@ simplicity probe all live here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -34,11 +41,15 @@ from .parab import (FormalType, ParabolicFiltration, require_admissible,
 from .uea import UEAContext, acc
 
 
+C_LETTER = ("c", 0, 0)  # the dilation variable, a central letter of the dilated module
+
+
 class SingularityModule:
     """Highest-weight side module for a polarisation and a formal type.
 
-    With dilated=True the character is c * lambda and all coefficients are
-    Laurent polynomials in c (class CPoly); otherwise plain rationals.
+    With dilated=True the character is c * lambda: the central letter c
+    follows the generators in the action's basis, at position c_pos, and
+    module words may end in c^d.  Coefficients are rationals either way.
     """
 
     def __init__(self, pf: ParabolicFiltration, ft: FormalType, dilated=False):
@@ -53,13 +64,12 @@ class SingularityModule:
         self.gen_pos = self.split.gen_pos
         self.levels = self.split.levels
         self.nu0 = self.split.nu0
-        scalar = {}
-        for i in range(self.depth):
-            for t, v in enumerate(ft[i]):
-                if v:
-                    scalar[("H", t, i)] = CPoly({1: v}) if dilated else v
-        self.action = UEAContext(self.rd, self.depth, [self.gen_letter(g) for g in self.gens],
-                                 scalar, CPoly.const(1) if dilated else One)
+        self.c_pos = len(self.gens)
+        c_word = (self.c_pos,) if dilated else ()
+        scalar = {("H", t, i): {c_word: v}
+                  for i in range(self.depth) for t, v in enumerate(ft[i]) if v}
+        basis = [self.gen_letter(g) for g in self.gens] + ([C_LETTER] if dilated else [])
+        self.action = UEAContext(self.rd, self.depth, basis, scalar)
         self._letter_roots = [self.rd.roots[a] for a, _ in self.gens]
         self._nu0_roots = [self.rd.roots[a] for a in self.nu0]
         self._word_table = {}  # mu -> generator words of weight mu
@@ -74,8 +84,13 @@ class SingularityModule:
     # -- module action -----------------------------------------------------------
 
     def apply_letter(self, letter, vec):
-        """Action of a g_r basis letter on a module vector {mono: coeff}."""
+        """Action of a g_r basis letter on a module vector {word: coeff}."""
         return self.action.apply(letter, vec)
+
+    def split_c(self, word):
+        """(generator word, d) of a module word g_1 ... g_k c^d (d = 0 when scalar)."""
+        k = bisect_left(word, self.c_pos)
+        return word[:k], len(word) - k
 
     # -- monomials and weights ----------------------------------------------------
 
@@ -95,7 +110,7 @@ class SingularityModule:
     def weight_of_word(self, word):
         rd = self.rd
         tot = [Zero] * rd.dim_t
-        for g in word:
+        for g in self.split_c(word)[0]:
             a, _ = self.gens[g]
             tot = [x + y for x, y in zip(tot, rd.roots[a])]
         return tuple(tot)
@@ -137,11 +152,14 @@ class SingularityModule:
         return ("E", a, i)
 
     def _cyclic_coeff(self, letters, mono_x):
-        """The coefficient of w in the letters applied to X w, first to last."""
-        vec = {self.word_of(mono_x): self.action.one}
+        """The coefficient of w in the letters applied to X w, first to last: a
+        CPoly when dilated, gathered from the words c^d."""
+        vec = {self.word_of(mono_x): One}
         for letter in letters:
             vec = self.apply_letter(letter, vec)
-        return vec.get((), CPoly() if self.dilated else Zero)
+        if self.dilated:
+            return CPoly({len(w): v for w, v in vec.items() if not self.split_c(w)[0]})
+        return vec.get((), Zero)
 
     def shapovalov_entry(self, mono_y, mono_x):
         """S(Y w, X w) = coefficient of w in (tY) . (X w), transpose variant."""
@@ -197,18 +215,26 @@ class SingularityModule:
         letter Y_g when dual.  Row y = g y' (g the first letter of the word of
         y) is the image L_g x of each column x paired with row y' of the block
         at mu - alpha_g, on integer numerators; the dual sign (-1)^len(y)
-        flips once per letter.  The weight-zero block is [[1]].  The word
-        table lists every weight below mu first: missing blocks of weights
-        with words are built in its order up to mu.
+        flips once per letter.  The weight-zero block is [[1]].  The missing
+        blocks are those at mu and at the weights a worklist reaches from mu
+        by first-letter steps nu - alpha_g; they are built in the word table's
+        order, which lists every weight below mu first.
         """
         blocks = self._blocks
         if (dual, mu) not in blocks:
-            if self._words(mu):
-                for nu, words in self._word_table.items():
-                    if nu == mu:
-                        break
-                    if words and (dual, nu) not in blocks:
-                        blocks[(dual, nu)] = self._build_block(nu, dual)
+            missing = set()
+            todo = [mu]
+            while todo:
+                nu = todo.pop()
+                if nu not in missing and (dual, nu) not in blocks:
+                    missing.add(nu)
+                    for g in {w[0] for w in self._words(nu) if w}:
+                        todo.append(tuple(m - r for m, r in zip(nu, self._letter_roots[g])))
+            for nu in self._word_table:
+                if nu == mu:
+                    break
+                if nu in missing:
+                    blocks[(dual, nu)] = self._build_block(nu, dual)
             blocks[(dual, mu)] = self._build_block(mu, dual)
         return blocks[(dual, mu)]
 
@@ -255,15 +281,18 @@ class SingularityModule:
 
     def _letter_images(self, g, words, index, dual):
         """(den, images): images[j] lists (k, {deg: int}) for L_g applied to
-        words[j], k the position of each word in the basis of the weight below,
-        integer numerators over one den; the dual sign is folded in."""
+        words[j], k the position of each image word, c^deg taken off, in the
+        basis of the weight below; integer numerators over one den; the dual
+        sign is folded in."""
         if dual:
             letters = [(-c, letter) for c, letter in self.dual_letters()[self.gens[g]]]
         else:
             letters = [(One, self.transpose_letter(g))]
-        terms = [[(index[w], deg, coeff.numerator * v.numerator, coeff.denominator * v.denominator)
-                  for coeff, letter in letters for w, c in self.action.act(letter, x).items()
-                  for deg, v in (c.c.items() if self.dilated else ((0, c),))] for x in words]
+        act, c_pos = self.action.act, self.c_pos
+        terms = [[(index[w[:cut]], len(w) - cut, coeff.numerator * v.numerator,
+                   coeff.denominator * v.denominator)
+                  for coeff, letter in letters for w, v in act(letter, x).items()
+                  for cut in (bisect_left(w, c_pos),)] for x in words]
         den = lcm(*(t[3] for col in terms for t in col))
         images = []
         for col in terms:

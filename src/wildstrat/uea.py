@@ -2,15 +2,17 @@
 ordered basis letters.
 
 Letters are basis elements of g_r (Cartan or root vectors at a fixed epsilon
-degree).  A UEAContext fixes an ordered list of basis letters spanning a
-complement of a subalgebra that acts on the cyclic vector by scalars; every
-other letter acts on the cyclic vector by a given scalar (0 when absent).  A
-module vector is {word: coeff} over nondecreasing words of basis positions,
-and a letter a acts by the single rule a.(y.rest) = y.(a.rest) + [a, y].rest
-unless it is a basis letter that may stand in front of y.  The singularity
-module (basis: its generators, Cartan letters acting through the character)
-and V0 = U(g_r)/U(g_r) l (basis: the neg, then the pos letters) are its
-instances.
+degree), plus the central dilation letter c, which letter_bracket brackets
+to zero.  A UEAContext fixes an ordered list of basis letters spanning a
+complement of a subalgebra that acts on the cyclic vector by scalars (by
+multiples of c when dilated); every other letter puts a given vector on the
+cyclic vector (0 when absent).  A module vector is {word: rational} over
+nondecreasing words of basis positions, and a letter a acts by the single
+rule a.(y.rest) = y.(a.rest) + [a, y].rest unless it is a basis letter that
+may stand in front of y.  The singularity module (basis: its generators, then
+c when dilated, so a word is a generator word followed by c^d; Cartan letters
+put lambda(H) w, or lambda(H) c w when dilated, on w) and V0 = U(g_r)/U(g_r) l
+(basis: the neg, then the pos letters) are its instances.
 
 The coefficient accumulator (acc) shared with singmod and quant also lives
 here.  The bracket of two letters (letter_bracket) lives in rootdata, next to
@@ -19,23 +21,24 @@ the tables it reads, and is imported from there.
 
 from __future__ import annotations
 
+from .linalg import One
 from .rootdata import letter_bracket
 
 
 class UEAContext:
     """The action of g_r letters on the induced module with ordered `basis`.
 
-    `scalar` maps each non-basis letter with a nonzero value on the cyclic
-    vector to that value; `one` is the unit coefficient (1, One or a CPoly).
+    `scalar` maps each non-basis letter that does not kill the cyclic vector
+    to the vector {word: coeff} it puts there.  Coefficients are rationals,
+    the unit is One.
     """
 
-    def __init__(self, rd, depth, basis, scalar, one):
+    def __init__(self, rd, depth, basis, scalar):
         self.rd = rd
         self.depth = depth
         self.basis = basis
         self.rank = {letter: k for k, letter in enumerate(basis)}
         self.scalar = scalar
-        self.one = one
         self._memo = {}  # (letter, word) -> {word: coeff}, shared, read only
 
     def act(self, letter, word):
@@ -46,7 +49,7 @@ class UEAContext:
         so no call recurses once per letter."""
         k = self.rank.get(letter)
         if k is not None and (not word or k <= word[0]):
-            return {(k,) + word: self.one}
+            return {(k,) + word: One}
         memo = self._memo
         key = (letter, word)
         hit = memo.get(key)
@@ -60,14 +63,13 @@ class UEAContext:
             cold.append(word)
         for word in reversed(cold):
             if not word:
-                v = self.scalar.get(letter)
-                memo[(letter, word)] = {(): v} if v else {}
+                memo[(letter, word)] = self.scalar.get(letter, {})
                 continue
             head, rest = self.basis[word[0]], word[1:]
             result = {}
             for w, c in self.act(letter, rest).items():
                 for w2, c2 in self.act(head, w).items():
-                    acc(result, w2, c if c2 is self.one else c * c2)
+                    acc(result, w2, c if c2 is One else c * c2)
             for coeff, b in letter_bracket(self.rd, self.depth, letter, head):
                 for w, c in self.act(b, rest).items():
                     acc(result, w, coeff * c)
@@ -84,7 +86,7 @@ class UEAContext:
 
     def normal_form(self, word):
         """A word of letters applied to the cyclic vector, rightmost first."""
-        vec = {(): self.one}
+        vec = {(): One}
         for letter in reversed(word):
             vec = self.apply(letter, vec)
         return vec
@@ -93,9 +95,9 @@ class UEAContext:
 def acc(d, k, v):
     """d[k] += v, dropping k when the sum vanishes.
 
-    Values are Fractions, ints or CPolys; all three are false exactly when
-    zero, and all are treated as immutable, so v may be stored as is.  d must
-    be the caller's own dict: those that UEAContext.act returns are shared.
+    Values are rationals (Fractions or ints): false exactly when zero and
+    immutable, so v may be stored as is.  d must be the caller's own dict:
+    those that UEAContext.act returns are shared.
     """
     old = d.get(k)
     nv = v if old is None else old + v

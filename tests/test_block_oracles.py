@@ -9,8 +9,15 @@ recursion on CPoly or Fraction entries, one letter chain per matrix entry,
 Qtilde by CPoly shift/multiply/add, the recursion
 F_k = -sum_j Q_j F_{k-j} on rational matrices through Qtilde and C^{-1}, and
 the truncated Neumann series of CPoly matrices.
+
+The dilated oracles act through the CPoly reference engine (reference_action):
+the same uea engine over the generator letters alone, with the character
+values lambda(H) c as CPolys, which is how the dilated module acted before c
+became a module letter.  Every entry of the dilated module's action memo is
+compared with it (assert_memo_matches_reference).
 """
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,7 +28,7 @@ from wildstrat.parab import FormalType, ParabolicFiltration
 from wildstrat.rootdata import root_datum
 from wildstrat.singmod import SingularityModule, factorize_block
 from wildstrat.strat import mask_from_indices
-from wildstrat.uea import acc
+from wildstrat.uea import UEAContext, acc
 from conftest import gl_root_index
 from test_linalg import unit_lower_inverse
 from test_parab import gl3_ex_chain, gl3_ex_ft
@@ -38,6 +45,57 @@ def shift(p, k):
 def truncate_below(p, lo):
     """Drop the monomials of degree < lo (hbar-order truncation)."""
     return CPoly({d: v for d, v in p.c.items() if d >= lo})
+
+
+_REFERENCES = weakref.WeakKeyDictionary()
+
+
+def reference_action(mod):
+    """The CPoly reference engine of a dilated module, once per module: the
+    generator letters alone, each Cartan letter putting the CPoly lambda(H) c
+    on the cyclic vector.  A scalar module's own action is returned."""
+    if not mod.dilated:
+        return mod.action
+    ref = _REFERENCES.get(mod)
+    if ref is None:
+        scalar = {("H", t, i): {(): CPoly({1: v})}
+                  for i in range(mod.depth) for t, v in enumerate(mod.ft[i]) if v}
+        ref = _REFERENCES[mod] = UEAContext(mod.rd, mod.depth, mod.action.basis[:mod.c_pos],
+                                            scalar)
+    return ref
+
+
+def fold_c(mod, vec):
+    """A dilated module vector {word c^d: v} as {word: CPoly}."""
+    out = {}
+    for w, v in vec.items():
+        word, d = mod.split_c(w)
+        out.setdefault(word, {})[d] = v
+    return {word: CPoly(p) for word, p in out.items()}
+
+
+def assert_memo_matches_reference(mod):
+    """Every entry (letter, word c^d) of the dilated action memo, folded into
+    CPolys, equals c^d times the reference image of the generator word (whose
+    values are CPolys or, off the character, rationals); c itself appends one c."""
+    ref = reference_action(mod)
+    c_letter = mod.action.basis[mod.c_pos]
+    memo = list(mod.action._memo.items())
+    assert memo
+    for (letter, w), vec in memo:
+        word, d = mod.split_c(w)
+        if letter == c_letter:
+            want = {word: CPoly({d + 1: 1})}
+        else:
+            want = {x: CPoly({d: 1}) * p for x, p in ref.act(letter, word).items()}
+        assert fold_c(mod, vec) == want, (letter, w)
+
+
+def letter_c_degrees(mod):
+    """The c-degrees every one-letter image in the dilated action memo adds
+    to the word it acts on."""
+    return {mod.split_c(x)[1] - mod.split_c(w)[1]
+            for (_, w), vec in mod.action._memo.items() for x in vec}
 
 
 def cpoly_build_block(mod, mu, dual, blocks):
@@ -75,8 +133,9 @@ def cpoly_build_block(mod, mu, dual, blocks):
 
 
 def cpoly_letter_image(mod, g, word, dual):
-    """L_g applied to the basis word: {word: coeff}."""
-    act = mod.action.act
+    """L_g applied to the basis word: {word: coeff}, on the CPoly reference
+    when mod is dilated."""
+    act = reference_action(mod).act
     if not dual:
         return act(mod.transpose_letter(g), word)
     out = {}
@@ -107,11 +166,12 @@ def oracle_dual_block(mod, mu, duals):
 
 def oracle_dual_entry(mod, y_gens, mono_x, duals):
     vecs = {mod.word_of(mono_x): CPoly.const(1)}
+    apply = reference_action(mod).apply
     for g in y_gens:
         a, i = mod.gens[g]
         new = {}
         for coeff, letter in duals[(a, i)]:
-            for w, c in mod.apply_letter(letter, vecs).items():
+            for w, c in apply(letter, vecs).items():
                 acc(new, w, coeff * c)
         vecs = new
         if not vecs:
@@ -315,6 +375,82 @@ def test_blocks_match_cpoly_oracles(label):
         assert_inverse_matches_oracles(block, finv, N)
         degrees.update(-d for row in finv for entry in row for d in entry.c)
     assert max(degrees) == N
+
+
+def _dilated_module_with_blocks(label):
+    """The dilated module of a case with its dual and Shapovalov blocks at the
+    root sums the series reads."""
+    make, N = CASES[label]
+    mod = SingularityModule(*make(), dilated=True)
+    for mu in mod.root_sums(N):
+        mod.dual_block(mu)
+        mod.shapovalov_block(mu)
+    return mod
+
+
+@pytest.mark.parametrize("label", list(CASES))
+def test_dilated_memo_matches_cpoly_reference(label):
+    """Every entry of the dilated action memo, its c-words folded into CPolys,
+    equals the CPoly reference engine's."""
+    assert_memo_matches_reference(_dilated_module_with_blocks(label))
+
+
+@pytest.mark.parametrize("label", list(CASES))
+def test_letter_images_add_c_degree_at_most_one(label):
+    """Every one-letter image in the dilated memo raises the c-degree of the
+    word it acts on by 0 or 1 (only Cartan letters reach c, one at a time)."""
+    assert letter_c_degrees(_dilated_module_with_blocks(label)) == {0, 1}
+
+
+def first_letter_closure(mod, mu):
+    """mu and the weights reached from it by steps nu - alpha_g, g the first
+    letter of a basis word of nu."""
+    seen, todo = {mu}, [mu]
+    while todo:
+        nu = todo.pop()
+        for mono in mod.weight_basis(nu):
+            word = mod.word_of(mono)
+            if word:
+                lower = tuple(m - r for m, r in zip(nu, mod._letter_roots[word[0]]))
+                if lower not in seen:
+                    seen.add(lower)
+                    todo.append(lower)
+    return seen
+
+
+@pytest.mark.parametrize("label, builds", [("gl3 chain N=4", 300), ("B2 tame N=3", 379),
+                                           ("B2 borel r=2 N=2", 164), ("sl2 r=3 N=4", 20)])
+def test_lone_block_builds_its_first_letter_closure(monkeypatch, label, builds):
+    """A lone dual_block (dilated) or shapovalov_block (scalar) at each root
+    sum of at most N + 1 roots, each on a fresh module, builds exactly the
+    blocks of the weights its first letters reach, and the same block as a
+    module that walked every root sum in order.  builds is the total over the
+    weights; every earlier worded weight of the word table would make
+    440, 509, 214 and 20."""
+    make, N = CASES[label]
+    pf, ft = make()
+    built = []
+    build = SingularityModule._build_block
+
+    def counting(self, mu, dual):
+        built.append(mu)
+        return build(self, mu, dual)
+
+    for dilated in (True, False):
+        walked = SingularityModule(pf, ft, dilated=dilated)
+        weights = walked.root_sums(N + 1)
+        want = {mu: walked._block(mu, dilated) for mu in weights}
+        monkeypatch.setattr(SingularityModule, "_build_block", counting)
+        total = 0
+        for mu in weights:
+            mod = SingularityModule(pf, ft, dilated=dilated)
+            block = mod.dual_block(mu) if dilated else mod.shapovalov_block(mu)
+            assert (block.den, block.rows) == want[mu], mu
+            assert sorted(built) == sorted(first_letter_closure(mod, mu)), mu
+            total += len(built)
+            built.clear()
+        monkeypatch.undo()
+        assert total == builds, dilated
 
 
 @pytest.mark.parametrize("label", ["sl2 r=3 N=4", "gl3 chain N=4", "B2 tame N=3"])

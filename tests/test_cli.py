@@ -52,6 +52,52 @@ def test_levi_dot_output(tmp_path, capsys):
     assert dot.startswith("digraph") and dot.count("->") == 6
 
 
+def levi_invariants(capsys, type_, depth):
+    """The levi payload up to labels: counts, ranks, and the sorted
+    (dimension, orbit_size, stabilizer_order, out_order) of the strata."""
+    code, out, _ = run_cli(capsys, "levi", "--type", type_, "--depth", str(depth))
+    assert code == 0
+    data = json.loads(out)
+    keep = {k: data[k] for k in ("nodes", "ranks", "covers", "filtration_count",
+                                 "cardinality_bound")}
+    keep["strata"] = sorted((s["dimension"], s["orbit_size"], s["stabilizer_order"],
+                             s["out_order"]) for s in data["strata"])
+    return keep
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("types", [("B2", "C2"), ("sl4", "A3", "D3")], ids="/".join)
+def test_levi_agrees_across_low_rank_isomorphisms(capsys, types, depth):
+    """B2 = C2 and A3 = D3, built by different builders, give the same levi
+    payload up to labels."""
+    want = levi_invariants(capsys, types[0], depth)
+    for t in types[1:]:
+        assert levi_invariants(capsys, t, depth) == want, t
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_levi_gl4_is_sl4_plus_its_centre(capsys, depth):
+    """gl4 matches sl4, except that its centre adds 1 to every rank and one
+    dimension per epsilon degree to every stratum."""
+    sl4 = levi_invariants(capsys, "sl4", depth)
+    gl4 = levi_invariants(capsys, "gl4", depth)
+    sl4["ranks"] = [r + 1 for r in sl4["ranks"]]
+    sl4["strata"] = [(dim + depth, *rest) for dim, *rest in sl4["strata"]]
+    assert gl4 == sl4
+
+
+@pytest.mark.parametrize("types", [("B2", "C2"), ("sl4", "gl4", "A3", "D3")], ids="/".join)
+def test_parabolic_agrees_across_low_rank_isomorphisms(capsys, types):
+    payloads = []
+    for t in types:
+        code, out, _ = run_cli(capsys, "parabolic", "--type", t, "--depth", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("type") == t
+        payloads.append(data)
+    assert all(p == payloads[0] for p in payloads), payloads
+
+
 def test_parabolic_gl3(capsys):
     code, out, _ = run_cli(capsys, "parabolic", "--type", "gl3")
     assert code == 0

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and only
-rootdata reads the structure-constant table."""
+"""Every name a package module imports is used in that module, only
+rootdata reads the structure-constant table, and CPoly is read only in
+linalg and at the API edge."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,44 @@ def test_attribute_reads_finds_a_read():
 def test_only_rootdata_reads_nsc(path):
     """Every other module brackets through rootdata.letter_bracket."""
     assert attribute_reads(path.read_text(), "nsc") == [], path.name
+
+
+def name_reads(source, name):
+    """The qualified names of the functions in `source` that read the name
+    `name` (the module's own top level is "")."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                if isinstance(child, ast.Name) and child.id == name:
+                    found.add(scope)
+                walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_name_reads_finds_the_enclosing_function():
+    source = ("from m import P\nclass A:\n    def f(self):\n        return [P()]\n"
+              "def g():\n    def h():\n        return P\n    return h\nx = P\n")
+    assert name_reads(source, "P") == {"A.f", "g.h", ""}
+
+
+# The dilated engine runs on rationals; CPoly entries are built only here.
+CPOLY_EDGE = {"singmod.py": {"ShapovalovBlock.matrix", "SingularityModule._cyclic_coeff",
+                             "factorize_block", "reassemble"},
+              "quant.py": {"invert_block"}}
+
+
+def test_uea_reads_no_cpoly():
+    assert name_reads((SRC / "uea.py").read_text(), "CPoly") == set()
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_cpoly_only_at_the_api_edge(path):
+    """Outside linalg, CPoly is read only by the API-edge functions."""
+    assert name_reads(path.read_text(), "CPoly") <= CPOLY_EDGE.get(path.name, set()), path.name

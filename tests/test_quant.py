@@ -17,8 +17,9 @@ from wildstrat.uea import acc
 from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
 from test_block_oracles import (_b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3,
-                                assert_blocks_match_cpoly,
-                                assert_inverse_matches_oracles)
+                                assert_blocks_match_cpoly, assert_inverse_matches_oracles,
+                                assert_memo_matches_reference, letter_c_degrees,
+                                reference_action)
 from test_parab import gl3_ex_chain, gl3_ex_ft
 
 
@@ -82,10 +83,12 @@ def oracle_associativity_check(bid: InverseShapovalov, N=None, return_sides=Fals
 
 def oracle_check_invariance(series: InverseShapovalov, letters=None):
     """The per-weight check: F rebuilt from the inverted blocks, the dual
-    letters of each right slot expanded and applied inside M^-."""
+    letters of each right slot expanded and applied inside M^-; both modules
+    act through the CPoly reference engine."""
     pf, ft = series.pf, series.ft
     mod_plus = SingularityModule(pf, ft, dilated=True)
     mod_minus = SingularityModule(pf.opposite(), ft.scale(-1), dilated=True)
+    act_plus, act_minus = reference_action(mod_plus), reference_action(mod_minus)
     rd = pf.rd
     duals = mod_plus.dual_letters()
     if letters is None:
@@ -106,8 +109,8 @@ def oracle_check_invariance(series: InverseShapovalov, letters=None):
     for g in letters:
         total = {}
         for xv, yv, series_cf in pairs:
-            gx = mod_plus.apply_letter(g, xv)
-            gy = mod_minus.apply_letter(g, yv)
+            gx = act_plus.apply(g, xv)
+            gy = act_minus.apply(g, yv)
             for wx, cx in gx.items():
                 for wy, cy in yv.items():
                     acc(total, (wx, wy), cx * cy * series_cf)
@@ -135,7 +138,7 @@ def _dual_vector(mod_plus, mod_minus, duals, mono):
         a, i = mod_plus.gens[g]
         new = {}
         for c, letter in duals[(a, i)]:
-            for w, cv in mod_minus.apply_letter(letter, vec).items():
+            for w, cv in reference_action(mod_minus).apply(letter, vec).items():
                 acc(new, w, c * cv)
         vec = new
     return vec
@@ -336,6 +339,20 @@ def test_series_blocks_match_cpoly_recursion(label):
     assert_blocks_match_cpoly(series.module, list(series.per_weight))
     scalar = SingularityModule(series.pf, series.ft)
     assert_blocks_match_cpoly(scalar, scalar.weights_up_to(series.order))
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_series_memo_matches_cpoly_reference(label):
+    """Every entry of the series module's action memo, its c-words folded
+    into CPolys, equals the CPoly reference engine's."""
+    assert_memo_matches_reference(_assoc_series(label).module)
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_series_letter_images_add_c_degree_at_most_one(label):
+    """Every one-letter image in the series module's memo raises the
+    c-degree of the word it acts on by 0 or 1."""
+    assert letter_c_degrees(_assoc_series(label).module) == {0, 1}
 
 
 @pytest.mark.parametrize("label", list(ASSOC_CASES))
