@@ -328,7 +328,7 @@ def cmd_simplicity(args):
 def cmd_quantize(args):
     rd, pf, ft = _module_inputs(args)
     series = quant.inverse_shapovalov_series(pf, ft, args.height, args.order)
-    poisson_ok = quant.first_order_check(series)
+    poisson_ok = quant.first_order_check(series) if series.order >= 1 else None
     bid = quant.star_bidiff(series)
     assoc_ok, left, right = quant.associativity_check(bid, args.order, return_sides=True)
     payload = {

@@ -13,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import (One, Zero, frac, frac_str, inverse, is_squarefree, mat_vec,
+from .linalg import (One, Zero, acc, frac, frac_str, inverse, is_squarefree, mat_vec,
                      minimal_polynomial, nullspace, rank, rref, transpose)
 from .rootdata import letter_bracket
 from .strat import ClaimViolation
-from .uea import acc
 
 
 class GElement:
@@ -150,13 +149,7 @@ class GElement:
 
     def ad_matrix(self):
         """Matrix of ad_x on g in the (t, roots) coordinate basis."""
-        rd = self.rd
-        cols = []
-        for b in GElement.basis(rd):
-            cols.append(self.bracket(b).coords())
-        # columns were computed; transpose into row-major matrix
-        n = rd.dim_g
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return transpose([self.bracket(b).coords() for b in GElement.basis(self.rd)])
 
     def defining_matrix(self):
         """Matrix of x in the defining representation: sum of c_i rd.defining_matrix(i)."""

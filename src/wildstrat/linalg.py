@@ -5,9 +5,10 @@ lists of rows).  No floating point is used anywhere.  There is one elimination,
 a fraction-free Gauss-Jordan on the rows scaled to integers (Bareiss, Math.
 Comp. 22, 1968; Cohen, GTM 138, section 2.2), and ``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse``, ``det``, ``minimal_polynomial`` and
-``is_squarefree`` all read it.  Also provides Laurent polynomials in the
-dilation variable c (CPoly), the entries of dilated blocks and block inverses
-at the API edge; no engine computes with them.
+``is_squarefree`` all read it.  The one sparse accumulator (acc) and inner
+product (dot) live here, at the bottom layer.  Also provides Laurent
+polynomials in the dilation variable c (CPoly), the entries of dilated blocks
+and block inverses at the API edge; no engine computes with them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,22 @@ def mat_mul(a, b):
                 if bt[j] != 0:
                     oi[j] += c * bt[j]
     return out
+
+
+def acc(d, k, v):
+    """d[k] += v, dropping k when the sum vanishes: the one sparse
+    accumulator, here so that every module reads it (uea imports it).
+
+    Values are rationals (Fractions or ints): false exactly when zero and
+    immutable, so v may be stored as is.  d must be the caller's own dict:
+    those that uea.UEAContext.act returns are shared.
+    """
+    old = d.get(k)
+    nv = v if old is None else old + v
+    if nv:
+        d[k] = nv
+    else:
+        d.pop(k, None)
 
 
 def dot(u, v):
@@ -265,8 +282,8 @@ class CPoly:
             return NotImplemented
         out = dict(self.c)
         for d, v in other.c.items():
-            out[d] = out.get(d, Zero) + v
-        return CPoly._trusted({d: v for d, v in out.items() if v})
+            acc(out, d, v)
+        return CPoly._trusted(out)
 
     __radd__ = __add__
 
@@ -290,8 +307,8 @@ class CPoly:
         out = {}
         for d1, v1 in self.c.items():
             for d2, v2 in other.c.items():
-                out[d1 + d2] = out.get(d1 + d2, Zero) + v1 * v2
-        return CPoly._trusted({d: v for d, v in out.items() if v})
+                acc(out, d1 + d2, v1 * v2)
+        return CPoly._trusted(out)
 
     __rmul__ = __mul__
 

@@ -9,7 +9,7 @@ carry the character spaces that singularity modules are induced from.
 
 from __future__ import annotations
 
-from .linalg import One, Zero, frac, frac_str, inverse, rank, solve
+from .linalg import One, Zero, dot, frac, frac_str, inverse, mat_vec, rank, solve
 from .rootdata import letter_bracket
 from . import strat
 from .strat import (ClaimViolation, LeviFiltration, RootChain, full_mask, indices,
@@ -131,9 +131,9 @@ def weight_words(letter_roots, mu, xi, table):
         return hit
     if not letter_roots:
         return []
-    letter_hts = [sum(a * x for a, x in zip(root, xi)) for root in letter_roots]
+    letter_hts = mat_vec(letter_roots, xi)
     pending = {}  # weight -> <weight|xi>, for the weights to fill
-    stack = [(mu, sum(m * x for m, x in zip(mu, xi)))]
+    stack = [(mu, dot(mu, xi))]
     while stack:
         nu, ht = stack.pop()
         if ht <= 0 or nu in table or nu in pending:
@@ -157,7 +157,7 @@ def weight_layers(letter_roots, xi, n):
     roots with <mu|xi> at most n times the largest letter height.  The first
     n layers hold every sum of at most n letters; as <alpha_g|xi> >= 1, the
     walk ends, and a weight's relative height is the last layer holding it."""
-    letter_hts = [sum(a * x for a, x in zip(root, xi)) for root in letter_roots]
+    letter_hts = mat_vec(letter_roots, xi)
     top = n * max(letter_hts, default=0)
     layer = {root: ht for root, ht in zip(letter_roots, letter_hts) if ht <= top}
     while layer:
@@ -241,7 +241,7 @@ class FormalType:
         return FormalType([tuple(c * x for x in lam) for lam in self.lams])
 
     def pair_cartan(self, i, h_coords):
-        return sum((l * h for l, h in zip(self.lams[i], h_coords) if l != 0 and h != 0), Zero)
+        return dot(self.lams[i], h_coords)
 
     def pair_coroot(self, rd, i, root_idx):
         return self.pair_cartan(i, rd.coroots[root_idx])

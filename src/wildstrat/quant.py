@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import CPoly, One
+from .linalg import CPoly, One, acc
 from .rootdata import all_letters
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible, triangular_split)
 from .singmod import SingularityModule, lower_solve, row_scaled_parts
 from .strat import ClaimViolation
-from .uea import UEAContext, acc
+from .uea import UEAContext
 
 
 class UnbalancedFiltration(ValueError):
@@ -133,7 +133,7 @@ def invert_block(block, N):
                 for t, v in row.items():
                     for j, w in g[k - m][t].items():
                         if lengths[j] + k <= N:
-                            dst[j] = dst.get(j, 0) - v * w
+                            acc(dst, j, -v * w)
         g.append(lower_solve(parts[0], d, rhs))
         for i, row in enumerate(g[k]):
             for j, v in row.items():
@@ -183,7 +183,10 @@ def _bivector(pf, duals):
 
 
 def first_order_check(series: InverseShapovalov):
-    """Skew part of the hbar^1 coefficient equals Pi exactly."""
+    """Skew part of the hbar^1 coefficient equals Pi exactly.  A series
+    truncated at N = 0 has no hbar^1 term to check: TruncationError."""
+    if series.order < 1:
+        raise TruncationError("the first-order check needs a series of order N >= 1")
     f1 = series.terms.get(1, {})
     skew = {}
     for (lw, rw), c in f1.items():

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import (One, Zero, dot, frac, frac_str, generic_point, identity, mat_mul,
-                     nullspace, solve)
+from .linalg import (One, Zero, acc, dot, frac, frac_str, generic_point, identity,
+                     mat_mul, mat_vec, nullspace, solve)
 
 
 class RootDatumError(ValueError):
@@ -47,10 +47,10 @@ def _commutator(a, b):
     for (i, k), x in a.items():
         for (l, j), y in b.items():
             if k == l:
-                out[i, j] = out.get((i, j), Zero) + x * y
+                acc(out, (i, j), x * y)
             if j == i:
-                out[l, k] = out.get((l, k), Zero) - y * x
-    return {p: v for p, v in out.items() if v}
+                acc(out, (l, k), -y * x)
+    return out
 
 
 def _multiple_of(m, e):
@@ -91,8 +91,7 @@ class WeylElement:
         return hash(self.perm)
 
     def apply_cartan(self, v):
-        return tuple(sum((r * x for r, x in zip(row, v)), Zero) for row in self.tmat)
-
+        return tuple(mat_vec(self.tmat, v))
 
 
 class RootDatum:
@@ -256,13 +255,10 @@ class RootDatum:
                             for i in range(self.num_roots))
         ts = self._t_entries
         self.gram = [[scale * _trace_product(a, b) for b in ts] for a in ts]
-        # normalization sanity: (H_a | H) = <a|H> (E_a|E_{-a}) for all a, H
-        for i in range(self.num_roots):
-            co = self.coroots[i]
-            for t in range(self.dim_t):
-                lhs = sum(co[a] * self.gram[a][t] for a in range(self.dim_t))
-                if lhs != self.roots[i][t] * self.e_pair[i]:
-                    raise RootDatumError("invariant form fails the coroot normalization")
+        # normalization sanity (gram is symmetric): (H_a | H) = <a|H> (E_a|E_{-a}) for all a, H
+        for co, root, e in zip(self.coroots, self.roots, self.e_pair):
+            if mat_vec(self.gram, co) != [x * e for x in root]:
+                raise RootDatumError("invariant form fails the coroot normalization")
 
     # -- verification ------------------------------------------------------
 
@@ -318,12 +314,12 @@ class RootDatum:
             for b in range(a + 1, dim):
                 for c in range(b + 1, dim):
                     # [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
-                    acc = {}
+                    total = {}
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                         for co, w in letter_bracket(self, 1, basis[x], basis[y]):
                             for co2, v in letter_bracket(self, 1, w, basis[z]):
-                                acc[v] = acc.get(v, Zero) + co * co2
-                    if any(v != 0 for v in acc.values()):
+                                acc(total, v, co * co2)
+                    if total:
                         raise RootDatumError(f"Jacobi identity fails on basis triple {(a, b, c)}")
 
     # -- serialization -----------------------------------------------------

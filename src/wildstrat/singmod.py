@@ -32,13 +32,13 @@ from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 
-from .linalg import CPoly, One, Zero, det, frac_str, nullspace, rank
+from .linalg import CPoly, One, Zero, acc, det, frac_str, nullspace, rank
 from .rootdata import all_letters
 from .strat import indices
 from . import parab
 from .parab import (FormalType, ParabolicFiltration, require_admissible,
                     triangular_split)
-from .uea import UEAContext, acc
+from .uea import UEAContext
 
 
 C_LETTER = ("c", 0, 0)  # the dilation variable, a central letter of the dilated module
@@ -269,10 +269,9 @@ class SingularityModule:
                         if q:
                             for d1, v1 in p.items():
                                 for d2, v2 in q.items():
-                                    entry[d1 + d2] = entry.get(d1 + d2, 0) + v1 * v2
-                    entry = {deg: v * f for deg, v in entry.items() if v}
+                                    acc(entry, d1 + d2, v1 * v2)
                     if entry:
-                        out[j] = entry
+                        out[j] = {deg: v * f for deg, v in entry.items()}
         common = gcd(den, *(v for row in rows for e in row.values() for v in e.values()))
         if common != 1:
             rows = [{j: {deg: v // common for deg, v in e.items()} for j, e in row.items()}
@@ -298,8 +297,7 @@ class SingularityModule:
         for col in terms:
             img = {}
             for k, deg, num, d in col:
-                p = img.setdefault(k, {})
-                p[deg] = p.get(deg, 0) + num * (den // d)
+                acc(img.setdefault(k, {}), deg, num * (den // d))
             images.append(list(img.items()))
         return den, images
 
@@ -413,8 +411,8 @@ def lower_solve(a0, d, rhs):
         for t, v in a0[i].items():
             if t < i:
                 for j, w in out[t].items():
-                    x[j] = x.get(j, Zero) - v * w
-        out.append({j: w / d[i] for j, w in x.items() if w})
+                    acc(x, j, -v * w)
+        out.append({j: w / d[i] for j, w in x.items()})
     return out
 
 

@@ -404,14 +404,20 @@ def weyl_orbits_and_quotient(rd, s, filts=None):
 
 
 def _out_acts_freely_on_sample(rd, filt, setwise, pointwise):
-    """Out = N/W_pointwise acting on the stratum witness: flag a fixed point.
+    """Out = N/W_pointwise acting on the stratum witness: True, or
+    ClaimViolation naming the filtration and a setwise stabilizer element
+    outside the pointwise one that fixes the witness.
 
     W acts linearly, so a multiple of the witness would add no information.
     """
     pt_set = set(w.perm for w in pointwise)
     pairings = [_pairings(rd, x) for x in stratum_witness(filt)]
-    return not any(all(_fixes(w, p) for p in pairings)
-                   for w in setwise if w.perm not in pt_set)
+    for w in setwise:
+        if w.perm not in pt_set and all(_fixes(w, p) for p in pairings):
+            raise ClaimViolation(f"Out does not act freely on the witness of {filt!r}: "
+                                 f"the Weyl element {list(w.perm)} fixes it but is not "
+                                 f"in the pointwise stabilizer")
+    return True
 
 
 # -- dual strata --------------------------------------------------------------

@@ -14,14 +14,14 @@ c when dilated, so a word is a generator word followed by c^d; Cartan letters
 put lambda(H) w, or lambda(H) c w when dilated, on w) and V0 = U(g_r)/U(g_r) l
 (basis: the neg, then the pos letters) are its instances.
 
-The coefficient accumulator (acc) shared with singmod and quant also lives
-here.  The bracket of two letters (letter_bracket) lives in rootdata, next to
-the tables it reads, and is imported from there.
+The coefficient accumulator (acc) lives in linalg and the bracket of two
+letters (letter_bracket) in rootdata, next to the tables it reads; both are
+imported from there.
 """
 
 from __future__ import annotations
 
-from .linalg import One
+from .linalg import One, acc
 from .rootdata import letter_bracket
 
 
@@ -90,21 +90,6 @@ class UEAContext:
         for letter in reversed(word):
             vec = self.apply(letter, vec)
         return vec
-
-
-def acc(d, k, v):
-    """d[k] += v, dropping k when the sum vanishes.
-
-    Values are rationals (Fractions or ints): false exactly when zero and
-    immutable, so v may be stored as is.  d must be the caller's own dict:
-    those that UEAContext.act returns are shared.
-    """
-    old = d.get(k)
-    nv = v if old is None else old + v
-    if nv:
-        d[k] = nv
-    else:
-        d.pop(k, None)
 
 
 def antipode(element):

@@ -181,6 +181,17 @@ def test_quantize(tmp_path, capsys):
     assert data["terms"][0]["hdeg"] == 0
 
 
+@pytest.mark.parametrize("order, poisson", [("0", None), ("1", True)])
+def test_quantize_poisson_check_needs_order_one(tmp_path, capsys, order, poisson):
+    """At --order 0 the series has no hbar^1 term: the flag is null, not false."""
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps({"formal_type": {"lambdas": [["1", "2", "3"]]}}))
+    code, out, err = run_cli(capsys, "quantize", "--type", "gl3", "--depth", "1",
+                             "--order", order, "--height", order, "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert json.loads(out)["poisson_check"] is poisson
+
+
 def test_quantize_singular_rejected(tmp_path, capsys):
     cfg = tmp_path / "q.json"
     cfg.write_text(json.dumps({
@@ -519,7 +530,11 @@ def test_long_exact_output_exits_0(tmp_path, capsys):
     (strat, "dual_stratum_contains", lambda rd, filt, lams: False,
      ("character", "--type", "sl2", "--depth", "1"),
      {"formal_type": {"lambdas": [["1"]]}}),
-], ids=["round-trip", "stratum-membership", "dual-stratum"])
+    # with only the identity left pointwise, Out fixes some stratum witness
+    (strat, "pointwise_stabilizer",
+     lambda rd, filt: [w for w in rd.weyl if w.perm == tuple(range(rd.num_roots))],
+     ("levi", "--type", "gl3", "--depth", "1"), {}),
+], ids=["round-trip", "stratum-membership", "dual-stratum", "out-freeness"])
 def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch, target, name, value,
                                      argv, config):
     monkeypatch.setattr(target, name, value)

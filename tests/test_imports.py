@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, only
-rootdata reads the structure-constant table, and CPoly is read only in
-linalg and at the API edge."""
+rootdata reads the structure-constant table, CPoly is read only in linalg
+and at the API edge, and sparse sums and inner products are written out
+only in linalg."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,50 @@ def test_uea_reads_no_cpoly():
 def test_cpoly_only_at_the_api_edge(path):
     """Outside linalg, CPoly is read only by the API-edge functions."""
     assert name_reads(path.read_text(), "CPoly") <= CPOLY_EDGE.get(path.name, set()), path.name
+
+
+def hand_rolled_sums(source):
+    """Line numbers at which `source` accumulates or pairs by hand: an
+    assignment d[k] = d.get(...) +/- ... to one dict d, or a
+    sum(<product> for ... in zip(...) or range(...))."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            value = node.value
+            if isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub)):
+                owners = {ast.dump(t.value) for t in node.targets if isinstance(t, ast.Subscript)}
+                gets = {ast.dump(side.func.value) for side in (value.left, value.right)
+                        if isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)
+                        and side.func.attr == "get"}
+                if owners & gets:
+                    found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "sum" and node.args
+              and isinstance(node.args[0], ast.GeneratorExp)):
+            gen = node.args[0]
+            it = gen.generators[0].iter
+            if (isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.Mult)
+                    and isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                    and it.func.id in ("zip", "range")):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_hand_rolled_sums_finds_both_patterns():
+    source = ("d[k] = d.get(k, 0) + v\n"
+              "e[k] = d.get(k, 0) - v\n"
+              "out[i, j] = out.get((i, j), Zero) - y * x\n"
+              "s = sum(a * b for a, b in zip(u, v))\n"
+              "t = sum((co[a] * g[a] for a in range(n)), Zero)\n"
+              "n = sum(len(w) for w in zip(u, v))\n"
+              "m = sum(a * b for a, b in pairs)\n"
+              "acc(d, k, v)\n")
+    assert hand_rolled_sums(source) == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_sums_and_pairings_only_in_linalg(path):
+    """Outside linalg, sparse sums go through linalg.acc and inner products
+    through linalg.dot or linalg.mat_vec."""
+    assert hand_rolled_sums(path.read_text()) == [], path.name

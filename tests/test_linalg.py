@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildstrat import linalg
+from wildstrat import linalg, uea
 from wildstrat.elements import GElement, TcElement
 from wildstrat.linalg import CPoly, Zero, frac
 from wildstrat.rootdata import root_datum
@@ -255,6 +255,23 @@ def test_cpoly_arithmetic_matches_the_coercing_constructor():
             assert all(type(v) is Fraction and v != 0 for v in got.c.values())
     with pytest.raises(TypeError):
         CPoly({0: 0.5})
+
+
+def test_acc_adds_drops_and_leaves_the_rest():
+    """acc adds a new key, drops a key whose sum cancels (Fraction and int
+    values alike, and a new key given 0), keeps an int sum an int, and leaves
+    the other keys untouched; uea still reads the same function."""
+    d = {"f": Fraction(1, 2), "i": 3, "keep": Fraction(5, 3)}
+    linalg.acc(d, "f", Fraction(-1, 2))
+    linalg.acc(d, "i", -3)
+    linalg.acc(d, "zero", 0)
+    assert d == {"keep": Fraction(5, 3)}
+    linalg.acc(d, "new", 4)
+    assert d == {"keep": Fraction(5, 3), "new": 4}
+    linalg.acc(d, "new", 2)
+    assert d == {"keep": Fraction(5, 3), "new": 6}
+    assert type(d["new"]) is int and type(d["keep"]) is Fraction
+    assert uea.acc is linalg.acc
 
 
 def unit_lower_inverse(m):

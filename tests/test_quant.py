@@ -227,6 +227,14 @@ def test_first_order_checks(sl2, gl3):
     assert first_order_check(inverse_shapovalov_series(pf3, ft3, 2, 2))
 
 
+def test_first_order_check_needs_order_one(sl2):
+    """A series truncated at N = 0 has no hbar^1 term, so there is nothing to check."""
+    pf, ft, _ = sl2_setup(sl2, [3])
+    with pytest.raises(TruncationError):
+        first_order_check(inverse_shapovalov_series(pf, ft, 0, 0))
+    assert first_order_check(inverse_shapovalov_series(pf, ft, 1, 1))
+
+
 def test_invariance(sl2, gl3):
     pf, ft, _ = sl2_setup(sl2, [3])
     assert check_invariance(inverse_shapovalov_series(pf, ft, 2, 2))

@@ -342,12 +342,18 @@ def test_weyl_fixed_points_match_matrix_action(label, depth):
         samples = [witness] + [tuple(tuple(t * x for x in blk) for blk in witness)
                                for t in (2, 3)]
         # with the true pointwise stabiliser, and with only the identity, so
-        # that some element of W fixes the samples whenever pointwise is nontrivial
+        # that some element of W fixes the samples whenever pointwise is
+        # nontrivial; a fixed sample raises, naming the filtration
         for known in (pointwise, identity):
             perms = {w.perm for w in known}
             fixed = any(_fixes_all(w, xs) for w in setwise if w.perm not in perms
                         for xs in samples)
-            assert strat._out_acts_freely_on_sample(rd, rep, setwise, known) is not fixed
+            if fixed:
+                with pytest.raises(strat.ClaimViolation,
+                                   match=re.escape(repr(rep)) + r".*Weyl element \["):
+                    strat._out_acts_freely_on_sample(rd, rep, setwise, known)
+            else:
+                assert strat._out_acts_freely_on_sample(rd, rep, setwise, known) is True
         assert s.free_on_samples is True
 
 
