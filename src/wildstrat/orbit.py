@@ -15,7 +15,7 @@ from .linalg import (One, Zero, dot, identity, mat_mul, mat_vec, nullspace, rref
 from .elements import (GElement, TcElement, exp_ad, is_semisimple,
                        semisimple_split)
 from .strat import (ClaimViolation, LeviFiltration, _suffix_vanishing_masks,
-                    indices)
+                    indices, weyl_orbit)
 
 
 class BirkhoffNormalForm:
@@ -321,7 +321,7 @@ def classify_unmarked(x: TcElement, y: TcElement):
     for z in (x, y):
         if not all(g.is_cartan() for g in z.coeffs):
             raise ValueError("classification requires r-semisimple markings in t_r")
-    xt = [g.cartan for g in x.coeffs]
-    yt = [g.cartan for g in y.coeffs]
-    return any(all(w.apply_cartan(a) == tuple(b) for a, b in zip(xt, yt)) for w in rd.weyl)
+    yt = tuple(g.cartan for g in y.coeffs)
+    return yt in weyl_orbit(rd, tuple(g.cartan for g in x.coeffs),
+                            lambda s, t: tuple(map(s.apply_cartan, t)))
 

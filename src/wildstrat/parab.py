@@ -101,13 +101,14 @@ def enumerate_parabolic_filtrations(rd, r, parabolics=None):
 def height_functional(rd, nu_mask):
     """xi in t with <a|xi> >= 1 on nu; certifies the pointed-cone precondition.
 
-    xi is 1 on the simple roots w(Delta) of a positive system w(Phi+) containing nu.
+    xi is 1 on the simple roots w(Delta) of the first positive system w(Phi+)
+    containing nu in the walk over W (the breadth-first order of rd.weyl).
     """
-    pos = mask_from_indices(rd.positive)
-    w = next((w for w in rd.weyl if nu_mask & ~weyl_mask(w, pos) == 0), None)
-    if w is None:
+    systems = strat.weyl_orbit(rd, mask_from_indices(rd.positive), weyl_mask)
+    pos = next((p for p in systems if nu_mask & ~p == 0), None)
+    if pos is None:
         raise ValueError("nilradical roots do not generate a pointed cone")
-    simples = sorted(w.perm[i] for i in rd.simple)
+    simples = rd.base(indices(pos))
     xi = solve([list(rd.roots[i]) for i in simples], [One] * len(simples))
     if xi is None:
         raise ValueError("no height functional")

@@ -2,7 +2,8 @@
 
 A RootDatum packages a Cartan subalgebra basis, the roots (as integer
 covectors on that basis), coroots, a Chevalley structure-constant table
-N(a,b) for [E_a, E_b] = N(a,b) E_{a+b}, and Weyl group generators.
+N(a,b) for [E_a, E_b] = N(a,b) E_{a+b}, and the simple reflections that
+generate the Weyl group (the full list of W is built only on request).
 
 The supported types are built from exact matrix realizations (gl_n, sl_n,
 and the classical series B/C/D via the standard antidiagonal bilinear
@@ -17,7 +18,7 @@ and at depth 1 it is the bracket of g that the Jacobi check uses.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import (One, Zero, acc, dot, frac, frac_str, generic_point, identity,
                      mat_mul, mat_vec, nullspace, solve)
@@ -178,20 +179,18 @@ class RootDatum:
     def _build_base_and_weyl(self):
         # positive roots: those with positive pairing against a generic vector
         xi = generic_point(identity(self.dim_t), self.roots)
-        pos = [i for i in range(self.num_roots) if self.pair(i, xi) > 0]
-        self.positive = tuple(sorted(pos))
-        # simple roots of that system: positive roots not a sum of two positives
-        possums = set()
-        for i in pos:
-            for j in pos:
-                k = self.root_sum[(i, j)]
-                if k is not None:
-                    possums.add(k)
-        self.simple = tuple(sorted(i for i in pos if i not in possums))
+        self.positive = tuple(i for i in range(self.num_roots) if self.pair(i, xi) > 0)
+        self.simple = self.base(self.positive)
         # <alpha_i|alpha_j^v> over the base
         self.cartan_matrix = [[self._as_int(self.cartan_integer(i, j)) for j in self.simple]
                               for i in self.simple]
-        self.weyl = self._generate_weyl([self._reflection(i) for i in self.simple])
+        self.simple_reflections = tuple(self._reflection(i) for i in self.simple)
+
+    def base(self, pos):
+        """The simple roots of a positive system (sorted root indices): its
+        roots that are no sum of two of its roots."""
+        sums = {self.root_sum[i, j] for i in pos for j in pos}
+        return tuple(i for i in pos if i not in sums)
 
     @staticmethod
     def _as_int(x):
@@ -216,14 +215,16 @@ class RootDatum:
                 for r in range(n)]
         return WeylElement(perm, tmat)
 
-    def _generate_weyl(self, gens):
+    @cached_property
+    def weyl(self):
+        """Every element of W, breadth first over the simple reflections."""
         ident = WeylElement(tuple(range(self.num_roots)), identity(self.dim_t))
         seen = {ident.perm: ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
-                for g in gens:
+                for g in self.simple_reflections:
                     perm = tuple(g.perm[w.perm[i]] for i in range(self.num_roots))
                     if perm not in seen:
                         tmat = mat_mul(g.tmat, [list(r) for r in w.tmat])

@@ -8,6 +8,7 @@ implemented as finite, testable procedures.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from weakref import WeakKeyDictionary
 
 from .linalg import Zero, dot, generic_point, nullspace, rank
@@ -53,7 +54,8 @@ def negate_mask(rd, mask):
 
 
 def weyl_mask(w, mask):
-    return mask_from_indices(w.perm[i] for i in indices(mask))
+    """w(mask): bit i of the mask (read lowest first off bin) moves to bit w.perm[i]."""
+    return sum(1 << j for j, bit in zip(w.perm, reversed(bin(mask))) if bit == "1")
 
 
 # -- Levi subsystems ---------------------------------------------------------
@@ -130,6 +132,30 @@ def levi_of_point(rd, x):
     return _vanishing_mask(rd.roots, x)
 
 
+def weyl_orbit(rd, x, act):
+    """The W-orbit of x, each point once, breadth first from x over the simple
+    reflections: act(s, y) is the image of y under the simple reflection s."""
+    seen, queue = {x}, [x]
+    for y in queue:
+        yield y
+        for s in rd.simple_reflections:
+            z = act(s, y)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+
+
+_ORDERS = WeakKeyDictionary()  # root datum -> |W|, dies with the datum
+
+
+def weyl_order(rd):
+    """|W|, the orbit size of Phi+ (W acts simply transitively on positive
+    systems), walked once per root datum."""
+    if rd not in _ORDERS:
+        _ORDERS[rd] = sum(1 for _ in weyl_orbit(rd, mask_from_indices(rd.positive), weyl_mask))
+    return _ORDERS[rd]
+
+
 def weyl_saturation(rd, extra=0):
     """The W-images of span(Sigma) | extra over the subsets Sigma of the simple
     roots, sorted: the Levi subsystems for extra = 0, the parabolic subsets for
@@ -139,7 +165,8 @@ def weyl_saturation(rd, extra=0):
     for bits in range(1 << len(delta)):
         sigma = [delta[k] for k in range(len(delta)) if (bits >> k) & 1]
         base = span_closure(rd, mask_from_indices(sigma)) | extra
-        seen.update(weyl_mask(w, base) for w in rd.weyl)
+        if base not in seen:
+            seen.update(weyl_orbit(rd, base, weyl_mask))
     return sorted(seen)
 
 
@@ -149,13 +176,12 @@ def enumerate_levi(rd):
 
 
 def weyl_orbits(rd, items, act, key=None):
-    """Partition a W-stable collection into W-orbits under act(w, item), each
+    """Partition a W-stable collection into W-orbits under act(s, item), each
     orbit sorted by key, in the order the orbits are met."""
     remaining = set(items)
     orbits = []
     while remaining:
-        x = next(iter(remaining))
-        orbit = {act(w, x) for w in rd.weyl}
+        orbit = set(weyl_orbit(rd, next(iter(remaining)), act))
         remaining -= orbit
         orbits.append(sorted(orbit, key=key))
     return orbits
@@ -336,88 +362,57 @@ def nondecreasing_chains(masks, s):
 
 def cardinality_bound(rd, s):
     """|W| (s+1)^{rk Phi}: the enumeration bound."""
-    return len(rd.weyl) * (s + 1) ** rank([list(r) for r in rd.roots])
+    return weyl_order(rd) * (s + 1) ** rank([list(r) for r in rd.roots])
 
 
 # -- Weyl quotients ----------------------------------------------------------
 
 
-class QuotientStratum:
-    __slots__ = ("orbit", "setwise_order", "pointwise_order", "out_order", "free_on_samples")
-
-    def __init__(self, orbit, setwise_order, pointwise_order, out_order, free_on_samples):
-        self.orbit = orbit
-        self.setwise_order = setwise_order
-        self.pointwise_order = pointwise_order
-        self.out_order = out_order
-        self.free_on_samples = free_on_samples
+QuotientStratum = namedtuple("QuotientStratum", "orbit setwise_order pointwise_order out_order")
 
 
-def pointwise_stabilizer(rd, filt):
-    """Elements of W acting trivially on Ker(phi_0) x ... x Ker(phi_{s-1}).
+def _orbit_size(rd, xs):
+    """|W.xs| for a tuple of points of t.
 
-    w.x - x lies in span(coroots), which the roots separate, so w fixes x iff
-    it maps the pairing vector p = (<a|x>)_a to itself: p[w.perm[i]] == p[i]
-    for every root i.  p is computed once per kernel-basis vector.
+    w.x - x lies in span(coroots), which the roots separate, so the orbit is
+    walked on the roots' pairings with xs, numbered by value (one chr per
+    root, in a str): w permutes them as it permutes the roots.
     """
-    ps = [_pairings(rd, v) for m in filt.masks for v in kernel_basis(rd, m)]
-    return [w for w in rd.weyl if all(_fixes(w, p) for p in ps)]
-
-
-def _pairings(rd, x):
-    """The pairing vector (<a|x>)_a over the root list."""
-    return [dot(r, x) for r in rd.roots]
-
-
-def _fixes(w, p):
-    """Does w fix the point with pairing vector p?  (see pointwise_stabilizer)
-
-    Lists, not tuples: the many short-lived tuples of one length would stay
-    in CPython's tuple free list and raise the peak RSS."""
-    return list(map(p.__getitem__, w.perm)) == p
+    pairings = [tuple(dot(r, x) for x in xs) for r in rd.roots]
+    number = {p: chr(k) for k, p in enumerate(dict.fromkeys(pairings))}
+    state = "".join(number[p] for p in pairings)
+    return sum(1 for _ in weyl_orbit(rd, state, lambda s, p: "".join(map(p.__getitem__, s.perm))))
 
 
 def weyl_orbits_and_quotient(rd, s, filts=None):
     """Partition the depth-s filtrations into W-orbits, with stabilizer data.
 
     ``filts`` is the list of all depth-s filtrations when the caller has it.
+    Out = setwise/pointwise stabilizer (of Ker(phi_0) x ... x Ker(phi_{s-1}))
+    must act freely on the stratum witness, else ClaimViolation.
     Returns (list of QuotientStratum, leq) where leq compares orbits in the
     quotient poset order (representative-wise comparability).
     """
     if filts is None:
         filts = enumerate_filtrations(rd, s)
     orbits = weyl_orbits(rd, filts, lambda w, f: f.weyl_image(w), key=lambda g: g.masks)
+    order = weyl_order(rd)
     strata = []
     for orbit in orbits:
         rep = orbit[0]
-        setwise = [w for w in rd.weyl if rep.weyl_image(w) == rep]
-        pointwise = pointwise_stabilizer(rd, rep)
-        out_order = len(setwise) // len(pointwise)
-        free = _out_acts_freely_on_sample(rd, rep, setwise, pointwise)
-        strata.append(QuotientStratum(orbit, len(setwise), len(pointwise), out_order, free))
+        setwise = order // len(orbit)
+        pointwise = order // _orbit_size(rd, [v for m in rep.masks for v in kernel_basis(rd, m)])
+        fixing = order // _orbit_size(rd, stratum_witness(rep))
+        if fixing != pointwise:
+            raise ClaimViolation(f"Out does not act freely on the witness of {rep!r}: "
+                                 f"{fixing} Weyl elements fix it, {pointwise} fix its kernels")
+        strata.append(QuotientStratum(orbit, setwise, pointwise, setwise // pointwise))
 
     def leq(i, j):
         a = strata[i].orbit[0]
         return any(a.leq(b) for b in strata[j].orbit)
 
     return strata, leq
-
-
-def _out_acts_freely_on_sample(rd, filt, setwise, pointwise):
-    """Out = N/W_pointwise acting on the stratum witness: True, or
-    ClaimViolation naming the filtration and a setwise stabilizer element
-    outside the pointwise one that fixes the witness.
-
-    W acts linearly, so a multiple of the witness would add no information.
-    """
-    pt_set = set(w.perm for w in pointwise)
-    pairings = [_pairings(rd, x) for x in stratum_witness(filt)]
-    for w in setwise:
-        if w.perm not in pt_set and all(_fixes(w, p) for p in pairings):
-            raise ClaimViolation(f"Out does not act freely on the witness of {filt!r}: "
-                                 f"the Weyl element {list(w.perm)} fixes it but is not "
-                                 f"in the pointwise stabilizer")
-    return True
 
 
 # -- dual strata --------------------------------------------------------------

@@ -86,6 +86,37 @@ def test_levi_gl4_is_sl4_plus_its_centre(capsys, depth):
     assert gl4 == sl4
 
 
+def partitions(n, largest=None):
+    """The partitions of n as nonincreasing tuples."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(k,) + rest for k in range(min(n, largest), 0, -1) for rest in partitions(n - k, k)]
+
+
+@pytest.mark.parametrize("n, bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)])
+def test_levi_gl_matches_partition_formulas(capsys, n, bell):
+    """gl_n without listing W: the Levi subsystems are the set partitions of
+    {1..n} (Bell many), and the depth-1 strata are the partitions lambda of n.
+    With m_k parts of size k, the setwise stabiliser of a Levi of type lambda
+    is prod k!^{m_k} m_k! (W_lambda, then the permutations of equal blocks),
+    Out is prod m_k!, the orbit has n!/setwise elements, and the kernel (the
+    block-scalar diagonals) has one dimension per part."""
+    code, out, _ = run_cli(capsys, "levi", "--type", f"gl{n}", "--depth", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["nodes"] == bell
+    expected = []
+    for lam in partitions(n):
+        parts = {k: lam.count(k) for k in lam}
+        out_order = math.prod(math.factorial(m) for m in parts.values())
+        setwise = out_order * math.prod(math.factorial(k) ** m for k, m in parts.items())
+        expected.append((math.factorial(n) // setwise, setwise, out_order, len(lam)))
+    got = [(s["orbit_size"], s["stabilizer_order"], s["out_order"], s["dimension"])
+           for s in data["strata"]]
+    assert sorted(got) == sorted(expected)
+
+
 @pytest.mark.parametrize("types", [("B2", "C2"), ("sl4", "gl4", "A3", "D3")], ids="/".join)
 def test_parabolic_agrees_across_low_rank_isomorphisms(capsys, types):
     payloads = []
@@ -530,9 +561,9 @@ def test_long_exact_output_exits_0(tmp_path, capsys):
     (strat, "dual_stratum_contains", lambda rd, filt, lams: False,
      ("character", "--type", "sl2", "--depth", "1"),
      {"formal_type": {"lambdas": [["1"]]}}),
-    # with only the identity left pointwise, Out fixes some stratum witness
-    (strat, "pointwise_stabilizer",
-     lambda rd, filt: [w for w in rd.weyl if w.perm == tuple(range(rd.num_roots))],
+    # all of W fixes a zero witness, more than fixes the kernels of most strata
+    (strat, "stratum_witness",
+     lambda filt: tuple((0,) * filt.rd.dim_t for _ in filt.masks),
      ("levi", "--type", "gl3", "--depth", "1"), {}),
 ], ids=["round-trip", "stratum-membership", "dual-stratum", "out-freeness"])
 def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch, target, name, value,

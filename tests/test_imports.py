@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, only
-rootdata reads the structure-constant table, CPoly is read only in linalg
-and at the API edge, and sparse sums and inner products are written out
-only in linalg."""
+rootdata reads the structure-constant table and the full list of the Weyl
+group, CPoly is read only in linalg and at the API edge, and sparse sums and
+inner products are written out only in linalg."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,13 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wildstrat"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_module_guards_see_the_package():
+    """The guards below are parametrised over MODULES; a copy of the suite run
+    away from the package would collect none of them and report them skipped."""
+    assert len(MODULES) >= 11, f"found {len(MODULES)} modules under {SRC}"
 
 
 def unused_imports(source):
@@ -31,7 +38,7 @@ def test_unused_imports_finds_an_unread_name():
     assert unused_imports(source) == [(1, "path"), (2, "json")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
 
@@ -46,11 +53,18 @@ def test_attribute_reads_finds_a_read():
     assert attribute_reads("x = rd.nsc.get(k)\ny = nsc\nz = a.b.nsc\n", "nsc") == [1, 3]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "rootdata.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rootdata.py"],
                          ids=lambda p: p.name)
 def test_only_rootdata_reads_nsc(path):
     """Every other module brackets through rootdata.letter_bracket."""
     assert attribute_reads(path.read_text(), "nsc") == [], path.name
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rootdata.py"],
+                         ids=lambda p: p.name)
+def test_only_rootdata_reads_weyl(path):
+    """Every other module walks W-orbits through strat.weyl_orbit."""
+    assert attribute_reads(path.read_text(), "weyl") == [], path.name
 
 
 def name_reads(source, name):
@@ -87,7 +101,7 @@ def test_uea_reads_no_cpoly():
     assert name_reads((SRC / "uea.py").read_text(), "CPoly") == set()
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_cpoly_only_at_the_api_edge(path):
     """Outside linalg, CPoly is read only by the API-edge functions."""
@@ -133,7 +147,7 @@ def test_hand_rolled_sums_finds_both_patterns():
     assert hand_rolled_sums(source) == [1, 3, 4, 5]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_sums_and_pairings_only_in_linalg(path):
     """Outside linalg, sparse sums go through linalg.acc and inner products

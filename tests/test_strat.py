@@ -15,7 +15,7 @@ from wildstrat.strat import (LeviFiltration, LeviPoset, cardinality_bound,
                              dual_stratum_of_covector, enumerate_filtrations,
                              enumerate_levi, full_mask, indices, is_levi,
                              kernel_basis, kernel_dim, levi_of_point, levi_witness,
-                             mask_from_indices, pointwise_stabilizer,
+                             mask_from_indices,
                              stratum_contains, stratum_of_tuple, stratum_witness,
                              verify_stratification_axioms,
                              weyl_orbits_and_quotient)
@@ -191,7 +191,6 @@ def test_quotient_gl3_tame(gl3):
     # minimal stratum Phi: orbit size 1, Out trivial; middle: 3 strata, Out
     # trivial; regular: orbit size 1, Out = W
     assert by_size == [(1, 1), (1, 6), (3, 1)]
-    assert all(s.free_on_samples for s in strata)
     # quotient poset is the chain Phi-bar < phi-bar < empty-bar
     order = sorted(range(3), key=lambda i: strata[i].orbit[0].dimension())
     assert leq(order[0], order[1]) and leq(order[1], order[2])
@@ -326,35 +325,31 @@ def _fixes_all(w, points):
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("label", ["gl3", "gl4", "B2", "B3", "C3", "D4"])
 def test_weyl_fixed_points_match_matrix_action(label, depth):
-    """Pointwise stabilisers and the freeness flag of every stratum
-    representative against w acting by its matrix on t."""
+    """Setwise and pointwise stabiliser orders of every stratum representative,
+    and the stabiliser order of its witness, against the full list of W
+    acting by permutations of the roots and by matrices on t."""
     rd = parse_type(label)
-    identity = [w for w in rd.weyl if w.perm == tuple(range(rd.num_roots))]
     strata, _ = weyl_orbits_and_quotient(rd, depth)
     for s in strata:
         rep = s.orbit[0]
         kernel = [v for m in rep.masks for v in kernel_basis(rd, m)]
-        pointwise = [w for w in rd.weyl if _fixes_all(w, kernel)]
-        assert pointwise_stabilizer(rd, rep) == pointwise
-        assert s.pointwise_order == len(pointwise)
         setwise = [w for w in rd.weyl if rep.weyl_image(w) == rep]
-        witness = stratum_witness(rep)
-        samples = [witness] + [tuple(tuple(t * x for x in blk) for blk in witness)
-                               for t in (2, 3)]
-        # with the true pointwise stabiliser, and with only the identity, so
-        # that some element of W fixes the samples whenever pointwise is
-        # nontrivial; a fixed sample raises, naming the filtration
-        for known in (pointwise, identity):
-            perms = {w.perm for w in known}
-            fixed = any(_fixes_all(w, xs) for w in setwise if w.perm not in perms
-                        for xs in samples)
-            if fixed:
-                with pytest.raises(strat.ClaimViolation,
-                                   match=re.escape(repr(rep)) + r".*Weyl element \["):
-                    strat._out_acts_freely_on_sample(rd, rep, setwise, known)
-            else:
-                assert strat._out_acts_freely_on_sample(rd, rep, setwise, known) is True
-        assert s.free_on_samples is True
+        pointwise = [w for w in rd.weyl if _fixes_all(w, kernel)]
+        fixing = [w for w in rd.weyl if _fixes_all(w, stratum_witness(rep))]
+        assert (s.setwise_order, s.pointwise_order) == (len(setwise), len(pointwise))
+        assert s.out_order == len(setwise) // len(pointwise)
+        # Out acts freely on the witness: exactly the pointwise stabiliser fixes it
+        assert {w.perm for w in fixing} == {w.perm for w in pointwise}
+
+
+def test_out_freeness_violation_names_the_filtration(gl3, monkeypatch):
+    """A witness fixed by more than the pointwise stabiliser (here the zero
+    tuple, fixed by all of W) raises, naming the representative."""
+    monkeypatch.setattr(strat, "stratum_witness",
+                        lambda filt: tuple((0,) * filt.rd.dim_t for _ in filt.masks))
+    with pytest.raises(strat.ClaimViolation,
+                       match=r"witness of LeviFiltration\(.*: 6 Weyl elements fix it"):
+        weyl_orbits_and_quotient(gl3, 1)
 
 
 @pytest.mark.parametrize("build, named", [
