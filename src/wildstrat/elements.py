@@ -173,7 +173,7 @@ class GElement:
         with m, so a matrix outside g raises ClaimViolation.
         """
         entries, rows, cartan_inv = _defining_reader(rd)
-        root = {i: m[p][q] / v for i, (p, q, v) in enumerate(entries) if m[p][q] != 0}
+        root = {i: m[p][q] * inv for i, (p, q, inv) in enumerate(entries) if m[p][q] != 0}
         x = cls(rd, mat_vec(cartan_inv, [m[p][p] for p in rows]), root)
         if x.defining_matrix() != m:
             raise ClaimViolation(f"matrix {m!r} is not in {rd.label}: it reads as {x!r}, "
@@ -199,7 +199,7 @@ def _bracket(rd, depth, xs, ys):
     for a, c in xs:
         for b, c2 in ys:
             for n, w in letter_bracket(rd, depth, a, b):
-                acc(out, w, n * c * c2)
+                acc(out, w, c * c2 * n)
     cartans = [[Zero] * rd.dim_t for _ in range(depth)]
     roots = [{} for _ in range(depth)]
     for (kind, i, d), c in out.items():
@@ -213,9 +213,9 @@ def _bracket(rd, depth, xs, ys):
 @lru_cache(maxsize=None)
 def _defining_reader(rd):
     """What from_defining_matrix reads, per root datum: the first nonzero
-    entry (p, q, value) of each E_a, and dim t diagonal positions with the
-    inverse of the Cartan basis restricted to them."""
-    entries = [next((p, q, v) for p, row in enumerate(rd.defining_matrix(rd.dim_t + i))
+    entry (p, q) of each E_a with the reciprocal of its value, and dim t
+    diagonal positions with the inverse of the Cartan basis restricted to them."""
+    entries = [next((p, q, One / v) for p, row in enumerate(rd.defining_matrix(rd.dim_t + i))
                     for q, v in enumerate(row) if v != 0) for i in range(rd.num_roots)]
     diags = [[row[p] for p, row in enumerate(rd.defining_matrix(t))] for t in range(rd.dim_t)]
     rows = rref(diags)[1]

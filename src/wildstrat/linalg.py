@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything in here works on plain lists of ``fractions.Fraction`` (matrices are
-lists of rows).  No floating point is used anywhere.  There is one elimination,
-a fraction-free Gauss-Jordan on the rows scaled to integers (Bareiss, Math.
-Comp. 22, 1968; Cohen, GTM 138, section 2.2), and ``rref``, ``rank``,
-``nullspace``, ``solve``, ``inverse``, ``det``, ``minimal_polynomial`` and
-``is_squarefree`` all read it.  The one sparse accumulator (acc) and inner
+Everything in here works on plain lists of exact rationals, ints or
+``fractions.Fraction`` (matrices are lists of rows); no value is ever a float.
+Root data are ints, and ``dot`` keeps the pairing of int vectors an int.
+There is one elimination, a fraction-free Gauss-Jordan on the rows scaled to
+integers (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138, section 2.2), and
+``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse``, ``det``,
+``minimal_polynomial`` and ``is_squarefree`` all read it.  The one sparse accumulator (acc) and inner
 product (dot) live here, at the bottom layer.  Also provides Laurent
 polynomials in the dilation variable c (CPoly), the entries of dilated blocks
 and block inverses at the API edge; no engine computes with them.
@@ -74,8 +75,9 @@ def acc(d, k, v):
 
 
 def dot(u, v):
-    """sum of u_i v_i over the entries where both are nonzero."""
-    return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), Zero)
+    """sum of u_i v_i over the entries where both are nonzero: an int for
+    int vectors (0 when no term is left)."""
+    return sum(a * b for a, b in zip(u, v) if a != 0 and b != 0)
 
 
 def mat_vec(a, v):

@@ -4,6 +4,7 @@ A RootDatum packages a Cartan subalgebra basis, the roots (as integer
 covectors on that basis), coroots, a Chevalley structure-constant table
 N(a,b) for [E_a, E_b] = N(a,b) E_{a+b}, and the simple reflections that
 generate the Weyl group (the full list of W is built only on request).
+Roots, coroots and N(a,b) are Python ints, checked integral when read.
 
 The supported types are built from exact matrix realizations (gl_n, sl_n,
 and the classical series B/C/D via the standard antidiagonal bilinear
@@ -18,10 +19,11 @@ and at depth 1 it is the bracket of g that the Jacobi check uses.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .linalg import (One, Zero, acc, dot, frac, frac_str, generic_point, identity,
-                     mat_mul, mat_vec, nullspace, solve)
+from .linalg import (One, Zero, acc, dot, frac_str, generic_point, identity, mat_mul,
+                     mat_vec, nullspace, solve)
 
 
 class RootDatumError(ValueError):
@@ -29,10 +31,11 @@ class RootDatumError(ValueError):
 
 
 def _matrix(n, *entries):
-    """The n x n matrix with the given (row, col, value) entries, zero elsewhere."""
-    m = [[Zero] * n for _ in range(n)]
+    """The n x n integer matrix with the given (row, col, value) entries, zero
+    elsewhere."""
+    m = [[0] * n for _ in range(n)]
     for r, c, v in entries:
-        m[r][c] = frac(v)
+        m[r][c] = v
     return m
 
 
@@ -55,25 +58,33 @@ def _commutator(a, b):
 
 
 def _multiple_of(m, e):
-    """c with m = c e (matrices as nonzero entries), or None.
+    """c with m = c e (matrices as nonzero entries), as a Fraction, or None.
 
     c is read off the first entry of e; then the supports are compared and
-    the entries on the support checked.
+    the entries on the support checked by cross-multiplication.
     """
     p = next(iter(e), None)
     if p is None:
         return None
-    c = m.get(p, Zero) / e[p]
-    if not c:
-        return None if m else c
-    if m.keys() != e.keys() or any(x != c * e[q] for q, x in m.items()):
+    mp, ep = m.get(p, 0), e[p]
+    if not mp:
+        return None if m else Zero
+    if m.keys() != e.keys() or any(x * ep != mp * e[q] for q, x in m.items()):
         return None
-    return c
+    return Fraction(mp, ep)
+
+
+def _integral(xs, what):
+    """The rationals xs as a tuple of ints, or a RootDatumError naming what."""
+    if any(x.denominator != 1 for x in xs):
+        raise RootDatumError(f"{what} is not integral on the Cartan basis: "
+                             f"({', '.join(map(frac_str, xs))})")
+    return tuple(x.numerator for x in xs)
 
 
 def _trace_product(a, b):
     """tr(ab) for matrices given by their nonzero entries."""
-    return sum((x * b[k, i] for (i, k), x in a.items() if (k, i) in b), Zero)
+    return sum(x * b[k, i] for (i, k), x in a.items() if (k, i) in b)
 
 
 class WeylElement:
@@ -107,7 +118,7 @@ class RootDatum:
         self._root_mats = root_mats
         self._root_entries = [_entries(m) for m in root_mats]
         self._t_entries = [_entries(m) for m in t_mats]
-        self.roots = tuple(self._covector(e) for e in self._root_entries)
+        self.roots = tuple(self._covector(k, e) for k, e in enumerate(self._root_entries))
         self.num_roots = len(self.roots)
         self.dim_g = self.dim_t + self.num_roots
         self.root_index = {r: i for i, r in enumerate(self.roots)}
@@ -122,12 +133,13 @@ class RootDatum:
 
     # -- construction ------------------------------------------------------
 
-    def _covector(self, e):
-        """<a|H_t> over the Cartan basis, for the root vector E_a given by its entries."""
-        cov = tuple(_multiple_of(_commutator(h, e), e) for h in self._t_entries)
+    def _covector(self, k, e):
+        """<a|H_t> over the Cartan basis, for the root vector E_a (root k) given
+        by its entries; integral."""
+        cov = [_multiple_of(_commutator(h, e), e) for h in self._t_entries]
         if None in cov:
             raise RootDatumError("root matrix is not an eigenvector of the Cartan subalgebra")
-        return cov
+        return _integral(cov, f"root {k} of {self.label}")
 
     def _build_tables(self):
         mats = self._root_entries
@@ -136,16 +148,16 @@ class RootDatum:
         # off those positions cannot be matched
         support = set().union(*self._t_entries)
         positions = sorted(support)
-        cartan = [[e.get(p, Zero) for e in self._t_entries] for p in positions]
+        cartan = [[e.get(p, 0) for e in self._t_entries] for p in positions]
         self.coroots = []
         for i in range(self.num_roots):
             br = _commutator(mats[i], mats[self.neg[i]])
             co = None
             if br.keys() <= support:
-                co = solve(cartan, [br.get(p, Zero) for p in positions])
+                co = solve(cartan, [br.get(p, 0) for p in positions])
             if co is None:
                 raise RootDatumError("[E_a, E_{-a}] not in the Cartan subalgebra")
-            self.coroots.append(tuple(co))
+            self.coroots.append(_integral(co, f"coroot {i} of {self.label}"))
         # N(a,b): [E_a, E_b] must be a multiple of E_{a+b}, or vanish when a+b
         # is no root
         nsc = {}
@@ -165,7 +177,7 @@ class RootDatum:
                 if c is None:
                     raise RootDatumError("bracket not a multiple of a single root vector")
                 if c != 0:
-                    nsc[(i, j)] = c
+                    nsc[(i, j)] = _integral([c], f"N({i},{j}) of {self.label}")[0]
         self.nsc = nsc
 
     def pair(self, root_idx, cartan_vec):
@@ -178,11 +190,13 @@ class RootDatum:
 
     def _build_base_and_weyl(self):
         # positive roots: those with positive pairing against a generic vector
-        xi = generic_point(identity(self.dim_t), self.roots)
+        # (an int vector: the basis is the int identity)
+        n = self.dim_t
+        xi = generic_point([[int(r == c) for c in range(n)] for r in range(n)], self.roots)
         self.positive = tuple(i for i in range(self.num_roots) if self.pair(i, xi) > 0)
         self.simple = self.base(self.positive)
-        # <alpha_i|alpha_j^v> over the base
-        self.cartan_matrix = [[self._as_int(self.cartan_integer(i, j)) for j in self.simple]
+        # <alpha_i|alpha_j^v> over the base: ints, as roots and coroots are
+        self.cartan_matrix = [[self.cartan_integer(i, j) for j in self.simple]
                               for i in self.simple]
         self.simple_reflections = tuple(self._reflection(i) for i in self.simple)
 
@@ -191,12 +205,6 @@ class RootDatum:
         roots that are no sum of two of its roots."""
         sums = {self.root_sum[i, j] for i in pos for j in pos}
         return tuple(i for i in pos if i not in sums)
-
-    @staticmethod
-    def _as_int(x):
-        if x.denominator != 1:
-            raise RootDatumError("Cartan integer is not an integer")
-        return int(x)
 
     def _reflection(self, i):
         """Reflection in root i, as permutation of the roots and matrix on t."""
@@ -211,7 +219,7 @@ class RootDatum:
             perm.append(k)
         n = self.dim_t
         # s(H) = H - <alpha|H> alpha^v ; entry (r,c) = delta - coroot[r]*alpha[c]
-        tmat = [[(One if r == c else Zero) - co[r] * al[c] for c in range(n)]
+        tmat = [[(r == c) - co[r] * al[c] for c in range(n)]
                 for r in range(n)]
         return WeylElement(perm, tmat)
 
@@ -269,13 +277,13 @@ class RootDatum:
         self._verify_jacobi()
 
     def _verify_root_system(self):
-        for i, r in enumerate(self.roots):
+        """Negation is an involution and <a|a^v> = 2; every <a|b^v> is an
+        integer, as the roots and coroots are checked integral when read."""
+        for i in range(self.num_roots):
             if self.neg[self.neg[i]] != i:
                 raise RootDatumError("negation is not an involution")
             if self.pair(i, self.coroots[i]) != 2:
                 raise RootDatumError("<a|a^v> != 2")
-            for j in range(self.num_roots):
-                self._as_int(self.cartan_integer(i, j))
 
     def _string_p(self, i, j):
         """p = max{k : a_j - k a_i in Phi} for i != -j."""
@@ -308,12 +316,25 @@ class RootDatum:
                     raise RootDatumError("N(-a,-b) != -N(a,b)")
 
     def _verify_jacobi(self):
+        """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on the basis triples whose
+        weight sum lies in Phi or is 0: letter_bracket only produces letters of
+        the summed weight, so on every other triple each term is empty."""
         # the depth-1 letters are the (t, roots) basis, in that order
         basis = all_letters(self, 1)
+        # each weight as one int, its entries as digits in the balanced base
+        # 6m + 1: a sum of three weights has its entries in [-3m, 3m], so it is
+        # the digits of the weight sum
+        m = max((abs(x) for r in self.roots for x in r), default=0)
+        code = [sum(x * (6 * m + 1) ** t for t, x in enumerate(r)) for r in self.roots]
+        weights = [0] * self.dim_t + code
+        sums = set(code) | {0}
         dim = self.dim_g
         for a in range(dim):
             for b in range(a + 1, dim):
+                wab = weights[a] + weights[b]
                 for c in range(b + 1, dim):
+                    if wab + weights[c] not in sums:
+                        continue
                     # [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
                     total = {}
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):

@@ -73,7 +73,7 @@ def _span_closure(vectors, mask):
     rows = [list(vectors[i]) for i in indices(mask)]
     out = (1 << len(vectors)) - 1
     for k in nullspace(rows, cols=len(vectors[0])):
-        out &= _vanishing_mask(vectors, k)
+        out &= _vanishing_mask(vectors, _ints_where_integral(k))
     return out
 
 
@@ -87,19 +87,25 @@ def is_levi(rd, mask):
     return span_closure(rd, mask) == mask
 
 
+def _ints_where_integral(v):
+    """The rational vector v as a tuple, its integral entries as ints (the
+    same values), so that pairing it with the int roots stays in ints."""
+    return tuple(x.numerator if x.denominator == 1 else x for x in v)
+
+
 _KERNELS = WeakKeyDictionary()  # root datum -> {mask: kernel basis}, dies with the datum
 
 
 def kernel_basis(rd, mask):
     """Basis of Ker(phi) = {X in t : <a|X> = 0 for a in phi}, as a tuple of
-    tuples, echelonised once per root datum and mask."""
+    tuples (integral entries as ints), echelonised once per root datum and mask."""
     memo = _KERNELS.get(rd)
     if memo is None:
         memo = _KERNELS[rd] = {}
     hit = memo.get(mask)
     if hit is None:
         rows = [list(rd.roots[i]) for i in indices(mask)]
-        hit = memo[mask] = tuple(map(tuple, nullspace(rows, cols=rd.dim_t)))
+        hit = memo[mask] = tuple(map(_ints_where_integral, nullspace(rows, cols=rd.dim_t)))
     return hit
 
 
@@ -200,10 +206,14 @@ class LeviPoset:
         return (a | b) == a
 
     def covers(self):
-        """Pairs a <= b one rank apart: Levi subsystems are flats, graded by
-        kernel_dim, and distinct flats have distinct kernels."""
-        return [(a, b) for a in self.elements for b in self.elements
-                if self.rank[b] == self.rank[a] + 1 and self.leq(a, b)]
+        """Pairs a <= b one rank apart, a then b in element order: Levi
+        subsystems are flats, graded by kernel_dim, and distinct flats have
+        distinct kernels, so each a is compared with the rank above it only."""
+        by_rank = {}
+        for m in self.elements:
+            by_rank.setdefault(self.rank[m], []).append(m)
+        return [(a, b) for a in self.elements for b in by_rank.get(self.rank[a] + 1, ())
+                if self.leq(a, b)]
 
     def hasse_dot(self):
         lines = ["digraph levi_poset {", "  rankdir=BT;"]

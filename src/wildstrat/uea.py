@@ -72,7 +72,7 @@ class UEAContext:
                     acc(result, w2, c if c2 is One else c * c2)
             for coeff, b in letter_bracket(self.rd, self.depth, letter, head):
                 for w, c in self.act(b, rest).items():
-                    acc(result, w, coeff * c)
+                    acc(result, w, c * coeff)
             memo[(letter, word)] = result
         return memo[key]
 

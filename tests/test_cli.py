@@ -337,6 +337,10 @@ GOLDEN = {
 }
 
 
+def _float_in_payload(s):
+    raise AssertionError(f"float {s} in a payload: every number must be exact")
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_stdout(tmp_path, capsys, name):
     config, argv, digest = GOLDEN[name]
@@ -344,6 +348,7 @@ def test_golden_stdout(tmp_path, capsys, name):
     cfg.write_text(json.dumps(config))
     code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 0
+    json.loads(out, parse_float=_float_in_payload)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from wildstrat.linalg import frac_str, mat_mul, nullspace
-from wildstrat.rootdata import RootDatum, RootDatumError, parse_type, root_datum
+from wildstrat.linalg import acc, dot, frac_str, mat_mul, nullspace
+from wildstrat.rootdata import (RootDatum, RootDatumError, all_letters, letter_bracket,
+                                parse_type, root_datum)
 from conftest import gl_root_index
 
 
@@ -266,3 +269,91 @@ def test_tampered_structure_constants_fail_jacobi():
     rd._verify_chevalley()
     with pytest.raises(RootDatumError, match="Jacobi"):
         rd.verify()
+
+
+# every type from rank 1 or 2 up to the ranks the survey and the tests use
+INTEGRAL_TYPES = ([f"gl{n}" for n in range(1, 7)] + [f"sl{n}" for n in range(2, 6)]
+                  + [f"A{n}" for n in range(1, 5)] + [f"B{n}" for n in range(2, 5)]
+                  + [f"C{n}" for n in range(2, 5)] + [f"D{n}" for n in range(2, 6)])
+
+
+@pytest.mark.parametrize("label", INTEGRAL_TYPES)
+def test_root_data_are_ints(label):
+    """Roots, coroots, N(a,b), the Cartan matrix and the realisation matrices
+    are Python ints, not integer-valued Fractions."""
+    rd = parse_type(label)
+    assert all(type(r) is tuple for r in rd.roots + tuple(rd.coroots))
+    assert all(type(x) is int for r in rd.roots for x in r)
+    assert all(type(x) is int for r in rd.coroots for x in r)
+    assert all(type(n) is int for n in rd.nsc.values())
+    assert all(type(x) is int for row in rd.cartan_matrix for x in row)
+    assert all(type(x) is int for k in range(rd.dim_g) for row in rd.defining_matrix(k)
+               for x in row)
+
+
+def test_root_index_hits_fraction_keys(gl3, b2):
+    for rd in (gl3, b2):
+        for i, r in enumerate(rd.roots):
+            assert rd.root_index[tuple(Fraction(x) for x in r)] == i
+
+
+def test_dot_of_int_vectors_is_an_int(b2):
+    assert type(dot((1, -2, 3), (4, 5, -6))) is int
+    assert dot((1, 0), (0, 1)) == 0 and type(dot((1, 0), (0, 1))) is int
+    assert all(type(b2.pair(i, b2.coroots[j])) is int
+               for i in range(b2.num_roots) for j in range(b2.num_roots))
+    assert dot((Fraction(1, 2), 1), (1, 1)) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("scale, name", [(Fraction(1, 2), "root 0"), (2, "coroot 0")],
+                         ids=["half-cartan", "double-cartan"])
+def test_non_integral_realisation_names_the_root(scale, name):
+    """With H_t = E_tt / 2 the roots are (1/2, -1/2, 0), ...; with H_t = 2 E_tt
+    the roots are integral but [E_01, E_10] = (H_0 - H_1) / 2."""
+    realisation = _gl3_realisation()
+    realisation["t_mats"] = [_unit(i, i, scale) for i in range(3)]
+    with pytest.raises(RootDatumError, match=re.escape(name) + " of gl3 is not integral"):
+        RootDatum("gl", 3, **realisation)
+
+
+def _jacobi_failures(rd):
+    """The Jacobi check over every basis triple a < b < c, unfiltered: the
+    oracle.  Returns the triples with a nonzero total, and asserts that no
+    triple whose weight sum is neither 0 nor a root has a term at all."""
+    basis = all_letters(rd, 1)
+    zero = (0,) * rd.dim_t
+    weights = [zero] * rd.dim_t + list(rd.roots)
+    failures = []
+    for a, b, c in itertools.combinations(range(rd.dim_g), 3):
+        total = {}
+        terms = 0
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for co, w in letter_bracket(rd, 1, basis[x], basis[y]):
+                for co2, v in letter_bracket(rd, 1, w, basis[z]):
+                    acc(total, v, co * co2)
+                    terms += 1
+        weight = tuple(map(sum, zip(weights[a], weights[b], weights[c])))
+        if weight != zero and weight not in rd.root_index:
+            assert terms == 0, (a, b, c)
+        if total:
+            failures.append((a, b, c))
+    return failures
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "D4", "gl5"])
+def test_weight_filtered_jacobi_agrees_with_all_triples(label):
+    rd = parse_type(label)
+    assert _jacobi_failures(rd) == []
+    rd._verify_jacobi()
+
+
+def test_tampered_jacobi_fails_on_the_oracle_first_triple():
+    """On the tampered gl3 table both checks raise, at the same first triple."""
+    rd = RootDatum("gl", 3, **_gl3_realisation())
+    i12, i23 = gl_root_index(rd, 0, 1), gl_root_index(rd, 1, 2)
+    for i, j in ((i12, i23), (rd.neg[i12], rd.neg[i23])):
+        rd.nsc[(i, j)] = -rd.nsc[(i, j)]
+    failures = _jacobi_failures(rd)
+    assert failures
+    with pytest.raises(RootDatumError, match=re.escape(f"basis triple {failures[0]}")):
+        rd._verify_jacobi()

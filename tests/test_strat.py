@@ -116,6 +116,24 @@ def test_graded_covers_match_the_cubic_search(lie_type, n):
     assert poset.covers() == cubic_covers(poset)
 
 
+def all_pairs_covers(poset):
+    """LeviPoset.covers as the scan of every pair of elements: the oracle for
+    its list and order (hasse_dot prints them in this order)."""
+    return [(a, b) for a in poset.elements for b in poset.elements
+            if poset.rank[b] == poset.rank[a] + 1 and poset.leq(a, b)]
+
+
+ALL_PAIRS_TYPES = [("gl", 2), ("gl", 3), ("gl", 4), ("gl", 5), ("gl", 6),
+                   ("B", 3), ("C", 3), ("D", 4)]
+
+
+@pytest.mark.parametrize("lie_type, n", ALL_PAIRS_TYPES,
+                         ids=[f"{t}{n}" for t, n in ALL_PAIRS_TYPES])
+def test_rank_bucketed_covers_match_the_all_pairs_scan(lie_type, n):
+    poset = LeviPoset(root_datum(lie_type, n))
+    assert poset.covers() == all_pairs_covers(poset)
+
+
 def test_gl4_rank_function_surjective(gl4=None):
     gl4 = root_datum("gl", 4)
     poset = LeviPoset(gl4)
