@@ -3,19 +3,21 @@
 GElement: Cartan part (coordinates on the chosen t basis) + root coefficients.
 TcElement: depth r and a coefficient GElement per epsilon degree.
 
-The bracket (the bilinear extension of rootdata.letter_bracket), invariant
-form, depth-graded pairing ( . | . )_c, transposition, semisimplicity test,
-and the kernel/image splitting for semisimple operators all live here.
+The bracket (the bilinear extension of rootdata.letter_bracket), the matrix
+of ad_x on g (filled from letter_bracket; orbit assembles ad_x on g_r from one
+per coefficient), invariant form, depth-graded pairing ( . | . )_c,
+transposition, semisimplicity test, and the kernel/image splitting for
+semisimple operators all live here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 from .linalg import (One, Zero, acc, frac, frac_str, inverse, is_squarefree, mat_vec,
                      minimal_polynomial, nullspace, rank, rref, transpose)
-from .rootdata import letter_bracket
+from .rootdata import all_letters, letter_bracket
 from .strat import ClaimViolation
 
 
@@ -52,13 +54,6 @@ class GElement:
     @classmethod
     def coroot(cls, rd, idx):
         return cls(rd, cartan=rd.coroots[idx])
-
-    @classmethod
-    def basis(cls, rd):
-        for t in range(rd.dim_t):
-            yield cls(rd, cartan=tuple(One if k == t else Zero for k in range(rd.dim_t)))
-        for i in range(rd.num_roots):
-            yield cls.root_vec(rd, i)
 
     # -- linear structure ---------------------------------------------------
 
@@ -148,8 +143,16 @@ class GElement:
         return GElement(rd, self.cartan, {rd.neg[i]: c for i, c in self.root.items()})
 
     def ad_matrix(self):
-        """Matrix of ad_x on g in the (t, roots) coordinate basis."""
-        return transpose([self.bracket(b).coords() for b in GElement.basis(self.rd)])
+        """Matrix of ad_x on g in the (t, roots) coordinate basis: column j is
+        letter_bracket of x's letters with letter j of all_letters(rd, 1)."""
+        rd = self.rd
+        out = [[Zero] * rd.dim_g for _ in range(rd.dim_g)]
+        xs = self._letters()
+        for j, b in enumerate(all_letters(rd, 1)):
+            for a, c in xs:
+                for n, (kind, i, _) in letter_bracket(rd, 1, a, b):
+                    out[i if kind == "H" else rd.dim_t + i][j] += c * n
+        return out
 
     def defining_matrix(self):
         """Matrix of x in the defining representation: sum of c_i rd.defining_matrix(i)."""
@@ -210,16 +213,20 @@ def _bracket(rd, depth, xs, ys):
     return [GElement(rd, h, e) for h, e in zip(cartans, roots)]
 
 
-@lru_cache(maxsize=None)
+_READERS = WeakKeyDictionary()  # root datum -> what from_defining_matrix reads, dies with it
+
+
 def _defining_reader(rd):
     """What from_defining_matrix reads, per root datum: the first nonzero
     entry (p, q) of each E_a with the reciprocal of its value, and dim t
     diagonal positions with the inverse of the Cartan basis restricted to them."""
-    entries = [next((p, q, One / v) for p, row in enumerate(rd.defining_matrix(rd.dim_t + i))
-                    for q, v in enumerate(row) if v != 0) for i in range(rd.num_roots)]
-    diags = [[row[p] for p, row in enumerate(rd.defining_matrix(t))] for t in range(rd.dim_t)]
-    rows = rref(diags)[1]
-    return entries, rows, inverse([[d[p] for d in diags] for p in rows])
+    if rd not in _READERS:
+        entries = [next((p, q, One / v) for p, row in enumerate(rd.defining_matrix(rd.dim_t + i))
+                        for q, v in enumerate(row) if v != 0) for i in range(rd.num_roots)]
+        diags = [[row[p] for p, row in enumerate(rd.defining_matrix(t))] for t in range(rd.dim_t)]
+        rows = rref(diags)[1]
+        _READERS[rd] = entries, rows, inverse([[d[p] for d in diags] for p in rows])
+    return _READERS[rd]
 
 
 def is_semisimple(x: GElement) -> bool:
@@ -350,12 +357,6 @@ class TcElement:
     def from_coords(cls, rd, depth, v):
         n = rd.dim_g
         return cls(rd, depth, [GElement.from_coords(rd, v[k * n:(k + 1) * n]) for k in range(depth)])
-
-    @classmethod
-    def basis(cls, rd, depth):
-        for d in range(depth):
-            for g in GElement.basis(rd):
-                yield cls.pure(rd, depth, d, g)
 
     def to_json(self):
         return {

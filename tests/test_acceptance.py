@@ -24,6 +24,7 @@ from wildstrat.strat import (LeviFiltration, enumerate_filtrations,
                              enumerate_levi, full_mask, indices,
                              mask_from_indices)
 from conftest import gl_root_index
+from per_basis import tc_basis
 from test_parab import admissible_grid, gl3_ex_chain, gl3_ex_ft
 
 
@@ -94,7 +95,7 @@ def test_criterion_05_pairing_dichotomy(gl2):
     are exhibited, so the biconditional is checked in full.
     """
     for r in (2, 3, 4):
-        basis = list(TcElement.basis(gl2, r))
+        basis = list(tc_basis(gl2, r))
         # c = r: invariance on all basis triples, and exact nondegeneracy
         for z in basis:
             for x in basis:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 import zlib
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from wildstrat.linalg import Zero, mat_mul, minimal_polynomial, is_squarefree, n
 from wildstrat.rootdata import root_datum
 from wildstrat.strat import ClaimViolation
 from conftest import gl_root_index
+from per_basis import g_basis, oracle_ad_matrix, tc_basis
 
 
 def rand_gelement(rd, rng, cartan=True, roots=True):
@@ -161,7 +164,7 @@ def test_brackets_match_the_case_analysis_oracle(lie_type, n):
     basis vectors, and on dense and sparse elements at depth 1 and 3."""
     rd = root_datum(lie_type, n)
     rng = random.Random(zlib.crc32(rd.label.encode()))
-    basis = list(GElement.basis(rd))
+    basis = list(g_basis(rd))
     for x in basis:
         for y in basis:
             assert x.bracket(y) == oracle_bracket(x, y)
@@ -172,6 +175,41 @@ def test_brackets_match_the_case_analysis_oracle(lie_type, n):
                                       for _ in range(r)]) for _ in range(2))
             assert x.coeffs[0].bracket(y.coeffs[0]) == oracle_bracket(x.coeffs[0], y.coeffs[0])
             assert x.bracket(y) == oracle_tc_bracket(x, y)
+
+
+AD_TYPES = [("gl", 3), ("sl", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4)]
+
+
+@pytest.mark.parametrize("lie_type, n", AD_TYPES, ids=[f"{t}{n}" for t, n in AD_TYPES])
+def test_ad_matrix_matches_the_per_basis_oracle(lie_type, n):
+    """ad_matrix, filled from letter_bracket, is the matrix of the brackets
+    with every basis element of g, as a list: on the basis itself, on zero,
+    and on dense, Cartan, root-only and sparse draws."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(f"ad_matrix:{rd.label}".encode()))
+    draws = list(g_basis(rd)) + [GElement.zero(rd)]
+    draws += [rand_gelement(rd, rng) for _ in range(3)]
+    draws += [rand_gelement(rd, rng, roots=False), rand_gelement(rd, rng, cartan=False)]
+    for _ in range(3):
+        t = rng.randrange(rd.dim_t)
+        draws.append(GElement(rd, [Fraction(rng.randint(1, 5), 2) if k == t else 0
+                                   for k in range(rd.dim_t)],
+                              {i: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                               for i in rng.sample(range(rd.num_roots), 2)}))
+    for x in draws:
+        assert x.ad_matrix() == oracle_ad_matrix(x), x
+
+
+def test_defining_reader_dies_with_its_root_datum():
+    """The memo of from_defining_matrix holds its root datum weakly: a datum
+    it has read is freed once nothing else refers to it."""
+    rd = root_datum.__wrapped__("gl", 3)  # a datum of its own, outside root_datum's cache
+    g = GElement.root_vec(rd, 0, 2) + GElement.cartan_vec(rd, (1, 0, 3))
+    assert GElement.from_defining_matrix(rd, g.defining_matrix()) == g
+    ref = weakref.ref(rd)
+    del rd, g
+    gc.collect()
+    assert ref() is None
 
 
 def test_is_semisimple(sl2, sl2_efh):
@@ -236,7 +274,7 @@ def test_root_index_checked():
 
 def test_semisimple_split(sl2, gl3, sl2_efh):
     E, F, H, _, _ = sl2_efh
-    basis = [b.coords() for b in GElement.basis(sl2)]
+    basis = [b.coords() for b in g_basis(sl2)]
     ker, img = semisimple_split(H.ad_matrix(), basis)
     assert len(ker) == 1 and len(img) == 2
     # f = 0: kernel is everything
@@ -248,7 +286,7 @@ def test_semisimple_split(sl2, gl3, sl2_efh):
     x = GElement.cartan_vec(gl3, (1, 1, 0))
     ad = x.ad_matrix()
     assert len(nullspace(ad)) == 5
-    ker, img = semisimple_split(ad, [b.coords() for b in GElement.basis(gl3)])
+    ker, img = semisimple_split(ad, [b.coords() for b in g_basis(gl3)])
     ker = [GElement.from_coords(gl3, v) for v in ker]
     img = [GElement.from_coords(gl3, v) for v in img]
     assert (len(ker), len(img)) == (5, 4)
@@ -284,13 +322,13 @@ def test_from_defining_matrix(lie_type, n):
 
 
 def pairing_is_invariant(rd, r, c):
-    basis = list(TcElement.basis(rd, r))
+    basis = list(tc_basis(rd, r))
     return all(pairing_invariance_defect(z, x, y, c) == 0
                for z in basis for x in basis for y in basis)
 
 
 def pairing_is_nondegenerate(rd, r, c):
-    basis = list(TcElement.basis(rd, r))
+    basis = list(tc_basis(rd, r))
     gram = [[x.pairing_c(y, c) for y in basis] for x in basis]
     from wildstrat.linalg import rank
     return rank(gram) == len(basis)

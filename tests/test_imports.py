@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, only
 rootdata reads the structure-constant table and the full list of the Weyl
-group, CPoly is read only in linalg and at the API edge, and sparse sums and
-inner products are written out only in linalg."""
+group, no module brackets basis elements of g or g_r one at a time, CPoly is
+read only in linalg and at the API edge, and sparse sums and inner products
+are written out only in linalg."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,28 @@ def test_only_rootdata_reads_nsc(path):
 def test_only_rootdata_reads_weyl(path):
     """Every other module walks W-orbits through strat.weyl_orbit."""
     assert attribute_reads(path.read_text(), "weyl") == [], path.name
+
+
+def basis_calls(source):
+    """Line numbers at which `source` calls GElement.basis or TcElement.basis."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "basis" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in ("GElement", "TcElement"))
+
+
+def test_basis_calls_finds_both_classes():
+    source = ("b = list(GElement.basis(rd))\nc = TcElement.basis(rd, 2)\n"
+              "d = rd.center_basis()\ne = weight_basis(mu)\nf = m.basis\n")
+    assert basis_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_basis_element_loops(path):
+    """ad_x on g is filled from letter_bracket and ad_x on g_r from one ad
+    matrix per coefficient; no module builds g or g_r as basis elements to
+    bracket them one at a time (the per-basis forms are oracles in tests/)."""
+    assert basis_calls(path.read_text()) == [], path.name
 
 
 def name_reads(source, name):

@@ -11,6 +11,7 @@ from wildstrat import linalg, uea
 from wildstrat.elements import GElement, TcElement
 from wildstrat.linalg import CPoly, Zero, frac
 from wildstrat.rootdata import root_datum
+from per_basis import tc_basis
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=6)
@@ -180,7 +181,7 @@ def c3_centralizer_matrix():
                  {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for i in rng.sample(range(rd.num_roots), 4)})
         for _ in range(2)])
-    cols = [x.bracket(b).coords() for b in TcElement.basis(rd, 2)]
+    cols = [x.bracket(b).coords() for b in tc_basis(rd, 2)]
     return [list(row) for row in zip(*cols)]
 
 

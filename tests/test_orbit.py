@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wildstrat import orbit, parab, strat
-from wildstrat.elements import GElement, TcElement, exp_ad
-from wildstrat.linalg import One, Zero, solve
+from wildstrat.elements import GElement, TcElement, exp_ad, semisimple_split
+from wildstrat.linalg import One, Zero, identity, mat_vec, nullspace, rref, solve, transpose
 from wildstrat.orbit import (_compose_gauge_logs, _remove_center, birkhoff_normalize,
                              centralizer, classify_marked, classify_unmarked,
                              marking_filtration, marking_index, strictness_index,
@@ -15,6 +15,7 @@ from wildstrat.rootdata import root_datum
 from wildstrat.strat import (ClaimViolation, LeviFiltration, full_mask, indices,
                              mask_from_indices)
 from conftest import gl_root_index
+from per_basis import oracle_ad_operator, oracle_restricted_ad
 from test_parab import bracket_pairing_matrix, gl3_ex_chain, gl3_ex_ft
 
 
@@ -278,6 +279,60 @@ def test_centralizer_structure_exhaustive(sl2, gl2, gl3, sl3):
                 x = TcElement(rd, r, [GElement.cartan_vec(rd, v) for v in xs])
                 rep = centralizer(x)
                 assert rep.dim == structural_centralizer_dim(rd, filt, r)
+
+
+OPERATOR_TYPES = [("gl", 3), ("B", 2), ("gl", 4), ("C", 3)]
+
+
+@pytest.mark.parametrize("lie_type, n", OPERATOR_TYPES, ids=[f"{t}{n}" for t, n in OPERATOR_TYPES])
+def test_ad_operator_matches_the_per_basis_oracle(lie_type, n):
+    """The block lower-triangular Toeplitz assembly of ad_x on g_r is, as a
+    list, the matrix of the brackets of x with every basis element of g_r, at
+    r = 1, 2, 3: for dense x, for x with zero coefficients and for x with a
+    Cartan leading term; and centralizer's kernel is that matrix's."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(f"ad_operator:{rd.label}".encode()))
+    for r in (1, 2, 3):
+        draws = [TcElement(rd, r, [rand_g(rd, rng) for _ in range(r)]),
+                 TcElement(rd, r, [GElement.zero(rd)] * (r - 1) + [rand_g(rd, rng, 2)]),
+                 TcElement(rd, r, [rand_levi(rd, rng, 0)]
+                           + [rand_g(rd, rng, 2) if k % 2 else GElement.zero(rd)
+                              for k in range(1, r)])]
+        for x in draws:
+            op = oracle_ad_operator(x)
+            assert orbit._ad_operator([g.ad_matrix() for g in x.coeffs]) == op, (r, x)
+            assert [v.coords() for v in centralizer(x).basis] == nullspace(op), (r, x)
+
+
+@pytest.mark.parametrize("lie_type, n", OPERATOR_TYPES, ids=[f"{t}{n}" for t, n in OPERATOR_TYPES])
+def test_restricted_ad_matches_the_per_basis_oracle(lie_type, n):
+    """Birkhoff's restricted ad, read off one ad_matrix, is as a list the
+    matrix of the brackets with every sub-basis vector: on g and on the
+    iterated centralisers of Cartan elements in the kernels of Levi
+    subsystems, for Cartan and for dense X_s; the sub-basis and its
+    coordinates are formed as in birkhoff_normalize."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(f"restricted_ad:{rd.label}".encode()))
+    levis = [m for m in strat.enumerate_levi(rd) if m]
+    sub_basis = identity(rd.dim_g)
+    for _ in range(3):
+        red, piv = rref([b + e for b, e in zip(sub_basis, identity(len(sub_basis)))])
+        to_sub = transpose([row[rd.dim_g:] for row in red])
+
+        def coords(v):
+            return mat_vec(to_sub, [v[p] for p in piv])
+
+        h = [Zero] * rd.dim_t
+        for v in strat.kernel_basis(rd, rng.choice(levis)):
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+            h = [a + c * b for a, b in zip(h, v)]
+        h = GElement.cartan_vec(rd, h)
+        cols = transpose(sub_basis)
+        for xs in (h, rand_g(rd, rng)):
+            assert (orbit._restricted_ad(xs, cols, to_sub, piv)
+                    == oracle_restricted_ad(xs, sub_basis, coords)), xs
+        sub_basis = semisimple_split(orbit._restricted_ad(h, cols, to_sub, piv), sub_basis)[0]
+    assert 0 < len(sub_basis) < rd.dim_g
 
 
 def test_marking_filtration_convention(sl2, sl2_efh):
