@@ -9,6 +9,8 @@ carry the character spaces that singularity modules are induced from.
 
 from __future__ import annotations
 
+from weakref import WeakKeyDictionary
+
 from .linalg import One, Zero, dot, frac, frac_str, inverse, mat_vec, rank, solve
 from .rootdata import letter_bracket
 from . import strat
@@ -180,19 +182,18 @@ def relative_heights(letter_roots, xi, n):
 
 
 class TriangularSplit:
-    """Ordered bases of u^-, l, u^+ inside g_r for a parabolic filtration.
+    """Ordered bases of u^- and u^+ inside g_r for a parabolic filtration.
 
     The u^- generators are the module alphabet X_{a,i} = E_{-a} e^i for a in
     nu_0 and i < d_a, ordered by nondecreasing relative height of a (ties by
-    root index) and then by epsilon degree.
+    root index) and then by epsilon degree.  Kept once per root datum and
+    chain by triangular_split and read only; it holds no root datum.
     """
 
     def __init__(self, pf: ParabolicFiltration):
-        self.pf = pf
-        self.rd = rd = pf.rd
+        rd = pf.rd
         self.depth = pf.depth
         lf = pf.levi_filtration()
-        self.levi = lf
         nu0 = indices(pf.nu(0))
         xi = height_functional(rd, pf.nu(0)) if nu0 else None
         self.xi = xi
@@ -206,8 +207,15 @@ class TriangularSplit:
         self.gen_pos = {g: k for k, g in enumerate(self.gens)}
 
 
+_SPLITS = WeakKeyDictionary()  # root datum -> {masks: TriangularSplit}, dies with the datum
+
+
 def triangular_split(pf):
-    return TriangularSplit(pf)
+    memo = _SPLITS.setdefault(pf.rd, {})
+    hit = memo.get(pf.masks)
+    if hit is None:
+        hit = memo[pf.masks] = TriangularSplit(pf)
+    return hit
 
 
 # -- characters -----------------------------------------------------------------

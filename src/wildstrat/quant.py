@@ -2,10 +2,10 @@
 
 Pipeline: per-weight Shapovalov matrices over the dilated character, their
 hbar-adic inversion from the row-scaled parts (hbar = 1/c), the first-order
-Poisson check, projection to V0 = U(g_r)/(U(g_r) l) (the uea straightening
-engine over the neg and pos letters, with l acting by 0), and the exact
-truncated associativity identity B^(12,3) = B^(1,23) in V0^(x)3, factored over
-the outer slot and compared on integer coefficients (B times one denominator).
+Poisson check, V0 = U(g_r)/(U(g_r) l) (the uea engine over the neg and pos
+letters, l acting by 0), and the exact truncated associativity identity
+B^(12,3) = B^(1,23) in V0^(x)3, factored over the outer slot and run on V0
+words of basis positions with integer coefficients (B times one denominator).
 
 The series carries the dilated singularity module its blocks came from and
 the V0 context that normal-ordered its dual letters; every later stage reads
@@ -15,7 +15,7 @@ B = (p x p)(F) is F itself.
 The dilated module acts on rationals, with c a central module letter (a
 word may end in c^d), and check_invariance gathers its terms by c-degree;
 CPoly appears only in the inverse block entries that invert_block returns.
-All coefficients are rational and every comparison is an exact identity.
+V0 coefficients are ints, and every comparison is an exact identity.
 """
 
 from __future__ import annotations
@@ -148,18 +148,17 @@ def _neg_word(mod, mono):
 def _expand_dual_mono(mod, v0, duals, mono):
     """Y_{f,i} written in plain u^+ letters, normal-ordered: {word: coeff}.
 
-    On a balanced chain brackets of pos letters stay pos, so the V0 normal
-    form is the normal form in U(u^+).
+    On a balanced chain brackets of pos letters stay pos, so the dual
+    letters acting on V0's cyclic vector give the normal form in U(u^+).
     """
-    dist = {(): One}
-    for g in mod.word_of(mono):
-        a, i = mod.gens[g]
+    vec = {(): 1}
+    for g in reversed(mod.word_of(mono)):
         new = {}
-        for word, c in dist.items():
-            for c2, letter in duals[(a, i)]:
-                acc(new, word + (letter,), c * c2)
-        dist = new
-    return v0.project(dist)
+        for c2, letter in duals[mod.gens[g]]:
+            for word, c in v0.ctx.apply(letter, vec).items():
+                acc(new, word, c * c2)
+        vec = new
+    return {v0.letters(word): c for word, c in vec.items()}
 
 
 # -- Poisson bivector and the first-order check ----------------------------------
@@ -202,47 +201,31 @@ class V0Context:
     """U(g_r)/(U(g_r) l) with the PBW normal form (neg block)(pos block).
 
     The straightening engine over the neg, then the pos letters in generator
-    order, with every levi letter acting by 0.  Every other letter of g_r
-    must be levi, which is checked once here.
+    order, with every levi letter acting by 0: a V0 word is a nondecreasing
+    tuple of positions in ctx.basis, and every coefficient is an int.  Every
+    other letter of g_r must be levi, which is checked once here.
     """
 
     def __init__(self, pf):
         _require_balanced(pf)
         self.pf = pf
         rd = pf.rd
-        ts = triangular_split(pf)
-        basis = [("E", rd.neg[a], i) for a, i in ts.gens] + [("E", a, i) for a, i in ts.gens]
+        gens = triangular_split(pf).gens
+        basis = [("E", rd.neg[a], i) for a, i in gens] + [("E", a, i) for a, i in gens]
         self.ctx = UEAContext(rd, pf.depth, basis, {})
-        for i in range(pf.depth):
-            lm = ts.levi.mask(i)
+        for i, lm in enumerate(pf.levi_filtration().masks):
             for b in range(rd.num_roots):
                 if ("E", b, i) not in self.ctx.rank and not (lm >> b) & 1:
                     raise ClaimViolation(f"letter E_{b} e^{i} escapes the triangular "
                                          f"classification of {pf!r}")
-        self._proj_cache = {}
+
+    def letters(self, word):
+        """The letter word of a V0 word of basis positions."""
+        return tuple(map(self.ctx.basis.__getitem__, word))
 
     def project_word(self, word):
-        """p of a single product of letters: {v0_word: coeff}.
-
-        Cached per context by the word tuple, integral coefficients as int:
-        the dict returned is shared between calls, and every caller (project,
-        associativity_check) only reads it.
-        """
-        word = tuple(word)
-        hit = self._proj_cache.get(word)
-        if hit is None:
-            basis = self.ctx.basis
-            hit = self._proj_cache[word] = {
-                tuple(basis[k] for k in w): c.numerator if c.denominator == 1 else c
-                for w, c in self.ctx.normal_form(word).items()}
-        return hit
-
-    def project(self, element):
-        out = {}
-        for word, c in element.items():
-            for w, c2 in self.project_word(word).items():
-                acc(out, w, c * c2)
-        return out
+        """p of a single product of letters: {v0_word: int}, letter words."""
+        return {self.letters(w): c for w, c in self.ctx.normal_form(word).items()}
 
 
 def star_bidiff(series: InverseShapovalov):
@@ -257,63 +240,69 @@ def star_bidiff(series: InverseShapovalov):
 def associativity_check(bid: InverseShapovalov, N=None, return_sides=False):
     """(Delta x 1)(B) (B x 1) == (1 x Delta)(B) (1 x B) in V0^(x)3, truncated.
 
-    The inner factor never touches the outer slot that Delta leaves alone, so
-    _inner(z) is formed once per word z and layer h2, then scattered over the
-    b paired with a = z (B^(12,3)) and the a paired with b = z (B^(1,23)).  B
-    is scaled to integers by the lcm D of its denominators, so both sides
-    carry D^2; return_sides divides it out.
+    Each slot of B is mapped once to its V0 word of basis positions, which
+    must be nondecreasing (ClaimViolation otherwise).  The inner factor never
+    touches the outer slot that Delta leaves alone, so _inner(z) is formed
+    once per word z and layer h2, then scattered over the b paired with a = z
+    (B^(12,3)) and the a paired with b = z (B^(1,23)).  B is scaled to
+    integers by the lcm D of its denominators, so both sides carry D^2;
+    return_sides divides it out and maps the keys back to letters.
     """
     if N is None:
         N = bid.order
     if N > bid.order:
         raise TruncationError("cannot check beyond the computed truncation order")
-    den = math.lcm(*(c.denominator for h, d in bid.terms.items() if h <= N for c in d.values()))
-    terms = {h: {k: c.numerator * (den // c.denominator) for k, c in d.items()}
-             for h, d in bid.terms.items() if h <= N}
-    left = {}
-    right = {}
+    ctx = bid.v0.ctx
+    layers = {h: d for h, d in bid.terms.items() if h <= N}
+    den = math.lcm(*(c.denominator for d in layers.values() for c in d.values()))
+    slots = {}  # letter word -> its V0 word
+    for h, d in layers.items():
+        for term in d:
+            for word in term:
+                if word not in slots:
+                    w = slots[word] = tuple(ctx.rank.get(letter, -1) for letter in word)
+                    if -1 in w or w != tuple(sorted(w)):
+                        raise ClaimViolation(f"the term {term} at hbar^{h} has the slot "
+                                             f"{word}, which is no V0 basis word")
+    terms = {h: {(slots[a], slots[b]): c.numerator * (den // c.denominator)
+                 for (a, b), c in d.items()} for h, d in layers.items()}
+    left, right = {}, {}
     for h2, d2 in terms.items():
-        memo = {}  # word -> _inner of this layer only
+        memo = {(): d2}  # V0 word z -> _inner of this layer only; B's slots are V0 words
         for h1, d1 in terms.items():
             if h1 + h2 > N:
                 continue
             out_l = left.setdefault(h1 + h2, {})
             out_r = right.setdefault(h1 + h2, {})
             for (a, b), c1 in d1.items():
-                for (w1, w2), v in _inner(bid.v0, a, d2, memo).items():
+                for (w1, w2), v in _inner(ctx, a, memo).items():
                     acc(out_l, (w1, w2, b), c1 * v)
-                for (w2, w3), v in _inner(bid.v0, b, d2, memo).items():
+                for (w2, w3), v in _inner(ctx, b, memo).items():
                     acc(out_r, (a, w2, w3), c1 * v)
     left, right = ({h: d for h, d in side.items() if d} for side in (left, right))
     if return_sides:
-        left, right = ({h: {k: Fraction(v, den * den) for k, v in d.items()}
+        letters = bid.v0.letters
+        left, right = ({h: {tuple(map(letters, k)): Fraction(v, den * den) for k, v in d.items()}
                         for h, d in side.items()} for side in (left, right))
         return left == right, left, right
     return left == right
 
 
-def _inner(v0, z, layer, memo):
-    """Delta(z) . (p x p)(layer): the sum over (x, y) in the layer and the
-    splits (z_i, z_j) of z of c p(z_i x) (x) p(z_j y), one letter at a time
-    from the right, as Delta(l z') = (l x 1 + 1 x l) Delta(z') and p(l u) = l . p(u)."""
+def _inner(ctx, z, memo):
+    """Delta(z) . B_h for a V0 word z, memo holding () -> B_h, one letter at
+    a time from the right: Delta(l z') = (l x 1 + 1 x l) Delta(z'), one
+    memoised ctx.act per letter and V0 word."""
     hit = memo.get(z)
-    if hit is not None:
-        return hit
-    out = {}
-    if not z:
-        for (x, y), c in layer.items():
-            for w1, c1 in v0.project_word(x).items():
-                for w2, c2 in v0.project_word(y).items():
-                    acc(out, (w1, w2), c * c1 * c2)
-    else:
-        head = z[:1]
-        for (w1, w2), c in _inner(v0, z[1:], layer, memo).items():
-            for u, c1 in v0.project_word(head + w1).items():
-                acc(out, (u, w2), c * c1)
-            for u, c2 in v0.project_word(head + w2).items():
-                acc(out, (w1, u), c * c2)
-    memo[z] = out
-    return out
+    if hit is None:
+        head = ctx.basis[z[0]]
+        hit = {}
+        for (w1, w2), c in _inner(ctx, z[1:], memo).items():
+            for u, c1 in ctx.act(head, w1).items():
+                acc(hit, (u, w2), c * c1)
+            for u, c2 in ctx.act(head, w2).items():
+                acc(hit, (w1, u), c * c2)
+        memo[z] = hit
+    return hit
 
 
 def first_difference(left, right):

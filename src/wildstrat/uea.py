@@ -6,13 +6,15 @@ degree), plus the central dilation letter c, which letter_bracket brackets
 to zero.  A UEAContext fixes an ordered list of basis letters spanning a
 complement of a subalgebra that acts on the cyclic vector by scalars (by
 multiples of c when dilated); every other letter puts a given vector on the
-cyclic vector (0 when absent).  A module vector is {word: rational} over
+cyclic vector (0 when absent).  A module vector is {word: coeff} over
 nondecreasing words of basis positions, and a letter a acts by the single
 rule a.(y.rest) = y.(a.rest) + [a, y].rest unless it is a basis letter that
 may stand in front of y.  The singularity module (basis: its generators, then
 c when dilated, so a word is a generator word followed by c^d; Cartan letters
 put lambda(H) w, or lambda(H) c w when dilated, on w) and V0 = U(g_r)/U(g_r) l
-(basis: the neg, then the pos letters) are its instances.
+(basis: the neg, then the pos letters) are its instances.  The unit is the
+int 1 and letter_bracket's structure constants are ints, so only scalars
+(lambda(H)) bring in rationals: V0 has none and stays integral.
 
 The coefficient accumulator (acc) lives in linalg and the bracket of two
 letters (letter_bracket) in rootdata, next to the tables it reads; both are
@@ -21,7 +23,7 @@ imported from there.
 
 from __future__ import annotations
 
-from .linalg import One, acc
+from .linalg import acc
 from .rootdata import letter_bracket
 
 
@@ -29,8 +31,7 @@ class UEAContext:
     """The action of g_r letters on the induced module with ordered `basis`.
 
     `scalar` maps each non-basis letter that does not kill the cyclic vector
-    to the vector {word: coeff} it puts there.  Coefficients are rationals,
-    the unit is One.
+    to the vector {word: coeff} it puts there.  The unit is the int 1.
     """
 
     def __init__(self, rd, depth, basis, scalar):
@@ -49,7 +50,7 @@ class UEAContext:
         so no call recurses once per letter."""
         k = self.rank.get(letter)
         if k is not None and (not word or k <= word[0]):
-            return {(k,) + word: One}
+            return {(k,) + word: 1}
         memo = self._memo
         key = (letter, word)
         hit = memo.get(key)
@@ -69,7 +70,7 @@ class UEAContext:
             result = {}
             for w, c in self.act(letter, rest).items():
                 for w2, c2 in self.act(head, w).items():
-                    acc(result, w2, c if c2 is One else c * c2)
+                    acc(result, w2, c if c2 == 1 else c * c2)
             for coeff, b in letter_bracket(self.rd, self.depth, letter, head):
                 for w, c in self.act(b, rest).items():
                     acc(result, w, c * coeff)
@@ -86,7 +87,7 @@ class UEAContext:
 
     def normal_form(self, word):
         """A word of letters applied to the cyclic vector, rightmost first."""
-        vec = {(): One}
+        vec = {(): 1}
         for letter in reversed(word):
             vec = self.apply(letter, vec)
         return vec

@@ -34,7 +34,7 @@ class BubbleSortUEA:
         self.layout = layout
         ts = triangular_split(pf)
         self.split = ts
-        lf = ts.levi
+        lf = pf.levi_filtration()
         letters = []
         self.block = {}
         # classify every letter of g_r

@@ -124,6 +124,23 @@ def test_uea_reads_no_cpoly():
     assert name_reads((SRC / "uea.py").read_text(), "CPoly") == set()
 
 
+def imported(source):
+    """The names that the import statements of `source` import, before any `as`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_imported_sees_through_aliases():
+    source = "from fractions import Fraction as F\nimport fractions\nfrom .linalg import One, acc\n"
+    assert imported(source) == {"Fraction", "fractions", "One", "acc"}
+
+
+def test_uea_stays_integral():
+    """The engine's unit is the int 1: uea imports neither Fraction nor One,
+    so V0, which has no scalars, keeps int coefficients."""
+    assert imported((SRC / "uea.py").read_text()) & {"Fraction", "fractions", "One"} == set()
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_cpoly_only_at_the_api_edge(path):

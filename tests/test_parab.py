@@ -85,35 +85,32 @@ def admissible_grid(rd, pf, values):
     return [FormalType(lams) for lams in combos]
 
 
-def u_minus_basis(ts):
-    rd = ts.rd
+def u_minus_basis(rd, ts):
     return [TcElement.pure(rd, ts.depth, i, GElement.root_vec(rd, rd.neg[a]))
             for a, i in ts.gens]
 
 
-def u_plus_basis(ts):
-    rd = ts.rd
+def u_plus_basis(rd, ts):
     return [TcElement.pure(rd, ts.depth, i, GElement.root_vec(rd, a))
             for a, i in ts.gens]
 
 
-def levi_basis(ts):
-    rd = ts.rd
+def levi_basis(pf):
+    rd, lf = pf.rd, pf.levi_filtration()
     out = []
-    for i in range(ts.depth):
+    for i in range(pf.depth):
         for t in range(rd.dim_t):
-            out.append(TcElement.pure(rd, ts.depth, i, GElement.cartan_vec(
+            out.append(TcElement.pure(rd, pf.depth, i, GElement.cartan_vec(
                 rd, tuple(One if k == t else Zero for k in range(rd.dim_t)))))
-        for b in indices(ts.levi.mask(i)):
-            out.append(TcElement.pure(rd, ts.depth, i, GElement.root_vec(rd, b)))
+        for b in indices(lf.mask(i)):
+            out.append(TcElement.pure(rd, pf.depth, i, GElement.root_vec(rd, b)))
     return out
 
 
-def split_dims(ts):
-    """(dim u^-, dim l, dim u^+) of a TriangularSplit."""
+def split_dims(pf, ts):
+    """(dim u^-, dim l, dim u^+) of the TriangularSplit ts of pf."""
     u = len(ts.gens)
-    return u, ts.depth * ts.rd.dim_t + sum(
-        len(indices(ts.levi.mask(i))) for i in range(ts.depth)), u
+    return u, len(levi_basis(pf)), u
 
 
 def bracket_pairing_matrix(rd, lams, ts):
@@ -121,9 +118,9 @@ def bracket_pairing_matrix(rd, lams, ts):
     extended by zero off the Cartan part, over the bases of a TriangularSplit
     (rows u^+, columns u^-)."""
     out = []
-    for yp in u_plus_basis(ts):
+    for yp in u_plus_basis(rd, ts):
         row = []
-        for ym in u_minus_basis(ts):
+        for ym in u_minus_basis(rd, ts):
             br = yp.bracket(ym)
             row.append(sum((l * h for k in range(min(ts.depth, len(lams)))
                             for l, h in zip(lams[k], br.coeffs[k].cartan)), Fraction(0)))
@@ -239,16 +236,16 @@ def test_triangular_split_sl2(sl2, sl2_efh):
     pf = ParabolicFiltration(sl2, [pos, pos])
     ts = triangular_split(pf)
     assert ts.gens == [(i_e, 0), (i_e, 1)]
-    um = u_minus_basis(ts)
-    up = u_plus_basis(ts)
-    lv = levi_basis(ts)
+    um = u_minus_basis(sl2, ts)
+    up = u_plus_basis(sl2, ts)
+    lv = levi_basis(pf)
     assert um == [TcElement.pure(sl2, 2, 0, F), TcElement.pure(sl2, 2, 1, F)]
     assert up == [TcElement.pure(sl2, 2, 0, E), TcElement.pure(sl2, 2, 1, E)]
     assert len(lv) == 2
     # constant-Phi filtration: no nilradical, l = g_r
     pf_full = ParabolicFiltration(sl2, [full_mask(sl2)] * 2)
     ts_full = triangular_split(pf_full)
-    assert ts_full.gens == [] and len(levi_basis(ts_full)) == 2 * 3
+    assert ts_full.gens == [] and len(levi_basis(pf_full)) == 2 * 3
 
 
 def test_triangular_split_gl3_example(gl3):
@@ -259,14 +256,15 @@ def test_triangular_split_gl3_example(gl3):
     i13 = gl_root_index(gl3, 0, 2)
     i23 = gl_root_index(gl3, 1, 2)
     assert ts.gens == [(i12, 0), (i23, 0), (i23, 1), (i13, 0), (i13, 1)]
-    u, l, u2 = split_dims(ts)
+    u, l, u2 = split_dims(pf, ts)
     assert u == u2 == 5
     assert u + l + u2 == 2 * gl3.dim_g
     # the split spans g_r and u+/u- are swapped by the transposition degreewise
     from wildstrat.linalg import rank as mat_rank
-    vectors = [v.coords() for v in u_minus_basis(ts) + levi_basis(ts) + u_plus_basis(ts)]
+    vectors = [v.coords() for v in
+               u_minus_basis(gl3, ts) + levi_basis(pf) + u_plus_basis(gl3, ts)]
     assert mat_rank(vectors) == 2 * gl3.dim_g
-    for vm, vp in zip(u_minus_basis(ts), u_plus_basis(ts)):
+    for vm, vp in zip(u_minus_basis(gl3, ts), u_plus_basis(gl3, ts)):
         assert vm.transpose() == vp
 
 
@@ -274,7 +272,7 @@ def test_triangular_split_isotropy(gl3):
     """u+ and u- are isotropic for the depth pairing ( . | . )_r."""
     pf = gl3_ex_chain(gl3)
     ts = triangular_split(pf)
-    for basis in (u_plus_basis(ts), u_minus_basis(ts)):
+    for basis in (u_plus_basis(gl3, ts), u_minus_basis(gl3, ts)):
         for x in basis:
             for y in basis:
                 assert x.pairing_c(y, pf.depth) == 0

@@ -1,3 +1,6 @@
+import gc
+import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +13,7 @@ from wildstrat.quant import (InverseShapovalov, TruncationError, UnbalancedFiltr
                              V0Context, associativity_check, check_invariance,
                              first_difference, first_order_check, inverse_shapovalov_series,
                              poisson_bivector, star_bidiff)
-from wildstrat.rootdata import all_letters
+from wildstrat.rootdata import all_letters, root_datum
 from wildstrat.singmod import SingularityModule
 from wildstrat.strat import mask_from_indices
 from wildstrat.uea import acc
@@ -21,6 +24,7 @@ from test_block_oracles import (_b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3,
                                 assert_memo_matches_reference, letter_c_degrees,
                                 reference_action)
 from test_parab import gl3_ex_chain, gl3_ex_ft
+from v0_projection import project_word
 
 
 def shuffle_coproduct(word):
@@ -54,10 +58,10 @@ def oracle_associativity_check(bid: InverseShapovalov, N=None, return_sides=Fals
                     c = c1 * c2
                     # B^(12,3): Delta on the first slot of the OUTER factor
                     for a_i, a_j in shuffle_coproduct(a):
-                        s1 = v0.project_word(a_i + x)
+                        s1 = project_word(v0, a_i + x)
                         if not s1:
                             continue
-                        s2 = v0.project_word(a_j + y)
+                        s2 = project_word(v0, a_j + y)
                         if not s2:
                             continue
                         for w1, cc1 in s1.items():
@@ -65,10 +69,10 @@ def oracle_associativity_check(bid: InverseShapovalov, N=None, return_sides=Fals
                                 acc(left.setdefault(h, {}), (w1, w2, b), c * cc1 * cc2)
                     # B^(1,23): Delta on the second slot of the outer factor
                     for b_i, b_j in shuffle_coproduct(b):
-                        s2 = v0.project_word(b_i + x)
+                        s2 = project_word(v0, b_i + x)
                         if not s2:
                             continue
-                        s3 = v0.project_word(b_j + y)
+                        s3 = project_word(v0, b_j + y)
                         if not s3:
                             continue
                         for w2, cc2 in s2.items():
@@ -154,6 +158,18 @@ def _changed(series, h):
     terms[h][key] += 1
     return InverseShapovalov(series.pf, series.ft, series.order, terms, series.per_weight,
                              series.module, V0Context(series.pf))
+
+
+def _reversed_slot(series, h):
+    """(series, term): the series with one slot of one term at hbar^h written
+    backwards, over a fresh V0 context, and that term as it now reads."""
+    terms = {g: dict(d) for g, d in series.terms.items()}
+    key = next(k for k in sorted(terms[h]) if any(w != w[::-1] for w in k))
+    i = next(i for i, w in enumerate(key) if w != w[::-1])
+    bad = tuple(w[::-1] if j == i else w for j, w in enumerate(key))
+    terms[h][bad] = terms[h].pop(key)
+    return InverseShapovalov(series.pf, series.ft, series.order, terms, series.per_weight,
+                             series.module, V0Context(series.pf)), bad
 
 
 def degree0_is_identity(bid):
@@ -270,12 +286,12 @@ def test_project_v0(sl2):
     v0 = V0Context(pf)
     E, F, H = ("E", i_e, 0), ("E", i_f, 0), ("H", 0, 0)
     # p(1) = w_0
-    assert v0.project_word(()) == {(): Fraction(1)}
+    assert project_word(v0, ()) == {(): Fraction(1)}
     # p(H E): H E = E H + [H, E]: the E H term dies, leaving 2E
-    assert v0.project_word((H, E)) == {(E,): Fraction(2)}
+    assert project_word(v0, (H, E)) == {(E,): Fraction(2)}
     # p(F H) = 0 since H is a right Levi factor; p(H F) reduces to -2F
-    assert v0.project_word((F, H)) == {}
-    assert v0.project_word((H, F)) == {(F,): Fraction(-2)}
+    assert project_word(v0, (F, H)) == {}
+    assert project_word(v0, (H, F)) == {(F,): Fraction(-2)}
 
 
 def test_project_v0_eps_levi(sl2):
@@ -284,36 +300,47 @@ def test_project_v0_eps_levi(sl2):
     v0 = V0Context(pf)
     F, He = ("E", i_f, 0), ("H", 0, 1)
     # p(F He) = 0 (right multiple of the Levi part); p(He F) = commutator term
-    assert v0.project_word((F, He)) == {}
-    assert v0.project_word((He, F)) == {(("E", i_f, 1),): Fraction(-2)}
+    assert project_word(v0, (F, He)) == {}
+    assert project_word(v0, (He, F)) == {(("E", i_f, 1),): Fraction(-2)}
 
 
 @pytest.mark.parametrize("make, N", [(_gl3_chain, 3), (_sl2_r3, 4)],
                          ids=["gl3 chain N=3", "sl2 r=3 N=4"])
-def test_project_word_matches_bubble_sort_oracle(monkeypatch, make, N):
-    """p of every word that associativity_check projects equals the bubble-sort
-    normal form in (neg, pos, levi) with the levi words dropped."""
+def test_project_word_matches_bubble_sort_oracle(make, N):
+    """Every step letter . w that associativity_check hands to the V0 engine
+    (w a V0 word of basis positions), mapped back to letters, equals the
+    bubble-sort normal form of the word (letter,) + w in (neg, pos, levi)
+    with the levi words dropped."""
     pf, ft = make()
-    series = inverse_shapovalov_series(pf, ft, N, N)
-    words = set()
-    project_word = V0Context.project_word
+    bid = star_bidiff(inverse_shapovalov_series(pf, ft, N, N))
+    v0, ctx = bid.v0, bid.v0.ctx
+    steps = {}
+    depth = [0]  # the engine's own recursive calls are not the check's steps
 
-    def recording(self, word):
-        words.add(tuple(word))
-        return project_word(self, word)
+    def recording(letter, word):
+        depth[0] += 1
+        try:
+            result = uea.UEAContext.act(ctx, letter, word)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            steps[letter, word] = result
+        return result
 
-    monkeypatch.setattr(V0Context, "project_word", recording)
-    bid = star_bidiff(series)
-    assert associativity_check(bid)
-    monkeypatch.undo()
+    ctx.act = recording
+    try:
+        assert associativity_check(bid)
+    finally:
+        del ctx.act
+    assert len(steps) > 10
     oracle = BubbleSortUEA(pf, layout=("neg", "pos", "levi"))
-    for word in words:
+    for (letter, word), got in steps.items():
         want = {}
-        for w, c in oracle.normal_form(word).items():
+        for w, c in oracle.normal_form((letter,) + v0.letters(word)).items():
             neg, pos, levi = oracle.split_word(w)
             if not levi:
                 uea.acc(want, neg + pos, c)
-        assert bid.v0.project_word(word) == want, word
+        assert {v0.letters(w): c for w, c in got.items()} == want, (letter, word)
 
 
 ASSOC_CASES = {"gl3 chain N=3": (_gl3_chain, 3), "sl2 r=3 N=4": (_sl2_r3, 4),
@@ -334,7 +361,7 @@ def test_series_slots_are_v0_basis_words(label):
     words = {w for d in series.terms.values() for pair in d for w in pair}
     assert len(words) > 2
     for word in words:
-        assert v0.project_word(word) == {word: 1}, word
+        assert project_word(v0, word) == {word: 1}, word
     assert star_bidiff(series).terms == series.terms
 
 
@@ -412,6 +439,33 @@ def test_one_module_v0_and_dual_basis_per_quantisation(monkeypatch, label):
     assert counts == {"module": 1, "v0": 1, "dual_basis": 1}
 
 
+def test_one_triangular_split_per_filtration(monkeypatch):
+    """The singularity module, the V0 context and the dual basis of a
+    quantisation read one TriangularSplit, built once per root datum and
+    chain, and freed with the datum."""
+    rd = root_datum.__wrapped__("gl", 3)  # a datum of its own, outside root_datum's cache
+    pf, ft = gl3_ex_chain(rd), gl3_ex_ft(rd, 1, 2, 4, 6, 3)
+    builds = Counter()
+    build = parab.TriangularSplit.__init__
+
+    def counting(self, pf):
+        builds[pf.masks] += 1
+        build(self, pf)
+
+    monkeypatch.setattr(parab.TriangularSplit, "__init__", counting)
+    series = inverse_shapovalov_series(pf, ft, 2, 2)
+    assert associativity_check(star_bidiff(series))
+    assert builds == {pf.masks: 1}
+    split = parab.triangular_split(ParabolicFiltration(rd, pf.masks))
+    assert series.module.split is split and parab.dual_basis(pf, ft)[1] is split
+    assert builds == {pf.masks: 1}
+    monkeypatch.undo()
+    ref = weakref.ref(rd)
+    del rd, pf, series
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("label, dual_builds, scalar_builds",
                          [("gl3 chain N=3", 16, 10), ("sl2 r=3 N=4", 5, 5),
                           ("B2 tame N=3", 28, 10), ("B2 borel r=2 N=2", 15, 6)])
@@ -446,6 +500,27 @@ def test_associativity_check_matches_oracle(label):
         want = oracle_associativity_check(star_bidiff(series), N, return_sides=True)
         assert want[0], (label, N)
         assert got == want, (label, N)
+
+
+@pytest.mark.parametrize("label", list(ASSOC_CASES))
+def test_associativity_check_rejects_a_slot_that_is_no_v0_word(label):
+    """A slot written backwards, or carrying a levi letter, is no V0 basis
+    word: the check raises ClaimViolation naming h and the term."""
+    series = _assoc_series(label)
+    h = series.order
+    bad, term = _reversed_slot(series, h)
+    for return_sides in (False, True):
+        with pytest.raises(strat.ClaimViolation, match=re.escape(f"{term} at hbar^{h}")):
+            associativity_check(bad, return_sides=return_sides)
+    terms = {g: dict(d) for g, d in series.terms.items()}
+    (lw, rw), c = sorted(terms[1].items())[0]
+    term = (lw, rw + (("H", 0, 0),))
+    terms[1][term] = c
+    levi = InverseShapovalov(series.pf, series.ft, series.order, terms, series.per_weight,
+                             series.module, series.v0)
+    with pytest.raises(strat.ClaimViolation, match=re.escape(f"{term} at hbar^1")):
+        associativity_check(levi)
+    assert associativity_check(series)
 
 
 @pytest.mark.parametrize("label", list(ASSOC_CASES))
@@ -683,10 +758,10 @@ def test_star_bidiff_levi_invariance(sl2, gl3):
             for h, terms in bid.terms.items():
                 acc = {}
                 for (w1, w2), c in terms.items():
-                    for u1, c1 in v0.project_word((g,) + w1).items():
+                    for u1, c1 in project_word(v0, (g,) + w1).items():
                         key = (u1, w2)
                         acc[key] = acc.get(key, Fraction(0)) + c * c1
-                    for u2, c2 in v0.project_word((g,) + w2).items():
+                    for u2, c2 in project_word(v0, (g,) + w2).items():
                         key = (w1, u2)
                         acc[key] = acc.get(key, Fraction(0)) + c * c2
                 assert all(v == 0 for v in acc.values()), (g, h)
