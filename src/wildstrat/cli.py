@@ -184,15 +184,15 @@ def cmd_levi(args):
 def cmd_parabolic(args):
     rd = _root_datum(args)
     ps = parab.enumerate_parabolic(rd)
+    classes = parab.weyl_classes(rd, ps)
     payload = {
         "type": rd.label,
         "parabolic_subsets": len(ps),
-        "weyl_classes": len(parab.weyl_classes(rd, ps)),
+        "weyl_classes": len(classes),
     }
     if args.depth:
         payload["depth"] = args.depth
-        payload["filtration_count"] = len(parab.enumerate_parabolic_filtrations(
-            rd, args.depth, parabolics=ps))
+        payload["filtration_count"] = strat.chain_count(classes, args.depth)
     _emit(args, payload)
     return 0
 

@@ -149,16 +149,20 @@ def _expand_dual_mono(mod, v0, duals, mono):
     """Y_{f,i} written in plain u^+ letters, normal-ordered: {word: coeff}.
 
     On a balanced chain brackets of pos letters stay pos, so the dual
-    letters acting on V0's cyclic vector give the normal form in U(u^+).
+    letters acting on V0's cyclic vector give the normal form in U(u^+).  Each
+    dual combination is scaled to ints; the result is divided by the scales once.
     """
-    vec = {(): 1}
+    vec, den = {(): 1}, 1
     for g in reversed(mod.word_of(mono)):
+        d = math.lcm(*(Fraction(c).denominator for c, _ in duals[mod.gens[g]]))
+        den *= d
         new = {}
         for c2, letter in duals[mod.gens[g]]:
+            k = int(c2 * d)
             for word, c in v0.ctx.apply(letter, vec).items():
-                acc(new, word, c * c2)
+                acc(new, word, c * k)
         vec = new
-    return {v0.letters(word): c for word, c in vec.items()}
+    return {v0.letters(word): Fraction(c, den) for word, c in vec.items()}
 
 
 # -- Poisson bivector and the first-order check ----------------------------------

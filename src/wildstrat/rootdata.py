@@ -198,7 +198,7 @@ class RootDatum:
         # <alpha_i|alpha_j^v> over the base: ints, as roots and coroots are
         self.cartan_matrix = [[self.cartan_integer(i, j) for j in self.simple]
                               for i in self.simple]
-        self.simple_reflections = tuple(self._reflection(i) for i in self.simple)
+        self.simple_reflections = tuple(self.reflection(i) for i in self.simple)
 
     def base(self, pos):
         """The simple roots of a positive system (sorted root indices): its
@@ -206,7 +206,7 @@ class RootDatum:
         sums = {self.root_sum[i, j] for i in pos for j in pos}
         return tuple(i for i in pos if i not in sums)
 
-    def _reflection(self, i):
+    def reflection(self, i):
         """Reflection in root i, as permutation of the roots and matrix on t."""
         co = self.coroots[i]
         al = self.roots[i]

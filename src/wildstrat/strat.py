@@ -138,28 +138,45 @@ def levi_of_point(rd, x):
     return _vanishing_mask(rd.roots, x)
 
 
-def weyl_orbit(rd, x, act):
-    """The W-orbit of x, each point once, breadth first from x over the simple
-    reflections: act(s, y) is the image of y under the simple reflection s."""
+def weyl_orbit(rd, x, act, gens=None):
+    """The orbit of x, each point once, breadth first from x over the reflections
+    gens (the simple ones, so W, by default): act(s, y) is the image of y under s."""
+    gens = rd.simple_reflections if gens is None else gens
     seen, queue = {x}, [x]
     for y in queue:
         yield y
-        for s in rd.simple_reflections:
+        for s in gens:
             z = act(s, y)
             if z not in seen:
                 seen.add(z)
                 queue.append(z)
 
 
-_ORDERS = WeakKeyDictionary()  # root datum -> |W|, dies with the datum
+_REFLECTIONS = WeakKeyDictionary()  # root datum -> ({root: reflection}, {mask: order})
+
+
+def reflection_order(rd, mask):
+    """|W(phi)| for a Levi subsystem phi, memoised per root datum.
+
+    With D the base of phi cap Phi+ and a a leaf of its Dynkin diagram, the
+    roots of phi cap Phi+ outside span(D - a) are a standard parabolic
+    nilradical, fixed by W(D - a) alone: |W(phi)| is its orbit size times |W(D - a)|.
+    """
+    reflections, orders = _REFLECTIONS.setdefault(rd, ({}, {0: 1}))
+    if mask not in orders:
+        pos = mask & mask_from_indices(rd.positive)
+        delta = rd.base(indices(pos))
+        a = min(delta, key=lambda b: sum(rd.root_sum[b, c] is not None for c in delta))
+        rest = span_closure(rd, mask_from_indices(b for b in delta if b != a))
+        gens = [reflections.get(b) or reflections.setdefault(b, rd.reflection(b)) for b in delta]
+        orbit = sum(1 for _ in weyl_orbit(rd, pos & ~rest, weyl_mask, gens))
+        orders[mask] = orbit * reflection_order(rd, rest)
+    return orders[mask]
 
 
 def weyl_order(rd):
-    """|W|, the orbit size of Phi+ (W acts simply transitively on positive
-    systems), walked once per root datum."""
-    if rd not in _ORDERS:
-        _ORDERS[rd] = sum(1 for _ in weyl_orbit(rd, mask_from_indices(rd.positive), weyl_mask))
-    return _ORDERS[rd]
+    """|W| = |W(Phi)|."""
+    return reflection_order(rd, full_mask(rd))
 
 
 def weyl_saturation(rd, extra=0):
@@ -370,6 +387,16 @@ def nondecreasing_chains(masks, s):
     return out
 
 
+def chain_count(classes, s):
+    """len(nondecreasing_chains(masks, s)) for the masks of the W-classes: the
+    count of chains topped by m, constant on classes, sums those one shorter in m."""
+    inside = [[sum(m | top[0] == top[0] for m in cls) for cls in classes] for top in classes]
+    counts = [1] * len(classes)
+    for _ in range(s - 1):
+        counts = [dot(row, counts) for row in inside]
+    return dot(counts, list(map(len, classes))) if s else 1
+
+
 def cardinality_bound(rd, s):
     """|W| (s+1)^{rk Phi}: the enumeration bound."""
     return weyl_order(rd) * (s + 1) ** rank([list(r) for r in rd.roots])
@@ -381,25 +408,13 @@ def cardinality_bound(rd, s):
 QuotientStratum = namedtuple("QuotientStratum", "orbit setwise_order pointwise_order out_order")
 
 
-def _orbit_size(rd, xs):
-    """|W.xs| for a tuple of points of t.
-
-    w.x - x lies in span(coroots), which the roots separate, so the orbit is
-    walked on the roots' pairings with xs, numbered by value (one chr per
-    root, in a str): w permutes them as it permutes the roots.
-    """
-    pairings = [tuple(dot(r, x) for x in xs) for r in rd.roots]
-    number = {p: chr(k) for k, p in enumerate(dict.fromkeys(pairings))}
-    state = "".join(number[p] for p in pairings)
-    return sum(1 for _ in weyl_orbit(rd, state, lambda s, p: "".join(map(p.__getitem__, s.perm))))
-
-
 def weyl_orbits_and_quotient(rd, s, filts=None):
     """Partition the depth-s filtrations into W-orbits, with stabilizer data.
 
     ``filts`` is the list of all depth-s filtrations when the caller has it.
-    Out = setwise/pointwise stabilizer (of Ker(phi_0) x ... x Ker(phi_{s-1}))
-    must act freely on the stratum witness, else ClaimViolation.
+    Out = setwise/pointwise stabilizer (of Ker(phi_0) x ... x Ker(phi_{s-1}), so
+    W(phi_0) by Steinberg's theorem) must act freely on the stratum witness: the
+    roots vanishing on all its points must be phi_0, else ClaimViolation.
     Returns (list of QuotientStratum, leq) where leq compares orbits in the
     quotient poset order (representative-wise comparability).
     """
@@ -411,11 +426,12 @@ def weyl_orbits_and_quotient(rd, s, filts=None):
     for orbit in orbits:
         rep = orbit[0]
         setwise = order // len(orbit)
-        pointwise = order // _orbit_size(rd, [v for m in rep.masks for v in kernel_basis(rd, m)])
-        fixing = order // _orbit_size(rd, stratum_witness(rep))
-        if fixing != pointwise:
+        pointwise = reflection_order(rd, rep.mask(0))
+        psi = stratum_of_tuple(rd, stratum_witness(rep)).mask(0)
+        if psi != rep.mask(0):
             raise ClaimViolation(f"Out does not act freely on the witness of {rep!r}: "
-                                 f"{fixing} Weyl elements fix it, {pointwise} fix its kernels")
+                                 f"{reflection_order(rd, psi)} Weyl elements fix it, "
+                                 f"{pointwise} fix its kernels")
         strata.append(QuotientStratum(orbit, setwise, pointwise, setwise // pointwise))
 
     def leq(i, j):

@@ -94,7 +94,8 @@ def partitions(n, largest=None):
     return [(k,) + rest for k in range(min(n, largest), 0, -1) for rest in partitions(n - k, k)]
 
 
-@pytest.mark.parametrize("n, bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)])
+@pytest.mark.parametrize("n, bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877),
+                                     (8, 4140)])
 def test_levi_gl_matches_partition_formulas(capsys, n, bell):
     """gl_n without listing W: the Levi subsystems are the set partitions of
     {1..n} (Bell many), and the depth-1 strata are the partitions lambda of n.

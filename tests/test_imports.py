@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, only
 rootdata reads the structure-constant table and the full list of the Weyl
-group, no module brackets basis elements of g or g_r one at a time, CPoly is
+group, only the listed functions walk W-orbits, no module brackets basis elements of g or g_r one at a time, CPoly is
 read only in linalg and at the API edge, and sparse sums and inner products
 are written out only in linalg."""
 
@@ -91,8 +91,8 @@ def test_no_per_basis_element_loops(path):
 
 
 def name_reads(source, name):
-    """The qualified names of the functions in `source` that read the name
-    `name` (the module's own top level is "")."""
+    """The qualified names of the functions in `source` that read `name`, as a
+    name or as an attribute of any object (the module's own top level is "")."""
     found = set()
 
     def walk(node, scope):
@@ -100,7 +100,8 @@ def name_reads(source, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, f"{scope}.{child.name}" if scope else child.name)
             else:
-                if isinstance(child, ast.Name) and child.id == name:
+                if (isinstance(child, ast.Name) and child.id == name
+                        or isinstance(child, ast.Attribute) and child.attr == name):
                     found.add(scope)
                 walk(child, scope)
 
@@ -110,8 +111,22 @@ def name_reads(source, name):
 
 def test_name_reads_finds_the_enclosing_function():
     source = ("from m import P\nclass A:\n    def f(self):\n        return [P()]\n"
-              "def g():\n    def h():\n        return P\n    return h\nx = P\n")
+              "def g():\n    def h():\n        return m.P\n    return h\nx = P\n"
+              "def k():\n    return m.Q\n")
     assert name_reads(source, "P") == {"A.f", "g.h", ""}
+
+
+# The functions that walk W-orbits.  |W| and stabiliser orders come from
+# strat.reflection_order (Steinberg's theorem), not from walks over W.
+WEYL_ORBIT_CALLERS = {"strat.py": {"weyl_saturation", "weyl_orbits", "reflection_order"},
+                      "parab.py": {"height_functional"},
+                      "orbit.py": {"classify_unmarked"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_listed_functions_walk_weyl_orbits(path):
+    assert name_reads(path.read_text(), "weyl_orbit") <= WEYL_ORBIT_CALLERS.get(
+        path.name, set()), path.name
 
 
 # The dilated engine runs on rationals; CPoly entries are built only here.

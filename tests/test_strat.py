@@ -370,6 +370,26 @@ def test_out_freeness_violation_names_the_filtration(gl3, monkeypatch):
         weyl_orbits_and_quotient(gl3, 1)
 
 
+@pytest.mark.parametrize("label, order", [("gl3", 6), ("B2", 8)])
+def test_depth_zero_is_one_stratum_fixed_by_w(label, order):
+    """At depth 0 the one (empty) filtration is fixed by W setwise and pointwise."""
+    strata, _ = weyl_orbits_and_quotient(parse_type(label), 0)
+    assert [(s.setwise_order, s.pointwise_order, s.out_order) for s in strata] == [
+        (order, order, 1)]
+
+
+def test_reflection_orders_kept_per_root_datum():
+    """|W(phi)| is memoised per root datum and freed with it."""
+    rd = root_datum.__wrapped__("gl", 3)
+    levi = strat.span_closure(rd, mask_from_indices([gl_root_index(rd, 0, 1)]))
+    assert strat.reflection_order(rd, levi) == 2
+    assert strat.reflection_order(rd, 0) == 1 and strat.weyl_order(rd) == 6
+    ref = weakref.ref(rd)
+    del rd
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("build, named", [
     (lambda rd: ParabolicFiltration(rd, [-1]), "mask -1"),
     (lambda rd: ParabolicFiltration(rd, [1 << 2]), "mask 4"),

@@ -3,14 +3,15 @@
 The functions under "full-group oracles" are the versions that scanned every
 element of rd.weyl, kept as they were (with the mask action that decodes a
 mask to indices and back); each test compares the walk-based code with them
-exactly, on every type up to gl6, B4, C4 and D5.
+exactly, on every type up to gl6, B4, C4 and D5.  _orbit_size is the walk
+that gave the stabiliser orders before strat.reflection_order.
 """
 
 import random
 
 import pytest
 
-from wildstrat import parab, strat
+from wildstrat import parab, rootdata, strat
 from wildstrat.elements import GElement, TcElement
 from wildstrat.linalg import One, dot, solve
 from wildstrat.orbit import classify_unmarked
@@ -69,6 +70,25 @@ def _pairings(rd, x):
 
 def _fixes(w, p):
     return list(map(p.__getitem__, w.perm)) == p
+
+
+def full_pointwise_order(rd, xs):
+    ps = [_pairings(rd, x) for x in xs]
+    return sum(1 for w in rd.weyl if all(_fixes(w, p) for p in ps))
+
+
+def _orbit_size(rd, xs):
+    """|W.xs| for a tuple of points of t.
+
+    w.x - x lies in span(coroots), which the roots separate, so the orbit is
+    walked on the roots' pairings with xs, numbered by value (one chr per
+    root, in a str): w permutes them as it permutes the roots.
+    """
+    pairings = [tuple(dot(r, x) for x in xs) for r in rd.roots]
+    number = {p: chr(k) for k, p in enumerate(dict.fromkeys(pairings))}
+    state = "".join(number[p] for p in pairings)
+    return sum(1 for _ in strat.weyl_orbit(rd, state,
+                                           lambda s, p: "".join(map(p.__getitem__, s.perm))))
 
 
 def full_height_functional(rd, nu_mask):
@@ -146,6 +166,49 @@ def test_quotient_matches_the_full_group(label):
             pointwise = full_pointwise_stabilizer(rd, s.orbit[0])
             assert (s.setwise_order, s.pointwise_order, s.out_order) == (
                 len(setwise), len(pointwise), len(setwise) // len(pointwise))
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_reflection_order_matches_the_full_group(label):
+    """|W(m)| is the order of the pointwise stabiliser of Ker(m) (Steinberg),
+    counted over rd.weyl and by the orbit walk, for every Levi subsystem m."""
+    rd = parse_type(label)
+    for m in strat.enumerate_levi(rd):
+        kernel = kernel_basis(rd, m)
+        order = strat.reflection_order(rd, m)
+        assert order == full_pointwise_order(rd, kernel)
+        assert order == len(rd.weyl) // _orbit_size(rd, kernel)
+
+
+@pytest.mark.parametrize("lie_type, n, order", [("gl", 8, 40320), ("D", 6, 23040),
+                                                ("B", 6, 46080)])
+def test_weyl_order_walks_short_orbits(lie_type, n, order, monkeypatch):
+    """|W| of a fresh root datum takes fewer than 2 000 reflections of masks;
+    walking the |W| positive systems took 40 320 x 7 on gl8."""
+    rd = rootdata.root_datum.__wrapped__(lie_type, n)
+    applied = []
+
+    def counted(w, mask):
+        applied.append(w)
+        return full_weyl_mask(w, mask)
+
+    monkeypatch.setattr(strat, "weyl_mask", counted)
+    assert strat.weyl_order(rd) == order
+    assert 0 < len(applied) < 2000
+
+
+# every (type, depth) with at most about 10^5 chains of parabolic subsets
+# (D5 has 177 605 at depth 2, gl6 367 927 at depth 3)
+CHAIN_CASES = [(label, depth) for label in TYPES for depth in (1, 2, 3)
+               if (label, depth) not in {("D5", 2), ("D5", 3), ("gl6", 3)}]
+
+
+@pytest.mark.parametrize("label, depth", CHAIN_CASES)
+def test_chain_count_matches_the_enumeration(label, depth):
+    rd = parse_type(label)
+    ps = parab.enumerate_parabolic(rd)
+    assert strat.chain_count(parab.weyl_classes(rd, ps), depth) == len(
+        parab.enumerate_parabolic_filtrations(rd, depth, parabolics=ps))
 
 
 @pytest.mark.parametrize("label", TYPES)
