@@ -163,11 +163,10 @@ def cmd_levi(args):
         "covers": len(poset.covers()),
     }
     if args.depth:
-        filts = strat.enumerate_filtrations(rd, args.depth, levis=poset.elements)
+        strata, _ = strat.weyl_orbits_and_quotient(rd, args.depth)
         payload["depth"] = args.depth
-        payload["filtration_count"] = len(filts)
+        payload["filtration_count"] = sum(len(s.orbit) for s in strata)
         payload["cardinality_bound"] = strat.cardinality_bound(rd, args.depth)
-        strata, _ = strat.weyl_orbits_and_quotient(rd, args.depth, filts=filts)
         payload["strata"] = [{
             "filtration": [sorted(strat.indices(m)) for m in s.orbit[0].masks],
             "dimension": s.orbit[0].dimension(),
@@ -183,11 +182,11 @@ def cmd_levi(args):
 
 def cmd_parabolic(args):
     rd = _root_datum(args)
-    ps = parab.enumerate_parabolic(rd)
-    classes = parab.weyl_classes(rd, ps)
+    parab.enumerate_parabolic(rd)  # verifies every member
+    classes = strat.standard_classes(rd, strat.mask_from_indices(rd.positive))
     payload = {
         "type": rd.label,
-        "parabolic_subsets": len(ps),
+        "parabolic_subsets": sum(map(len, classes)),
         "weyl_classes": len(classes),
     }
     if args.depth:

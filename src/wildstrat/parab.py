@@ -41,15 +41,12 @@ def nilradical_mask(rd, mask):
 
 def enumerate_parabolic(rd):
     """All parabolic subsets, generated as w(Phi+ cup Phi^-_Sigma)."""
-    out = strat.weyl_saturation(rd, mask_from_indices(rd.positive))
+    out = sorted(m for cls in strat.standard_classes(rd, mask_from_indices(rd.positive))
+                 for m in cls)
     for m in out:
         if not is_parabolic(rd, m):
             raise ClaimViolation("generated subset fails the parabolic axioms")
     return out
-
-
-def weyl_classes(rd, masks):
-    return strat.weyl_orbits(rd, masks, weyl_mask)
 
 
 # -- parabolic filtrations ------------------------------------------------------
@@ -87,14 +84,10 @@ class ParabolicFiltration(RootChain):
                    if kind == "E")
 
 
-def enumerate_parabolic_filtrations(rd, r, parabolics=None):
-    """Every depth-r nondecreasing chain of parabolic subsets.  A given
-    ``parabolics`` must be what ``enumerate_parabolic(rd)`` returned: the
-    chains built from it are not checked again."""
-    if parabolics is None:
-        parabolics = enumerate_parabolic(rd)
+def enumerate_parabolic_filtrations(rd, r):
+    """Every depth-r nondecreasing chain of parabolic subsets."""
     return [ParabolicFiltration._verified(rd, chain)
-            for chain in strat.nondecreasing_chains(parabolics, r)]
+            for chain in strat.nondecreasing_chains(enumerate_parabolic(rd), r)]
 
 
 # -- relative heights and words by weight ----------------------------------------

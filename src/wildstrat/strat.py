@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from weakref import WeakKeyDictionary
 
-from .linalg import Zero, dot, generic_point, nullspace, rank
+from .linalg import Zero, dot, generic_point, nullspace
 
 
 class ClaimViolation(RuntimeError):
@@ -179,28 +179,9 @@ def weyl_order(rd):
     return reflection_order(rd, full_mask(rd))
 
 
-def weyl_saturation(rd, extra=0):
-    """The W-images of span(Sigma) | extra over the subsets Sigma of the simple
-    roots, sorted: the Levi subsystems for extra = 0, the parabolic subsets for
-    extra = Phi+."""
-    delta = rd.simple
-    seen = set()
-    for bits in range(1 << len(delta)):
-        sigma = [delta[k] for k in range(len(delta)) if (bits >> k) & 1]
-        base = span_closure(rd, mask_from_indices(sigma)) | extra
-        if base not in seen:
-            seen.update(weyl_orbit(rd, base, weyl_mask))
-    return sorted(seen)
-
-
-def enumerate_levi(rd):
-    """All Levi subsystems, as W-orbits of the standard Phi_Sigma."""
-    return weyl_saturation(rd)
-
-
 def weyl_orbits(rd, items, act, key=None):
-    """Partition a W-stable collection into W-orbits under act(s, item), each
-    orbit sorted by key, in the order the orbits are met."""
+    """The W-orbits met by the items under act(s, item), each orbit sorted by
+    key, in the order the orbits are met."""
     remaining = set(items)
     orbits = []
     while remaining:
@@ -210,13 +191,40 @@ def weyl_orbits(rd, items, act, key=None):
     return orbits
 
 
+_CLASSES = WeakKeyDictionary()  # root datum -> {extra: W-classes}, dies with the datum
+
+
+def standard_classes(rd, extra=0):
+    """The W-classes met by span(Sigma) | extra over the subsets Sigma of the
+    simple roots, each a sorted tuple, walked once per root datum and extra:
+    the Levi subsystems for extra = 0, the parabolic subsets for extra = Phi+."""
+    memo = _CLASSES.get(rd)
+    if memo is None:
+        memo = _CLASSES[rd] = {}
+    if extra not in memo:
+        delta = rd.simple
+        sigmas = (mask_from_indices(a for k, a in enumerate(delta) if (bits >> k) & 1)
+                  for bits in range(1 << len(delta)))
+        seeds = [span_closure(rd, sigma) | extra for sigma in sigmas]
+        memo[extra] = tuple(map(tuple, weyl_orbits(rd, seeds, weyl_mask)))
+    return memo[extra]
+
+
+def enumerate_levi(rd):
+    """All Levi subsystems, sorted: the W-classes of the standard Phi_Sigma."""
+    return sorted(m for cls in standard_classes(rd) for m in cls)
+
+
 class LeviPoset:
     """The graded poset of Levi subsystems under anti-inclusion."""
 
     def __init__(self, rd):
         self.rd = rd
         self.elements = enumerate_levi(rd)
-        self.rank = {m: kernel_dim(rd, m) for m in self.elements}
+        self.rank = {}  # kernel_dim is constant on W-classes
+        for cls in standard_classes(rd):
+            self.rank.update(dict.fromkeys(cls, kernel_dim(rd, cls[0])))
+        self._covers = None
 
     def leq(self, a, b):
         """a <= b in the poset (anti-inclusion: a contains b as subsets)."""
@@ -225,12 +233,15 @@ class LeviPoset:
     def covers(self):
         """Pairs a <= b one rank apart, a then b in element order: Levi
         subsystems are flats, graded by kernel_dim, and distinct flats have
-        distinct kernels, so each a is compared with the rank above it only."""
-        by_rank = {}
-        for m in self.elements:
-            by_rank.setdefault(self.rank[m], []).append(m)
-        return [(a, b) for a in self.elements for b in by_rank.get(self.rank[a] + 1, ())
-                if self.leq(a, b)]
+        distinct kernels, so each a is compared with the rank above it only.
+        Built once per poset."""
+        if self._covers is None:
+            by_rank = {}
+            for m in self.elements:
+                by_rank.setdefault(self.rank[m], []).append(m)
+            self._covers = [(a, b) for a in self.elements
+                            for b in by_rank.get(self.rank[a] + 1, ()) if self.leq(a, b)]
+        return self._covers
 
     def hasse_dot(self):
         lines = ["digraph levi_poset {", "  rankdir=BT;"]
@@ -362,13 +373,10 @@ def stratum_witness(filt):
     return tuple(levi_witness(rd, m) for m in filt.masks)
 
 
-def enumerate_filtrations(rd, s, levis=None):
-    """All depth-bounded Levi filtrations phi_0 <= ... <= phi_{s-1} (phi_s = Phi).
-    A given ``levis`` must be what ``enumerate_levi(rd)`` returned: the chains
-    built from it are not checked again."""
-    if levis is None:
-        levis = enumerate_levi(rd)
-    return [LeviFiltration._verified(rd, chain) for chain in nondecreasing_chains(levis, s)]
+def enumerate_filtrations(rd, s):
+    """All depth-bounded Levi filtrations phi_0 <= ... <= phi_{s-1} (phi_s = Phi)."""
+    return [LeviFiltration._verified(rd, chain)
+            for chain in nondecreasing_chains(enumerate_levi(rd), s)]
 
 
 def nondecreasing_chains(masks, s):
@@ -399,7 +407,7 @@ def chain_count(classes, s):
 
 def cardinality_bound(rd, s):
     """|W| (s+1)^{rk Phi}: the enumeration bound."""
-    return weyl_order(rd) * (s + 1) ** rank([list(r) for r in rd.roots])
+    return weyl_order(rd) * (s + 1) ** len(rd.simple)
 
 
 # -- Weyl quotients ----------------------------------------------------------
@@ -408,19 +416,17 @@ def cardinality_bound(rd, s):
 QuotientStratum = namedtuple("QuotientStratum", "orbit setwise_order pointwise_order out_order")
 
 
-def weyl_orbits_and_quotient(rd, s, filts=None):
+def weyl_orbits_and_quotient(rd, s):
     """Partition the depth-s filtrations into W-orbits, with stabilizer data.
 
-    ``filts`` is the list of all depth-s filtrations when the caller has it.
     Out = setwise/pointwise stabilizer (of Ker(phi_0) x ... x Ker(phi_{s-1}), so
     W(phi_0) by Steinberg's theorem) must act freely on the stratum witness: the
     roots vanishing on all its points must be phi_0, else ClaimViolation.
     Returns (list of QuotientStratum, leq) where leq compares orbits in the
     quotient poset order (representative-wise comparability).
     """
-    if filts is None:
-        filts = enumerate_filtrations(rd, s)
-    orbits = weyl_orbits(rd, filts, lambda w, f: f.weyl_image(w), key=lambda g: g.masks)
+    orbits = weyl_orbits(rd, enumerate_filtrations(rd, s), lambda w, f: f.weyl_image(w),
+                         key=lambda g: g.masks)
     order = weyl_order(rd)
     strata = []
     for orbit in orbits:

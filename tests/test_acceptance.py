@@ -62,7 +62,7 @@ def test_criterion_02_gl3_parabolic_counts(gl3):
     t0 = time.time()
     ps = parab.enumerate_parabolic(gl3)
     assert len(ps) == 13
-    assert len(parab.weyl_classes(gl3, ps)) == 4
+    assert len(strat.standard_classes(gl3, strat.mask_from_indices(gl3.positive))) == 4
     elapsed = time.time() - t0
     assert elapsed < 1.0
     report(2, f"gl3: |P| = 13, |P/W| = 4 ({elapsed:.2f}s)")

@@ -52,6 +52,24 @@ def test_levi_dot_output(tmp_path, capsys):
     assert dot.startswith("digraph") and dot.count("->") == 6
 
 
+def test_levi_dot_builds_the_covers_once(tmp_path, capsys, monkeypatch):
+    """levi --out counts the covers and draws them from one build of them."""
+    calls = []
+    leq = strat.LeviPoset.leq
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return leq(self, a, b)
+
+    monkeypatch.setattr(strat.LeviPoset, "leq", counted)
+    code, _, _ = run_cli(capsys, "levi", "--type", "gl4", "--out", str(tmp_path / "levi_gl4"))
+    assert code == 0
+    built = len(calls)
+    calls.clear()
+    strat.LeviPoset(parse_type("gl4")).covers()
+    assert built == len(calls) > 0
+
+
 def levi_invariants(capsys, type_, depth):
     """The levi payload up to labels: counts, ranks, and the sorted
     (dimension, orbit_size, stabilizer_order, out_order) of the strata."""

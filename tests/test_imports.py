@@ -118,7 +118,7 @@ def test_name_reads_finds_the_enclosing_function():
 
 # The functions that walk W-orbits.  |W| and stabiliser orders come from
 # strat.reflection_order (Steinberg's theorem), not from walks over W.
-WEYL_ORBIT_CALLERS = {"strat.py": {"weyl_saturation", "weyl_orbits", "reflection_order"},
+WEYL_ORBIT_CALLERS = {"strat.py": {"weyl_orbits", "reflection_order"},
                       "parab.py": {"height_functional"},
                       "orbit.py": {"classify_unmarked"}}
 

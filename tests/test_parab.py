@@ -13,7 +13,7 @@ from wildstrat.parab import (FormalType, InadmissibleCharacter,
                              character_space_dim, enumerate_parabolic,
                              enumerate_parabolic_filtrations, height_functional,
                              is_admissible, is_nonsingular, is_parabolic, levi_factor,
-                             require_admissible, triangular_split, weyl_classes)
+                             require_admissible, triangular_split)
 from wildstrat.singmod import SingularityModule
 from wildstrat.strat import full_mask, indices, mask_from_indices
 from conftest import gl_root_index
@@ -131,7 +131,7 @@ def bracket_pairing_matrix(rd, lams, ts):
 def test_parabolic_counts(sl2, gl3):
     ps = enumerate_parabolic(gl3)
     assert len(ps) == 13
-    assert len(weyl_classes(gl3, ps)) == 4
+    assert len(strat.standard_classes(gl3, mask_from_indices(gl3.positive))) == 4
     # sl2: exactly {psi, -psi, Phi}, the two opposite Borels plus everything
     ps2 = enumerate_parabolic(sl2)
     assert len(ps2) == 3
@@ -463,7 +463,7 @@ def test_parabolic_counts_are_fubini_numbers():
         rd = root_datum("gl", n)
         ps = enumerate_parabolic(rd)
         assert len(ps) == f
-        assert len(weyl_classes(rd, ps)) == 2 ** (n - 1)
+        assert len(strat.standard_classes(rd, mask_from_indices(rd.positive))) == 2 ** (n - 1)
 
 
 

@@ -7,7 +7,9 @@ exactly, on every type up to gl6, B4, C4 and D5.  _orbit_size is the walk
 that gave the stabiliser orders before strat.reflection_order.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -138,17 +140,74 @@ def test_weyl_mask_matches_the_decoded_action(label):
             assert strat.weyl_mask(w, m) == full_weyl_mask(w, m)
 
 
+def as_partition(classes):
+    return {frozenset(cls) for cls in classes}
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_saturation_and_orbits_match_the_full_group(label):
-    """Levi subsystems, parabolic subsets and their W-classes, in the same order."""
+    """Levi subsystems and parabolic subsets in the same order, and their
+    W-classes as the same partition (the order of the classes is printed nowhere)."""
     rd = parse_type(label)
     pos = mask_from_indices(rd.positive)
-    levis = strat.weyl_saturation(rd)
-    parabolics = strat.weyl_saturation(rd, pos)
+    levis = strat.enumerate_levi(rd)
+    parabolics = parab.enumerate_parabolic(rd)
     assert levis == full_weyl_saturation(rd)
     assert parabolics == full_weyl_saturation(rd, pos)
-    for masks in (levis, parabolics):
-        assert parab.weyl_classes(rd, masks) == full_weyl_orbits(rd, masks, full_weyl_mask)
+    for extra, masks in ((0, levis), (pos, parabolics)):
+        classes = strat.standard_classes(rd, extra)
+        assert all(list(cls) == sorted(cls) for cls in classes)
+        assert as_partition(classes) == as_partition(
+            full_weyl_orbits(rd, masks, full_weyl_mask))
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_poset_rank_is_the_kernel_dimension(label):
+    rd = parse_type(label)
+    poset = strat.LeviPoset(rd)
+    assert poset.rank == {m: strat.kernel_dim(rd, m) for m in poset.elements}
+
+
+@pytest.mark.parametrize("lie_type, n", [("gl", 4), ("B", 3), ("D", 4)])
+def test_classes_are_walked_once_per_root_datum(lie_type, n, monkeypatch):
+    """LeviPoset, enumerate_levi, weyl_orbits_and_quotient and
+    enumerate_parabolic(_filtrations) walk each Levi and parabolic class once
+    between them, and LeviPoset takes one kernel_dim per Levi class."""
+    rd = rootdata.root_datum.__wrapped__(lie_type, n)
+    walks, dims = [], []
+    walk, kernel_dim = strat.weyl_orbit, strat.kernel_dim
+
+    def counted_walk(rd, x, act, gens=None):
+        if isinstance(x, int) and gens is None:
+            walks.append(x)
+        return walk(rd, x, act, gens)
+
+    def counted_dim(rd, mask):
+        dims.append(mask)
+        return kernel_dim(rd, mask)
+
+    monkeypatch.setattr(strat, "weyl_orbit", counted_walk)
+    monkeypatch.setattr(strat, "kernel_dim", counted_dim)
+    poset = strat.LeviPoset(rd)
+    levi_classes = as_partition(full_weyl_orbits(rd, poset.elements, full_weyl_mask))
+    assert len(dims) == len(levi_classes)
+    assert all(len(cls & set(dims)) == 1 for cls in levi_classes)
+    assert strat.enumerate_levi(rd) == poset.elements
+    strat.weyl_orbits_and_quotient(rd, 1)
+    parabolics = parab.enumerate_parabolic(rd)
+    parab.enumerate_parabolic_filtrations(rd, 1)
+    parabolic_classes = full_weyl_orbits(rd, parabolics, full_weyl_mask)
+    assert len(walks) == len(levi_classes) + len(parabolic_classes)
+
+
+def test_classes_die_with_the_root_datum():
+    rd = rootdata.root_datum.__wrapped__("gl", 3)
+    classes = strat.standard_classes(rd)
+    assert strat.standard_classes(rd) is classes
+    ref = weakref.ref(rd)
+    del rd
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("label", TYPES)
@@ -158,7 +217,7 @@ def test_quotient_matches_the_full_group(label):
     rd = parse_type(label)
     for depth in (1, 2) if len(rd.weyl) <= 48 else (1,):
         filts = enumerate_filtrations(rd, depth)
-        strata, _ = strat.weyl_orbits_and_quotient(rd, depth, filts=filts)
+        strata, _ = strat.weyl_orbits_and_quotient(rd, depth)
         orbits = full_weyl_orbits(rd, filts, full_chain_image, key=lambda g: g.masks)
         assert [s.orbit for s in strata] == orbits
         for s in strata:
@@ -206,9 +265,9 @@ CHAIN_CASES = [(label, depth) for label in TYPES for depth in (1, 2, 3)
 @pytest.mark.parametrize("label, depth", CHAIN_CASES)
 def test_chain_count_matches_the_enumeration(label, depth):
     rd = parse_type(label)
-    ps = parab.enumerate_parabolic(rd)
-    assert strat.chain_count(parab.weyl_classes(rd, ps), depth) == len(
-        parab.enumerate_parabolic_filtrations(rd, depth, parabolics=ps))
+    classes = strat.standard_classes(rd, mask_from_indices(rd.positive))
+    assert strat.chain_count(classes, depth) == len(
+        parab.enumerate_parabolic_filtrations(rd, depth))
 
 
 @pytest.mark.parametrize("label", TYPES)
