@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
-from .linalg import (One, Zero, acc, frac, frac_str, inverse, is_squarefree, mat_vec,
-                     minimal_polynomial, nullspace, rank, rref, transpose)
+from .linalg import (One, Zero, acc, frac, frac_str, integral, inverse, is_squarefree,
+                     mat_vec, minimal_polynomial, nullspace, rank, rref, transpose)
 from .rootdata import all_letters, letter_bracket
 from .strat import ClaimViolation
 
@@ -142,12 +142,14 @@ class GElement:
         rd = self.rd
         return GElement(rd, self.cartan, {rd.neg[i]: c for i, c in self.root.items()})
 
-    def ad_matrix(self):
-        """Matrix of ad_x on g in the (t, roots) coordinate basis: column j is
-        letter_bracket of x's letters with letter j of all_letters(rd, 1)."""
+    def ad_matrix(self, scale=1):
+        """Matrix of ad_{scale x} on g in the (t, roots) coordinate basis, int
+        when scale x is integral: column j is letter_bracket of x's letters
+        with letter j of all_letters(rd, 1)."""
         rd = self.rd
-        out = [[Zero] * rd.dim_g for _ in range(rd.dim_g)]
-        xs = self._letters()
+        out = [[0] * rd.dim_g for _ in range(rd.dim_g)]
+        xs = [(a, c * scale) for a, c in self._letters()]
+        xs = [(a, c.numerator if c.denominator == 1 else c) for a, c in xs]
         for j, b in enumerate(all_letters(rd, 1)):
             for a, c in xs:
                 for n, (kind, i, _) in letter_bracket(rd, 1, a, b):
@@ -238,9 +240,10 @@ def is_semisimple(x: GElement) -> bool:
     meets: g is realised faithfully by matrices, and is semisimple or gl_n.
     Jordan decomposition commutes with a faithful representation of a
     semisimple algebra, and on gl_n the centre acts by scalars, so ad_x is
-    semisimple iff the matrix of x is.
+    semisimple iff the matrix of x is.  The matrix is scaled to ints first:
+    x and D x are semisimple together.
     """
-    return is_squarefree(minimal_polynomial(x.defining_matrix()))
+    return is_squarefree(minimal_polynomial(integral(x.defining_matrix())))
 
 
 class NotSemisimpleError(ValueError):

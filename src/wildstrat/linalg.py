@@ -3,10 +3,10 @@
 Everything in here works on plain lists of exact rationals, ints or
 ``fractions.Fraction`` (matrices are lists of rows); no value is ever a float.
 Root data are ints, and ``dot`` keeps the pairing of int vectors an int.
-There is one elimination, a fraction-free Gauss-Jordan on the rows scaled to
-integers (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138, section 2.2), and
-``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse``, ``det``,
-``minimal_polynomial`` and ``is_squarefree`` all read it.  The one sparse accumulator (acc) and inner
+There is one elimination, Gauss-Jordan on integer rows kept primitive that
+touches only the rows with a nonzero entry in the pivot column (Cohen, GTM
+138, section 2.2); ``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse``,
+``det``, ``minimal_polynomial`` and ``is_squarefree`` all read it.  The one sparse accumulator (acc) and inner
 product (dot) live here, at the bottom layer.  Also provides Laurent
 polynomials in the dilation variable c (CPoly), the entries of dilated blocks
 and block inverses at the API edge; no engine computes with them.
@@ -15,7 +15,8 @@ and block inverses at the API edge; no engine computes with them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm, prod
 
 Zero = Fraction(0)
 One = Fraction(1)
@@ -43,7 +44,7 @@ def identity(n):
 def mat_mul(a, b):
     n, k = len(a), len(b)
     p = len(b[0]) if b else 0
-    out = [[Zero] * p for _ in range(n)]
+    out = [[0] * p for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -88,6 +89,13 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
+def integral(m):
+    """D m with int entries, D the lcm of the denominators of m: the same
+    kernel, row space and rank as m."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
 def generic_point(basis, covectors):
     """sum_k t^k basis[k] for the least integer t >= 1 at which no covector
     vanishes, or None when a covector vanishes on every basis vector (then no
@@ -103,26 +111,28 @@ def generic_point(basis, covectors):
     return tuple(dot(powers, col) for col in zip(*basis))
 
 
-def _eliminate(m):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of a rational matrix.
-
-    Each row is scaled to integers by the lcm of its denominators.  A pivot
-    step cross-multiplies every other row by the new pivot and divides it
-    exactly by the previous one, so every entry stays a minor of the scaled
-    matrix.  Returns (rows, pivots, d, scale, sign): the integer rows, equal to
-    d times the reduced row echelon form; the pivot columns; the last pivot d
-    (1 without pivots); the product of the row scales; and the sign of the row
-    swaps.
+def _eliminate(m, det=False):
+    """Gauss-Jordan elimination on integer rows kept primitive (Cohen, GTM
+    138, section 2.2).  A row of ints is read as it is, any other is scaled
+    by the lcm of its denominators.  At a pivot p, each row with f != 0 in the
+    pivot column becomes (p row - f pivot_row) / gcd; the others are not
+    touched.  Returns (rows, pivots, k): rows[i] a nonzero multiple of row i of
+    the reduced row echelon form (zero from len(pivots) on), the pivot
+    columns, and, with det set, k with det(m) = k * prod_i rows[i][i] when a
+    square m has every column a pivot (else None).
     """
     rows = []
     scale = 1
     for row in m:
-        s = lcm(*(x.denominator for x in row))
-        scale *= s
-        rows.append([x.numerator * (s // x.denominator) for x in row])
+        if all(type(x) is int for x in row):
+            rows.append(row)
+        else:
+            s = lcm(*(x.denominator for x in row))
+            scale *= s
+            rows.append([x.numerator * (s // x.denominator) for x in row])
     n = len(rows)
     pivots = []
-    d = sign = 1
+    mult = div = 1  # det of the rows so far = det of the scaled rows * mult / div
     r = 0
     for c in range(len(rows[0]) if n else 0):
         if r == n:
@@ -132,31 +142,33 @@ def _eliminate(m):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
+            mult = -mult
         prow = rows[r]
         p = prow[c]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
             f = row[c]
-            if f:
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:
-                rows[i] = [p * a // d for a in row]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+                if det:
+                    mult, div = mult * a, div * max(g, 1)
         pivots.append(c)
-        d = p
         r += 1
-    return rows, pivots, d, scale, sign
+    return rows, pivots, Fraction(div, mult * scale) if det else None
 
 
 def rref(m):
     """Reduced row echelon form.  Returns (new matrix, pivot column list)."""
-    rows, pivots, d, _, _ = _eliminate(m)
-    return [[Fraction(x, d) if x else Zero for x in row] for row in rows], pivots
+    rows, pivots, _ = _eliminate(m)
+    return [[Fraction(x, row[c]) if x else Zero for x in row]
+            for row, c in zip_longest(rows, pivots)], pivots
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m, cols=None):
@@ -181,29 +193,29 @@ def solve(m, b):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     aug = [list(m[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
+    red, pivots, _ = _eliminate(aug)
     if cols in pivots:
         return None
     x = [Zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[cols], row[pc])
     return x
 
 
 def inverse(m):
     n = len(m)
     aug = [list(row) + e for row, e in zip(m, identity(n))]
-    red, pivots = rref(aug)
+    rows, pivots, _ = _eliminate(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def det(m):
-    """Determinant of a square matrix: sign * d / scale from the elimination,
-    or 0 when a column has no pivot."""
-    _, pivots, d, scale, sign = _eliminate(m)
-    return Fraction(sign * d, scale) if len(pivots) == len(m) else Zero
+    """Determinant of a square matrix: k times the diagonal of the eliminated
+    rows, or 0 when a column has no pivot."""
+    rows, pivots, k = _eliminate(m, det=True)
+    return k * prod(row[i] for i, row in enumerate(rows)) if len(pivots) == len(m) else Zero
 
 
 def minimal_polynomial(m):
@@ -215,21 +227,23 @@ def minimal_polynomial(m):
     earlier ones, and its entries above are the coefficients of that relation.
     """
     n = len(m)
-    powers = [identity(n)]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(n):
         powers.append(mat_mul(powers[-1], m))
-    red, pivots = rref(transpose([[x for row in p for x in row] for p in powers]))
+    rows, pivots, _ = _eliminate(transpose([[x for row in p for x in row] for p in powers]))
     k = len(pivots)
-    return [-red[i][k] for i in range(k)] + [One]
+    return [Fraction(-rows[i][k], rows[i][i]) for i in range(k)] + [One]
 
 
 def is_squarefree(p):
     """Whether a polynomial (coefficient list, index = degree, nonzero last
-    coefficient) has no repeated root: its Sylvester matrix with p' has full rank."""
+    coefficient) has no repeated root: its Sylvester matrix with p' has full
+    rank.  p is scaled to ints first, which leaves its roots as they are."""
+    p = integral([p])[0]
     deg = len(p) - 1
     dp = [i * p[i] for i in range(1, deg + 1)]
-    syl = ([[Zero] * i + list(p) + [Zero] * (deg - 2 - i) for i in range(deg - 1)]
-           + [[Zero] * i + dp + [Zero] * (deg - 1 - i) for i in range(deg)])
+    syl = ([[0] * i + p + [0] * (deg - 2 - i) for i in range(deg - 1)]
+           + [[0] * i + dp + [0] * (deg - 1 - i) for i in range(deg)])
     return rank(syl) == len(syl)
 
 

@@ -9,6 +9,7 @@ gauge as an exact product of unipotent exponentials.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (One, Zero, dot, identity, mat_mul, mat_vec, nullspace, rref,
                      solve, transpose)
@@ -244,10 +245,11 @@ def centralizer(x: TcElement) -> CentralizerReport:
     """
     rd = x.rd
     r = x.depth
-    # one ad matrix per coefficient allocates too few containers to run the
-    # collector often (5 young collections a pass against 27): the bench orbit
-    # RSS settles 1.7 MB higher (25.0 -> 26.7 MB) with the live heap unchanged
-    ads = [g.ad_matrix() for g in x.coeffs]
+    # ker ad_x = ker ad_{Dx}, so with D clearing x's denominators the operators
+    # are ints.  The bench orbit peak RSS (26.2 MB) creeps up with the passes
+    # while the traced heap stays flat: it is the allocator's, not these lists'
+    d = lcm(*(c.denominator for g in x.coeffs for c in g.coords()))
+    ads = [g.ad_matrix(d) for g in x.coeffs]
     kernel = [TcElement.from_coords(rd, r, v) for v in nullspace(_ad_operator(ads))]
     s = marking_index(x)
     if s == 0:
@@ -271,13 +273,13 @@ def _ad_operator(ads):
     """ad_x on g_r from ads[i] = ad(X_i): block (l, d) is ad(X_{l-d}) for d <= l
     and 0 above, as [x, Y e^d] = sum_i [X_i, Y] e^{i+d}."""
     r, n = len(ads), len(ads[0])
-    zero = [Zero] * n
+    zero = [0] * n
     return [[v for d in range(r) for v in (ads[l - d][i] if d <= l else zero)]
             for l in range(r) for i in range(n)]
 
 
 def _structural_basis(x, ads):
-    """Predicted centraliser basis for s in {r-1, r} markings; ads[i] = ad(X_i).
+    """Predicted centraliser basis for s in {r-1, r} markings; ads[i] = ad(D X_i), D != 0.
 
     Degree 0: the common centraliser of all coefficients of x inside g.
     Degree k >= 1: the Levi factor of cap_{j <= r-1-k} phi_{X_j}.

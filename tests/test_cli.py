@@ -335,6 +335,13 @@ GOLDEN = {
         {"cartan": ["0", "1/3"], "roots": {"3": "1", "6": "-1/2"}}]}},
         ("classify", "--type", "B2"),
         "b9e7a4fbea5c5ad15fe66c16a84374c97b3bf8318145dd2a30de0195a5f6ab9f"),
+    # a depth-2 C3 marking (s = 1 = r - 1) with mixed denominators: the
+    # structural comparison runs on the 42 x 42 operator of ad_x on g_r
+    "classify-C3": ({"element": {"depth": 2, "coeffs": [
+        {"cartan": ["1", "1", "0"], "roots": {}},
+        {"cartan": ["1/2", "-3", "2/5"], "roots": {"0": "3/4", "2": "-2", "16": "5/3", "17": "1/6"}}]}},
+        ("classify", "--type", "C3"),
+        "f4b9991403d04fad3d607551ca8a5d0bbb5b5c8f7ba8aaf71525c023751b247f"),
     # a 40-step chain of one-dimensional blocks, each built from the one below
     "sl2-height-40": ({"formal_type": {"lambdas": [["1/3"]]}},
                       ("shapovalov", "--type", "sl2", "--depth", "1", "--height", "40"),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import zlib
 from fractions import Fraction
@@ -135,6 +136,101 @@ def ref_is_squarefree(p):
     return len(ref_poly_gcd(p, ref_poly_deriv(p))) <= 1
 
 
+# -- the Bareiss elimination ---------------------------------------------------------
+# The fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) that the
+# primitive-row elimination of `linalg` replaced, with readers in the shape of
+# the ones it fed: every entry of its rows is a minor of the scaled matrix.
+
+
+def bareiss_eliminate(m):
+    """(rows, pivots, d, scale, sign): the integer rows, equal to d times the
+    reduced row echelon form; the pivot columns; the last pivot d (1 without
+    pivots); the product of the row scales; and the sign of the row swaps."""
+    rows = []
+    scale = 1
+    for row in m:
+        s = math.lcm(*(x.denominator for x in row))
+        scale *= s
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+    n = len(rows)
+    pivots = []
+    d = sign = 1
+    r = 0
+    for c in range(len(rows[0]) if n else 0):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                rows[i] = [p * a // d for a in row]
+        pivots.append(c)
+        d = p
+        r += 1
+    return rows, pivots, d, scale, sign
+
+
+def bareiss_rref(m):
+    rows, pivots, d, _, _ = bareiss_eliminate(m)
+    return [[Fraction(x, d) if x else Zero for x in row] for row in rows], pivots
+
+
+def bareiss_nullspace(m):
+    cols = len(m[0])
+    red, pivots = bareiss_rref(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Zero] * cols
+        v[fc] = frac(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def bareiss_solve(m, b):
+    cols = len(m[0])
+    red, pivots = bareiss_rref([list(row) + [x] for row, x in zip(m, b)])
+    if cols in pivots:
+        return None
+    x = [Zero] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def bareiss_inverse(m):
+    n = len(m)
+    red, pivots = bareiss_rref([list(row) + e for row, e in zip(m, linalg.identity(n))])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def bareiss_det(m):
+    _, pivots, d, scale, sign = bareiss_eliminate(m)
+    return Fraction(sign * d, scale) if len(pivots) == len(m) else Zero
+
+
+def bareiss_minimal_polynomial(m):
+    n = len(m)
+    powers = [linalg.identity(n)]
+    for _ in range(n):
+        powers.append(linalg.mat_mul(powers[-1], m))
+    red, pivots = bareiss_rref(linalg.transpose([[x for row in p for x in row] for p in powers]))
+    k = len(pivots)
+    return [-red[i][k] for i in range(k)] + [frac(1)]
+
+
 # -- seeded cases ------------------------------------------------------------------
 
 
@@ -183,6 +279,88 @@ def c3_centralizer_matrix():
         for _ in range(2)])
     cols = [x.bracket(b).coords() for b in tc_basis(rd, 2)]
     return [list(row) for row in zip(*cols)]
+
+
+def int_sparse_cases():
+    """Seeded all-int matrices (plain ints, the rows the elimination reads as
+    they are): sparse square, wide and tall ones, rows with a common factor, a
+    rank-deficient product, a mix of int and Fraction rows, and the C3
+    centraliser matrix scaled to ints."""
+    rng = random.Random(zlib.crc32(b"linalg:int-sparse"))
+
+    def draw(rows, cols, density):
+        return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)]
+
+    cases = []
+    for density in (0.1, 0.2, 0.35):
+        cases += [draw(12, 12, density), draw(9, 16, density), draw(16, 9, density)]
+    common = draw(10, 10, 0.3)
+    cases.append([[6 * x for x in row] if i % 2 else row for i, row in enumerate(common)])
+    cases.append(linalg.mat_mul(draw(10, 4, 0.5), draw(4, 10, 0.5)))
+    mixed = draw(8, 8, 0.3)
+    cases.append([[Fraction(x, 3) for x in row] if i % 3 == 0 else row
+                  for i, row in enumerate(mixed)])
+    cases.append(linalg.integral(c3_centralizer_matrix()))
+    return cases
+
+
+def bareiss_cases():
+    """Every kernel case and every all-int sparse case."""
+    return kernel_cases() + int_sparse_cases()
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rref_rank_and_nullspace_vs_bareiss():
+    ints = int_sparse_cases()
+    assert all(type(x) is int for m in ints[:-2] for row in m for x in row)
+    assert len({len(bareiss_rref(m)[1]) for m in ints}) > 4
+    for m in bareiss_cases():
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == bareiss_rref(m), m
+        assert _all_fractions(red)
+        assert linalg.rank(m) == len(pivots)
+        if m and m[0]:
+            kernel = linalg.nullspace(m)
+            assert kernel == bareiss_nullspace(m), m
+            assert _all_fractions(kernel)
+
+
+def test_solve_inverse_and_det_vs_bareiss():
+    rng = random.Random(zlib.crc32(b"linalg:bareiss-solve"))
+    for m in bareiss_cases():
+        if not (m and m[0]):
+            continue
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in m[0]]
+        for b in (linalg.mat_vec(m, v), [Fraction(rng.randint(-5, 5), 2) for _ in m]):
+            x = linalg.solve(m, b)
+            assert x == bareiss_solve(m, b), (m, b)
+            assert x is None or _all_fractions([x])
+        if len(m) == len(m[0]):
+            assert linalg.det(m) == bareiss_det(m), m
+            assert type(linalg.det(m)) is Fraction
+            inv = bareiss_inverse(m)
+            if inv is None:
+                with pytest.raises(ValueError):
+                    linalg.inverse(m)
+            else:
+                assert linalg.inverse(m) == inv, m
+                assert _all_fractions(linalg.inverse(m))
+            assert linalg.minimal_polynomial(m) == bareiss_minimal_polynomial(m), m
+
+
+def test_primitive_rows_grow_no_more_than_bareiss():
+    """The largest entry of the eliminated rows has at most the bit length of
+    Bareiss's: a primitive row divides d times its row of the RREF, and an
+    untouched row's pivot divides d."""
+    for m in bareiss_cases() + minimal_polynomial_cases():
+        ours = linalg._eliminate(m)[0]
+        theirs = bareiss_eliminate(m)[0]
+        assert (max((abs(x).bit_length() for row in ours for x in row), default=0)
+                <= max((abs(x).bit_length() for row in theirs for x in row), default=0)), m
 
 
 def test_rref_vs_fraction_oracle():

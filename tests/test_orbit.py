@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from wildstrat import orbit, parab, strat
-from wildstrat.elements import GElement, TcElement, exp_ad, semisimple_split
+from wildstrat import linalg, orbit, parab, strat
+from wildstrat.elements import GElement, TcElement, exp_ad, is_semisimple, semisimple_split
 from wildstrat.linalg import One, Zero, identity, mat_vec, nullspace, rref, solve, transpose
 from wildstrat.orbit import (_compose_gauge_logs, _remove_center, birkhoff_normalize,
                              centralizer, classify_marked, classify_unmarked,
@@ -279,6 +279,67 @@ def test_centralizer_structure_exhaustive(sl2, gl2, gl3, sl3):
                 x = TcElement(rd, r, [GElement.cartan_vec(rd, v) for v in xs])
                 rep = centralizer(x)
                 assert rep.dim == structural_centralizer_dim(rd, filt, r)
+
+
+def marked_element(rd, r, rng):
+    """x with X_0 = q_0 h, ..., X_{r-2} = q_{r-2} h for h in t on which exactly
+    the roots +-a vanish, and X_{r-1} in the Levi factor of {+-a}: a marking
+    with s >= r - 1, so centralizer runs the structural comparison."""
+    mask = mask_from_indices([0, rd.neg[0]])
+    h = GElement.cartan_vec(rd, strat.levi_witness(rd, mask))
+    lead = [h.scale(Fraction(rng.randint(1, 5), rng.randint(2, 3))) for _ in range(r - 1)]
+    return TcElement(rd, r, lead + [rand_levi(rd, rng, mask)])
+
+
+SCALED_TYPES = [("gl", 3, 3), ("B", 2, 3), ("C", 3, 2)]
+
+
+@pytest.mark.parametrize("lie_type, n, r", SCALED_TYPES,
+                         ids=[f"{t}{n}-r{r}" for t, n, r in SCALED_TYPES])
+def test_semisimplicity_and_centralizer_are_scale_invariant(lie_type, n, r):
+    """is_semisimple and centralizer read x through int multiples of it, so
+    x and q x must give the same verdict and the same kernel basis, for
+    elements with denominators, a semisimple and a non-semisimple one among
+    them, and markings on both sides of r - 1."""
+    rd = root_datum(lie_type, n)
+    rng = random.Random(zlib.crc32(f"scale:{rd.label} r={r}".encode()))
+    xs = [TcElement(rd, r, [rand_g(rd, rng) for _ in range(r)]), marked_element(rd, r, rng)]
+    h = xs[1].coeffs[0]
+    gs = [g for x in xs for g in x.coeffs] + [h + GElement.root_vec(rd, 0, Fraction(3, 4))]
+    assert any(c.denominator > 1 for g in gs for c in g.coords())
+    assert {is_semisimple(g) for g in gs} == {True, False}
+    reps = [centralizer(x) for x in xs]
+    assert reps[0].marking_s == 0 and reps[1].marking_s >= r - 1
+    for q in (Fraction(2, 3), -5):
+        for g in gs:
+            assert is_semisimple(g.scale(q)) == is_semisimple(g), (g, q)
+        for x, rep in zip(xs, reps):
+            assert centralizer(x.scale(q)).basis == rep.basis, (x, q)
+
+
+def test_centralizer_and_semisimplicity_eliminate_int_matrices(monkeypatch):
+    """On a C3 element with denominators at depth 2, every matrix that
+    centralizer and is_semisimple hand to the elimination is all int, the
+    42 x 42 operator of ad_x on g_r among them; mat_mul keeps ints ints."""
+    rd = root_datum("C", 3)
+    x = marked_element(rd, 2, random.Random(zlib.crc32(b"int-path:C3 r=2")))
+    assert any(c.denominator > 1 for g in x.coeffs for c in g.coords())
+    seen = []
+    eliminate = linalg._eliminate
+
+    def spy(m, det=False):
+        seen.append(m)
+        return eliminate(m, det)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    assert centralizer(x).predicted_dim is not None
+    assert any(len(m) == 42 == len(m[0]) for m in seen)
+    for g in x.coeffs:
+        is_semisimple(g)
+    assert all(type(v) is int for m in seen for row in m for v in row)
+    a, b = [[2, 0, -1], [0, 3, 1]], [[1, 1], [2, 0], [2, -2]]
+    assert linalg.mat_mul(a, b) == [[0, 4], [8, -2]]
+    assert all(type(v) is int for row in linalg.mat_mul(a, b) for v in row)
 
 
 OPERATOR_TYPES = [("gl", 3), ("B", 2), ("gl", 4), ("C", 3)]
