@@ -6,8 +6,9 @@ TcElement: depth r and a coefficient GElement per epsilon degree.
 The bracket (the bilinear extension of rootdata.letter_bracket), the matrix
 of ad_x on g (filled from letter_bracket; orbit assembles ad_x on g_r from one
 per coefficient), invariant form, depth-graded pairing ( . | . )_c,
-transposition, semisimplicity test, and the kernel/image splitting for
-semisimple operators all live here.
+transposition, semisimplicity test, and the kernel half of the splitting
+V = Ker f + f(V) of a semisimple operator f, read off f^2 in one elimination,
+all live here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from .linalg import (One, Zero, acc, frac, frac_str, integral, inverse, is_squarefree,
-                     mat_vec, minimal_polynomial, nullspace, rank, rref, transpose)
+                     mat_vec, minimal_polynomial, nullspace, rref)
 from .rootdata import all_letters, letter_bracket
 from .strat import ClaimViolation
 
@@ -250,23 +251,18 @@ class NotSemisimpleError(ValueError):
     pass
 
 
-def semisimple_split(f_matrix, space_basis):
-    """Split V = Ker(f) + f(V) for a semisimple operator on span(space_basis).
+def semisimple_split(f, f2):
+    """Ker f for an operator f with f2 = f f, checking that V = Ker f + f(V).
 
-    space_basis is a list of coordinate vectors and f_matrix is the matrix of
-    f in the coordinates of that basis.  Returns (kernel vectors, image
-    vectors) as coordinate vectors, combinations of the given basis.  Raises
-    NotSemisimpleError when kernel and image overlap.
+    Ker f lies in Ker f2, with equality exactly when Ker f meets f(V) in 0,
+    that is when V splits.  Then f and f2 have one kernel, so one row space and
+    one RREF, and the returned nullspace(f2) is nullspace(f) vector for vector.
+    Raises NotSemisimpleError unless f kills each of its vectors.
     """
-    dim = len(space_basis)
-    ker = nullspace(f_matrix, cols=dim)
-    # image basis: the column space of f = row space of its transpose
-    tr_red, tr_piv = rref(transpose(f_matrix))
-    img = [tr_red[k] for k in range(len(tr_piv))]
-    if rank(ker + img) != dim:
-        raise NotSemisimpleError("kernel and image do not span: operator not semisimple")
-    cols = transpose(space_basis)
-    return [mat_vec(cols, v) for v in ker], [mat_vec(cols, v) for v in img]
+    ker = nullspace(f2)
+    if any(any(mat_vec(f, v)) for v in ker):
+        raise NotSemisimpleError("Ker f^2 is larger than Ker f: the operator is not semisimple")
+    return ker
 
 
 class TcElement:

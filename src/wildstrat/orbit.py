@@ -1,9 +1,9 @@
 """Birkhoff normal forms, strictness indices, centralisers, classification.
 
-The diagonalising algorithm repeatedly applies the kernel/image splitting of
-a semisimple adjoint operator to push the coefficients of a truncated current
-into the iterated centraliser of the leading semisimple string, recording the
-gauge as an exact product of unipotent exponentials.
+The diagonalising algorithm (Babbitt-Varadarajan, Pacific J. Math. 109, 1983)
+splits the iterated centraliser of the leading semisimple string as Ker + Im
+of ad of the next coefficient, from one elimination of ad^2, and gauges the
+image parts away by an exact product of unipotent exponentials.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import (One, Zero, dot, identity, mat_mul, mat_vec, nullspace, rref,
-                     solve, transpose)
-from .elements import GElement, TcElement, exp_ad, is_semisimple, semisimple_split
+from .linalg import One, Zero, dot, identity, mat_mul, mat_vec, nullspace, solve, transpose
+from .elements import (GElement, NotSemisimpleError, TcElement, exp_ad, is_semisimple,
+                       semisimple_split)
 from .strat import (ClaimViolation, LeviFiltration, _suffix_vanishing_masks,
                     indices, weyl_orbit)
 
@@ -43,48 +43,53 @@ class BirkhoffNormalForm:
 
 
 def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
+    """The normal form of x, one step per semisimple leading coefficient X_s.
+
+    Step s works on the iterated centraliser of X_0, ..., X_{s-1}.  Its basis,
+    the columns of cols, is the identity on the positions pos (vector i is 1 at
+    pos[i], 0 at the other positions), so v[pos] are the coordinates of a span
+    vector v.  The next basis, cols times nullspace(ad), has vector i 1 at its
+    free column f_i (its last nonzero entry), 0 at the others: pos becomes pos[f_i].
+    """
     rd = x.rd
     r = x.depth
     cur = x
     factors = []  # gauge elements Y e^j, applied left to right
     s = 0
-    sub_basis = identity(rd.dim_g)
+    pos = range(rd.dim_g)
+    cols = identity(rd.dim_g)
     while s < r:
         xs = cur.coeffs[s]
         if not is_semisimple(xs):
             break
-        # one echelon form [R | E] of [sub_basis | I] per step, R = E sub_basis:
-        # a vector v of the span is sum_i v[piv_i] R_i, so E^T v[piv] are its
-        # coordinates on sub_basis
-        red, piv = rref([b + e for b, e in zip(sub_basis, identity(len(sub_basis)))])
-        to_sub = transpose([row[rd.dim_g:] for row in red])
-        cols = transpose(sub_basis)
-
-        def coords(v):
-            return mat_vec(to_sub, [v[p] for p in piv])
-
-        ad = _restricted_ad(xs, cols, to_sub, piv)
+        full = xs.ad_matrix()
+        ad = mat_mul([full[p] for p in pos], cols)
         sq = mat_mul(ad, ad)
-        ker_vecs, _ = semisimple_split(ad, sub_basis)
+        try:
+            ker = semisimple_split(ad, sq)
+        except NotSemisimpleError as exc:
+            raise ClaimViolation(f"Birkhoff step {s}: X_{s} = {xs!r} passed the semisimplicity "
+                                 f"test, but {exc}") from exc
         # clean the deeper coefficients: make them commute with X_s too
         for k in range(s + 1, r):
-            # write X_k = kernel part + [X_s, Z]; gauge by exp(ad_{-Z e^{k-s}})
             v = cur.coeffs[k].coords()
-            c = coords(v)
+            c = [v[p] for p in pos]
             if mat_vec(cols, c) != v:
                 raise ClaimViolation(f"coefficient {k} of {cur!r} escaped the iterated "
                                      f"centraliser of the first {s}")
-            img_part = _project_onto(ad, sq, c)
-            if img_part is None:
+            fc = mat_vec(ad, c)
+            if not any(fc):
                 continue
-            # exp(ad_{z e^{k-s}}) changes X_k by [z, X_s] = -ad_{X_s}(z)
-            z = GElement.from_coords(rd, mat_vec(cols, img_part))
-            if z.is_zero():
-                continue
-            gauge = TcElement.pure(rd, r, k - s, z)
+            # ad^2 z = ad c, so c - ad z is in Ker ad; exp(ad_{z e^{k-s}})
+            # changes X_k by [z, X_s] = -ad_{X_s}(z)
+            z = solve(sq, fc)
+            if z is None:
+                raise ClaimViolation(f"semisimple split failed: ad = {ad!r}, coordinates {c!r}")
+            gauge = TcElement.pure(rd, r, k - s, GElement.from_coords(rd, mat_vec(cols, z)))
             factors.append(gauge)
             cur = exp_ad(gauge, cur)
-        sub_basis = ker_vecs
+        pos = [pos[max(i for i, a in enumerate(v) if a)] for v in ker]
+        cols = mat_mul(cols, transpose(ker))
         s += 1
     gauge_log = _compose_gauge_logs(rd, r, factors)
     nf = BirkhoffNormalForm(x, s, cur, gauge_log)
@@ -92,26 +97,6 @@ def birkhoff_normalize(x: TcElement) -> BirkhoffNormalForm:
         raise ClaimViolation(f"gauge log round trip failed: exp(ad {gauge_log!r}) of "
                              f"{x!r} is not {cur!r}")
     return nf
-
-
-def _restricted_ad(xs, cols, to_sub, piv):
-    """ad_{X_s} on the span of the columns cols, in their coordinates E^T v[piv]."""
-    ad = xs.ad_matrix()
-    return mat_mul(to_sub, mat_mul([ad[p] for p in piv], cols))
-
-
-def _project_onto(ad, sq, coords):
-    """Solve ad * z = image-component of coords; None when coords is already
-    in the kernel.  Decomposes coords = ker + ad(z) and returns z.  sq is
-    ad * ad, formed once per Birkhoff step by the caller."""
-    # solve ad*z = v with v = coords - kernelpart: equivalently find z with
-    # ad(ad(z)) = ad(coords) using that ad restricted to its image is invertible.
-    z = solve(sq, mat_vec(ad, coords))
-    if z is None:
-        raise ClaimViolation(f"semisimple split failed: ad = {ad!r}, coordinates {coords!r}")
-    if all(v == 0 for v in mat_vec(ad, z)):
-        return None
-    return z
 
 
 def _compose_gauge_logs(rd, r, factors):

@@ -309,7 +309,7 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 # sha256 of stdout on the survey configs (the depth-2 nongeneric gl3 chain of
-# the README and the depth-2 sl2 Borel case), on two gauged classify inputs and
+# the README and the depth-2 sl2 Borel case), on four classify inputs and
 # on three survey levi/parabolic invocations; any change to these bytes is an
 # output change, not a refactor
 GOLDEN = {
@@ -342,6 +342,15 @@ GOLDEN = {
         {"cartan": ["1/2", "-3", "2/5"], "roots": {"0": "3/4", "2": "-2", "16": "5/3", "17": "1/6"}}]}},
         ("classify", "--type", "C3"),
         "f4b9991403d04fad3d607551ca8a5d0bbb5b5c8f7ba8aaf71525c023751b247f"),
+    # a depth-4 D4 element of strictness 4: three cleaning steps, so the
+    # coordinates of each iterated centraliser compose across steps
+    "classify-D4": ({"element": {"depth": 4, "coeffs": [
+        {"cartan": ["1", "1", "0", "0"]},
+        {"cartan": ["0", "2", "-1", "1/2"], "roots": {"0": "1", "3": "-2/3", "12": "1/2"}},
+        {"cartan": ["1/3", "0", "0", "1"], "roots": {"1": "2", "5": "-1", "20": "3/4"}},
+        {"cartan": ["0", "0", "1", "0"], "roots": {"2": "1", "7": "1/5"}}]}},
+        ("classify", "--type", "D4"),
+        "dd1a4ed8015064b6629e397bb7960d0190bcb5ff9ef0484b3c500dee1560b1e2"),
     # a 40-step chain of one-dimensional blocks, each built from the one below
     "sl2-height-40": ({"formal_type": {"lambdas": [["1/3"]]}},
                       ("shapovalov", "--type", "sl2", "--depth", "1", "--height", "40"),
@@ -596,7 +605,12 @@ def test_long_exact_output_exits_0(tmp_path, capsys):
     (strat, "stratum_witness",
      lambda filt: tuple((0,) * filt.rd.dim_t for _ in filt.masks),
      ("levi", "--type", "gl3", "--depth", "1"), {}),
-], ids=["round-trip", "stratum-membership", "dual-stratum", "out-freeness"])
+    # a nilpotent X_0 let through the semisimplicity test fails the split of
+    # the first Birkhoff step
+    (orbit, "is_semisimple", lambda x: True,
+     ("classify", "--type", "sl2"),
+     {"element": {"depth": 1, "coeffs": [{"cartan": ["0"], "roots": {"0": "1"}}]}}),
+], ids=["round-trip", "stratum-membership", "dual-stratum", "out-freeness", "birkhoff-split"])
 def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch, target, name, value,
                                      argv, config):
     monkeypatch.setattr(target, name, value)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildstrat import linalg
 from wildstrat.elements import (GElement, NotSemisimpleError, TcElement, exp_ad,
                                 is_semisimple, pairing_invariance_defect, semisimple_split)
 from wildstrat.linalg import Zero, mat_mul, minimal_polynomial, is_squarefree, nullspace
@@ -272,36 +273,41 @@ def test_root_index_checked():
     assert repr(GElement(gl2, root={1: 2, 0: 0})).startswith("2*E(")
 
 
-def test_semisimple_split(sl2, gl3, sl2_efh):
+def _split(f):
+    return semisimple_split(f, mat_mul(f, f))
+
+
+def test_semisimple_split(gl3, sl2_efh):
     E, F, H, _, _ = sl2_efh
-    basis = [b.coords() for b in g_basis(sl2)]
-    ker, img = semisimple_split(H.ad_matrix(), basis)
-    assert len(ker) == 1 and len(img) == 2
+    assert len(_split(H.ad_matrix())) == 1
     # f = 0: kernel is everything
     zero = [[Zero] * 3 for _ in range(3)]
-    ker, img = semisimple_split(zero, basis)
-    assert len(ker) == 3 and len(img) == 0
-    # gl3, ad_{diag(1,1,0)}: kernel 5, image 4
-    # oracle: exact nullspace of the adjoint matrix built from the defining rep
+    assert len(_split(zero)) == 3
+    # gl3, ad_{diag(1,1,0)}: kernel 5, read off ad^2 as nullspace(ad) itself
     x = GElement.cartan_vec(gl3, (1, 1, 0))
     ad = x.ad_matrix()
-    assert len(nullspace(ad)) == 5
-    ker, img = semisimple_split(ad, [b.coords() for b in g_basis(gl3)])
-    ker = [GElement.from_coords(gl3, v) for v in ker]
-    img = [GElement.from_coords(gl3, v) for v in img]
-    assert (len(ker), len(img)) == (5, 4)
-    # f maps the image basis back into its own span
-    from wildstrat.linalg import rank as mat_rank
-    img_rows = [v.coords() for v in img]
-    for v in img:
-        fv = x.bracket(v).coords()
-        assert mat_rank(img_rows + [fv]) == mat_rank(img_rows)
-    # kernel vectors are annihilated and the concatenated bases have full rank
-    assert all(x.bracket(v).is_zero() for v in ker)
-    assert mat_rank([v.coords() for v in ker] + img_rows) == 9
+    ker = _split(ad)
+    assert len(ker) == 5 and ker == nullspace(ad)
+    assert all(x.bracket(GElement.from_coords(gl3, v)).is_zero() for v in ker)
     # non-semisimple operator must signal
     with pytest.raises(NotSemisimpleError):
-        semisimple_split(E.ad_matrix(), basis)
+        _split(E.ad_matrix())
+
+
+def test_semisimple_split_eliminates_once(gl3, monkeypatch):
+    """The kernel and the semisimplicity check come from one elimination, of f^2."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(m, det=False):
+        calls.append(m)
+        return eliminate(m, det)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    ad = GElement.cartan_vec(gl3, (1, 1, 0)).ad_matrix()
+    sq = mat_mul(ad, ad)
+    assert len(semisimple_split(ad, sq)) == 5
+    assert calls == [sq]
 
 
 @pytest.mark.parametrize("lie_type, n", [("sl", 2), ("gl", 3), ("sl", 3), ("B", 2),

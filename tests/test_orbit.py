@@ -1,12 +1,16 @@
+import importlib.util
 import random
+import re
 import zlib
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from wildstrat import linalg, orbit, parab, strat
+from wildstrat import elements, linalg, orbit, parab, strat
 from wildstrat.elements import GElement, TcElement, exp_ad, is_semisimple, semisimple_split
-from wildstrat.linalg import One, Zero, identity, mat_vec, nullspace, rref, solve, transpose
+from wildstrat.linalg import One, Zero, identity, mat_vec, nullspace, solve, transpose
 from wildstrat.orbit import (_compose_gauge_logs, _remove_center, birkhoff_normalize,
                              centralizer, classify_marked, classify_unmarked,
                              marking_filtration, marking_index, strictness_index,
@@ -15,7 +19,7 @@ from wildstrat.rootdata import root_datum
 from wildstrat.strat import (ClaimViolation, LeviFiltration, full_mask, indices,
                              mask_from_indices)
 from conftest import gl_root_index
-from per_basis import oracle_ad_operator, oracle_restricted_ad
+from per_basis import oracle_ad_operator, oracle_birkhoff_steps, oracle_restricted_ad
 from test_parab import bracket_pairing_matrix, gl3_ex_chain, gl3_ex_ft
 
 
@@ -149,6 +153,16 @@ def test_depth_one_trivial(sl2, sl2_efh):
 def test_nilpotent_leading(sl2, sl2_efh):
     E, _, _, _, _ = sl2_efh
     assert strictness_index(TcElement.pure(sl2, 2, 0, E)) == 0
+
+
+def test_split_failure_names_the_step(gl3, monkeypatch):
+    """A non-semisimple X_s let through the semisimplicity test is a claim
+    violation naming the step and X_s, not a NotSemisimpleError: here X_1 is
+    the root vector E_12 of the Levi factor centralising X_0 = diag(1, 1, 0)."""
+    e12 = GElement.root_vec(gl3, gl_root_index(gl3, 0, 1))
+    monkeypatch.setattr(orbit, "is_semisimple", lambda g: True)
+    with pytest.raises(ClaimViolation, match=re.escape(f"Birkhoff step 1: X_1 = {e12!r} passed")):
+        birkhoff_normalize(TcElement(gl3, 2, [GElement.cartan_vec(gl3, (1, 1, 0)), e12]))
 
 
 def test_sl2_r2_normalization(sl2, sl2_efh):
@@ -365,35 +379,98 @@ def test_ad_operator_matches_the_per_basis_oracle(lie_type, n):
             assert [v.coords() for v in centralizer(x).basis] == nullspace(op), (r, x)
 
 
+def _spy_split(monkeypatch):
+    """Record (f, f2, kernel) of every semisimple_split that orbit makes."""
+    seen = []
+
+    def spy(f, f2):
+        ker = semisimple_split(f, f2)
+        seen.append((f, f2, ker))
+        return ker
+
+    monkeypatch.setattr(orbit, "semisimple_split", spy)
+    return seen
+
+
+def _next_positions(pos, ker):
+    """The positions of the next iterated centraliser, as birkhoff_normalize
+    forms them: each kernel vector's free column is its last nonzero entry."""
+    return [pos[max(i for i, a in enumerate(v) if a)] for v in ker]
+
+
 @pytest.mark.parametrize("lie_type, n", OPERATOR_TYPES, ids=[f"{t}{n}" for t, n in OPERATOR_TYPES])
-def test_restricted_ad_matches_the_per_basis_oracle(lie_type, n):
-    """Birkhoff's restricted ad, read off one ad_matrix, is as a list the
-    matrix of the brackets with every sub-basis vector: on g and on the
-    iterated centralisers of Cartan elements in the kernels of Levi
-    subsystems, for Cartan and for dense X_s; the sub-basis and its
-    coordinates are formed as in birkhoff_normalize."""
+def test_restricted_ad_matches_the_per_basis_oracle(lie_type, n, monkeypatch):
+    """Birkhoff's restricted ad, read off one ad_matrix at the positions pos,
+    is as a list the matrix of the brackets with every sub-basis vector read
+    at pos: on g and on the iterated centralisers of X_0 = h + n, h generic in
+    the kernel of a proper Levi subsystem and n on the roots positive on h (a
+    conjugate of h, so its centraliser has no basis of unit vectors), and of
+    the dense X_1, X_2 left by cleaning."""
     rd = root_datum(lie_type, n)
     rng = random.Random(zlib.crc32(f"restricted_ad:{rd.label}".encode()))
-    levis = [m for m in strat.enumerate_levi(rd) if m]
-    sub_basis = identity(rd.dim_g)
-    for _ in range(3):
-        red, piv = rref([b + e for b, e in zip(sub_basis, identity(len(sub_basis)))])
-        to_sub = transpose([row[rd.dim_g:] for row in red])
-
-        def coords(v):
-            return mat_vec(to_sub, [v[p] for p in piv])
-
-        h = [Zero] * rd.dim_t
-        for v in strat.kernel_basis(rd, rng.choice(levis)):
-            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
-            h = [a + c * b for a, b in zip(h, v)]
-        h = GElement.cartan_vec(rd, h)
-        cols = transpose(sub_basis)
-        for xs in (h, rand_g(rd, rng)):
-            assert (orbit._restricted_ad(xs, cols, to_sub, piv)
-                    == oracle_restricted_ad(xs, sub_basis, coords)), xs
-        sub_basis = semisimple_split(orbit._restricted_ad(h, cols, to_sub, piv), sub_basis)[0]
+    levis = [m for m in strat.enumerate_levi(rd) if m and m != full_mask(rd)]
+    h = strat.levi_witness(rd, rng.choice(levis))
+    x0 = GElement.cartan_vec(rd, h)
+    for i, a in enumerate(rd.roots):
+        if linalg.dot(a, h) > 0:
+            x0 = x0 + GElement.root_vec(rd, i, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+    x = TcElement(rd, 3, [x0, rand_g(rd, rng), rand_g(rd, rng)])
+    seen = _spy_split(monkeypatch)
+    nf = birkhoff_normalize(x)
+    assert nf.strictness == len(seen) == 3
+    assert any(sum(1 for a in v if a) > 1 for v in seen[0][2]) and any(map(any, seen[1][0]))
+    sub_basis, pos = identity(rd.dim_g), range(rd.dim_g)
+    for s, (f, _, ker) in enumerate(seen):
+        xs = nf.normal.coeffs[s]
+        assert f == oracle_restricted_ad(xs, sub_basis, lambda v: [v[p] for p in pos]), xs
+        sub_basis = [mat_vec(transpose(sub_basis), v) for v in ker]
+        pos = _next_positions(pos, ker)
     assert 0 < len(sub_basis) < rd.dim_g
+
+
+# classes drawn by the bench recipe (bench/workloads.py, Orbit._draw) at every
+# strictness 0..r, without the Weyl twist
+ORACLE_CLASSES = [("gl", 3, 3), ("B", 2, 3), ("C", 3, 2), ("D", 4, 4)]
+
+
+def _bench_draws(rd, r):
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    W = SimpleNamespace(elements=elements, strat=strat)
+    levis = [m for m in strat.enumerate_levi(rd) if m]
+    for k, s in enumerate(range(r + 1)):
+        rng = workloads.sub_rng("birkhoff-oracle", rd.label, r, s, k)
+        yield workloads.Orbit._draw(W, rd, r, s, levis[k % len(levis)], rng, twist=False)[1]
+
+
+@pytest.mark.parametrize("lie_type, n, r", ORACLE_CLASSES,
+                         ids=[f"{t}{n}-r{r}" for t, n, r in ORACLE_CLASSES])
+def test_birkhoff_steps_match_the_echelon_oracle(lie_type, n, r, monkeypatch):
+    """Every Birkhoff step agrees with the old one (per_basis.oracle_birkhoff_steps):
+    the sub-basis is the identity on pos, the coordinates read off pos equal
+    the echelon reader's on the basis and on every deeper coefficient, the
+    restricted ad is the same matrix, and the kernel read off ad^2 is
+    nullspace(ad) and the old split's, vector for vector."""
+    rd = root_datum(lie_type, n)
+    cleaned = 0
+    for x in _bench_draws(rd, r):
+        seen = _spy_split(monkeypatch)
+        nf = birkhoff_normalize(x)
+        steps, normal = oracle_birkhoff_steps(x)
+        assert nf.strictness == len(steps) == len(seen) and nf.normal == normal, x
+        cleaned += sum(map(len, (step["vectors"] for step in steps)))
+        pos = range(rd.dim_g)
+        for step, (f, f2, ker) in zip(steps, seen):
+            sub_basis, coords = step["sub_basis"], step["coords"]
+            assert [[b[p] for p in pos] for b in sub_basis] == identity(len(sub_basis))
+            for v in sub_basis + step["vectors"]:
+                assert [v[p] for p in pos] == coords(v)
+            assert f == step["ad"] and f2 == linalg.mat_mul(f, f)
+            assert ker == nullspace(f) == step["kernel"]
+            pos = _next_positions(pos, ker)
+    assert cleaned >= r * (r - 1) // 2
 
 
 def test_marking_filtration_convention(sl2, sl2_efh):
