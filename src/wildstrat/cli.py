@@ -295,14 +295,14 @@ def cmd_shapovalov(args):
         facts = []
         for mu in weights:
             blk = dil.dual_block(mu)
-            d, c, q = singmod.factorize_block(blk)
-            ok = singmod.reassemble(d, c, q) == blk.matrix
-            if not ok:
+            lengths, d, parts, xs = singmod.factor_rows(blk)
+            if not singmod.reassemble(parts, xs):
                 raise ClaimViolation("factorisation does not reproduce the block")
             facts.append({
                 "weight": [frac_str(x) for x in mu],
-                "diagonal": [str(d[i][i]) for i in range(blk.dim())],
-                "exact": ok,
+                "diagonal": [f"{v}*c^{l}" if l > 1 else f"{v}*c" if l else str(v)
+                             for v, l in zip(d, lengths)],
+                "exact": True,
             })
         payload["factorisation"] = facts
     _emit(args, payload)

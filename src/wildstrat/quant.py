@@ -13,8 +13,10 @@ those two and builds no second one.  The slots of F are V0 basis words, so
 B = (p x p)(F) is F itself.
 
 The dilated module acts on rationals, with c a central module letter (a
-word may end in c^d), and check_invariance gathers its terms by c-degree;
-CPoly appears only in the inverse block entries that invert_block returns.
+word may end in c^d), and check_invariance gathers its terms by c-degree.
+Blocks are inverted on their integer row-scaled parts over den, by the one
+fraction-free solve the factorisation shares (singmod.lower_solve); CPoly
+appears only in the inverse block entries that invert_block returns.
 V0 coefficients are ints, and every comparison is an exact identity.
 """
 
@@ -27,7 +29,7 @@ from .linalg import CPoly, One, acc
 from .rootdata import all_letters
 from .parab import (FormalType, ParabolicFiltration, SingularCharacterError,
                     is_nonsingular, require_admissible, triangular_split)
-from .singmod import SingularityModule, lower_solve, row_scaled_parts
+from .singmod import SingularityModule, combine_rows, lower_solve, row_scaled_parts
 from .strat import ClaimViolation
 from .uea import UEAContext
 
@@ -113,31 +115,28 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
 
 def invert_block(block, N):
     """A^{-1} truncated at hbar^N, exact, for a dilated dual block
-    A = c^L sum_k A_k hbar^k (singmod.row_scaled_parts).
+    A = c^L sum_k A_k hbar^k (singmod.row_scaled_parts, A_k = parts[k] / den).
 
-    The inverse of sum_k A_k hbar^k is sum_k G_k hbar^k with G_0 = A_0^{-1}
-    and G_k = -A_0^{-1} sum_{m=1..k} A_m G_{k-m}, one forward substitution
-    each.  A^{-1} = (sum_k G_k hbar^k) hbar^L, so entry (i, j) has the
-    coefficient G_k[i][j] at hbar^{k + l_j}, and column j of G_k is kept only
-    for k + l_j <= N.
+    The inverse of sum_k A_k hbar^k is sum_k G_k hbar^k with G_k = den H_k,
+    H_0 = parts[0]^{-1} and H_k = -parts[0]^{-1} sum_{m=1..k} parts[m] H_{k-m}:
+    one fraction-free singmod.lower_solve each, on integer rows.  A^{-1} =
+    (sum_k G_k hbar^k) hbar^L, so entry (i, j) has the coefficient G_k[i][j]
+    at hbar^{k + l_j}, and column j of G_k is kept only for k + l_j <= N.
     """
-    lengths, d, parts = row_scaled_parts(block)
+    lengths, _, parts = row_scaled_parts(block)
     n = len(lengths)
     out = [[{} for _ in range(n)] for _ in range(n)]
-    g = []
+    h = []
     for k in range(N - min(lengths, default=N) + 1):
-        rhs = [{i: One} if k == 0 and lengths[i] <= N else {} for i in range(n)]
-        for m in range(1, min(k, len(parts) - 1) + 1):
-            for i, row in enumerate(parts[m]):
-                dst = rhs[i]
-                for t, v in row.items():
-                    for j, w in g[k - m][t].items():
-                        if lengths[j] + k <= N:
-                            acc(dst, j, -v * w)
-        g.append(lower_solve(parts[0], d, rhs))
-        for i, row in enumerate(g[k]):
-            for j, v in row.items():
-                out[i][j][-(k + lengths[j])] = v
+        rhs = []
+        for i in range(n):
+            num, den = combine_rows([(-v, h[k - m][t]) for m in range(1, min(k, len(parts) - 1) + 1)
+                                     for t, v in parts[m][i].items()] if k else [(1, ({i: 1}, 1))])
+            rhs.append(({j: w for j, w in num.items() if lengths[j] + k <= N}, den))
+        h.append(lower_solve(parts[0], rhs))
+        for i, (num, den) in enumerate(h[k]):
+            for j, w in num.items():
+                out[i][j][-(k + lengths[j])] = Fraction(block.den * w, den)
     return [[CPoly(e) for e in row] for row in out]
 
 

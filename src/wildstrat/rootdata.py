@@ -319,8 +319,11 @@ class RootDatum:
         """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on the basis triples whose
         weight sum lies in Phi or is 0: letter_bracket only produces letters of
         the summed weight, so on every other triple each term is empty."""
-        # the depth-1 letters are the (t, roots) basis, in that order
+        # the depth-1 letters are the (t, roots) basis; br[x][y] = [x, y] on positions
         basis = all_letters(self, 1)
+        at = {letter: p for p, letter in enumerate(basis)}
+        br = [[[(co, at[w]) for co, w in letter_bracket(self, 1, x, y)] or () for y in basis]
+              for x in basis]
         # each weight as one int, its entries as digits in the balanced base
         # 6m + 1: a sum of three weights has its entries in [-3m, 3m], so it is
         # the digits of the weight sum
@@ -338,8 +341,8 @@ class RootDatum:
                     # [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
                     total = {}
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for co, w in letter_bracket(self, 1, basis[x], basis[y]):
-                            for co2, v in letter_bracket(self, 1, w, basis[z]):
+                        for co, w in br[x][y]:
+                            for co2, v in br[w][z]:
                                 acc(total, v, co * co2)
                     if total:
                         raise RootDatumError(f"Jacobi identity fails on basis triple {(a, b, c)}")

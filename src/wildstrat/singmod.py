@@ -19,9 +19,10 @@ space is a line).  Blocks are integer rows over one denominator, built by
 recursion on the weight: row g.y' of the block at mu pairs the letter images
 of the columns with row y' of the block at mu - alpha_g, in the word table's
 order.  Weights come from parab.weight_layers; no weight order is decided
-here.  Blocks, radicals, the row-scaled parts of the dilated dual blocks and
-their D*C*Qtilde factorisation, the truncated-quotient criterion and the
-simplicity probe all live here.
+here.  Blocks, radicals, the integer row-scaled parts of the dilated dual
+blocks, the fraction-free solve on them (quant.invert_block shares it), their
+D*C*Qtilde factorisation, the truncated-quotient criterion and the simplicity
+probe all live here.
 """
 
 from __future__ import annotations
@@ -357,11 +358,12 @@ class FactorisationError(RuntimeError):
 def row_scaled_parts(block: ShapovalovBlock):
     """(lengths, d, parts) of a dilated dual block A = c^L sum_k A_k hbar^k.
 
-    L = diag(l_i) holds the word lengths; row i of A_k = parts[k] is the
-    sparse row {j: coefficient of c^{l_i - k} in A[i][j]}.  Checked on the
-    data, in this order: each entry has degree at most the min length of its
-    row and column, strictly less off the diagonal between equal lengths;
-    each d_i is a positive integer; A_0 = diag(d) C is lower triangular.
+    L = diag(l_i) holds the word lengths; row i of parts[k] = den A_k is
+    {j: numerator over den of the coefficient of c^{l_i - k} in A[i][j]}, an
+    int row for lower_solve.  Checked on the data, in this order: each entry
+    has degree at most the min length of its row and column, strictly less off
+    the diagonal between equal lengths; each d_i is a positive integer;
+    A_0 = diag(d) C is lower triangular.
     """
     mu = "(" + ", ".join(frac_str(x) for x in block.mu) + ")"
     if not block.dual or not block.module.dilated:
@@ -387,13 +389,14 @@ def row_scaled_parts(block: ShapovalovBlock):
                 k = lengths[i] - deg
                 while len(parts) <= k:
                     parts.append([{} for _ in range(n)])
-                parts[k][i][j] = Fraction(v, den)
+                parts[k][i][j] = v
     d = []
     for i, row in enumerate(block.rows):
         lead = row.get(i, {}).get(lengths[i], 0)
         if lead <= 0 or lead % den:
-            raise fail(i, i, f"diagonal leading coefficient {Fraction(lead, den)} "
-                             f"is not a positive integer")
+            g = gcd(lead, den)
+            value = lead // g if g == den else f"{lead // g}/{den // g}"
+            raise fail(i, i, f"diagonal leading coefficient {value} is not a positive integer")
         d.append(lead // den)
     for i, row in enumerate(parts[0]):
         for j in row:
@@ -402,18 +405,34 @@ def row_scaled_parts(block: ShapovalovBlock):
     return lengths, d, parts
 
 
-def lower_solve(a0, d, rhs):
-    """X with A_0 X = rhs for A_0 = parts[0] of row_scaled_parts, by forward
-    substitution on sparse rows: X_i = (rhs_i - sum_{t<i} A_0[i][t] X_t) / d_i."""
+def combine_rows(terms):
+    """sum_t v_t * num_t / den_t over terms (v_t, (num_t, den_t)), with int v_t
+    and sparse int rows num_t: (num, den), den the lcm of the den_t."""
+    den = lcm(*(d for _, (_, d) in terms))
+    out = {}
+    for v, (num, d) in terms:
+        f = v * (den // d)
+        for j, w in num.items():
+            acc(out, j, f * w)
+    return out, den
+
+
+def lower_solve(a0, rhs):
+    """X = a0^{-1} B (a0 = parts[0]) by fraction-free forward substitution; rows are
+    (numerators {j: int}, den > 0), X_i = (B_i - sum_{t<i} a0[i][t] X_t) / a0[i][i] reduced."""
     out = []
-    for i, row in enumerate(rhs):
-        x = dict(row)
-        for t, v in a0[i].items():
-            if t < i:
-                for j, w in out[t].items():
-                    acc(x, j, -v * w)
-        out.append({j: w / d[i] for j, w in x.items()})
+    for i, b in enumerate(rhs):
+        num, den = combine_rows([(1, b)] + [(-v, out[t]) for t, v in a0[i].items() if t < i])
+        den *= a0[i][i]
+        g = gcd(den, *num.values())
+        out.append(({j: w // g for j, w in num.items()}, den // g))
     return out
+
+
+def factor_rows(block: ShapovalovBlock):
+    """(lengths, d, parts, xs): row_scaled_parts and xs[k - 1] = A_0^{-1} A_k for k >= 1."""
+    lengths, d, parts = row_scaled_parts(block)
+    return lengths, d, parts, [lower_solve(parts[0], [(r, 1) for r in p]) for p in parts[1:]]
 
 
 def factorize_block(block: ShapovalovBlock):
@@ -421,34 +440,28 @@ def factorize_block(block: ShapovalovBlock):
     constant, Qtilde - Id with only negative powers of c.  Exact.
 
     With A = c^L sum_k A_k hbar^k (row_scaled_parts), D C = c^L A_0 and
-    Qtilde = sum_k A_0^{-1} A_k hbar^k: Id, then one forward substitution per k.
+    Qtilde = sum_k A_0^{-1} A_k hbar^k (factor_rows), built here as CPolys.
     """
-    lengths, d, parts = row_scaled_parts(block)
+    lengths, d, parts, xs = factor_rows(block)
     n = len(lengths)
     dmat = [[CPoly({lengths[i]: d[i]}) if i == j else CPoly() for j in range(n)] for i in range(n)]
-    cmat = [[row.get(j, Zero) / d[i] for j in range(n)] for i, row in enumerate(parts[0])]
+    cmat = [[Fraction(row.get(j, 0), block.den * d[i]) for j in range(n)]
+            for i, row in enumerate(parts[0])]
     qt = [[{0: One} if i == j else {} for j in range(n)] for i in range(n)]
-    for k in range(1, len(parts)):
-        for i, row in enumerate(lower_solve(parts[0], d, parts[k])):
-            for j, v in row.items():
-                qt[i][j][-k] = v
+    for k, x in enumerate(xs, 1):
+        for i, (num, den) in enumerate(x):
+            for j, v in num.items():
+                qt[i][j][-k] = Fraction(v, den)
     return dmat, cmat, [[CPoly(e) for e in row] for row in qt]
 
 
-def reassemble(dmat, cmat, qt):
-    """D*C*Qtilde, for the exactness check: entry (i, j) gathers D[i][i] C[i][k]
-    times the coefficients of Qtilde[k][j], each shifted up by the degree of D[i][i]."""
-    n = len(dmat)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for shift, d in dmat[i][i].c.items():
-            for k in range(n):
-                if cmat[i][k]:
-                    f = d * cmat[i][k]
-                    for j in range(n):
-                        for deg, v in qt[k][j].c.items():
-                            acc(out[i][j], deg + shift, f * v)
-    return [[CPoly(c) for c in row] for row in out]
+def reassemble(parts, xs):
+    """The exactness check of D C Qtilde = A on the integer rows: A_0 xs[k - 1]
+    = A_k for every k >= 1 (the hbar^k part of c^{-L} D C Qtilde), in ints."""
+    return len(xs) == len(parts) - 1 and all(
+        num == {j: w * den for j, w in want.items()}
+        for part, x in zip(parts[1:], xs) for i, want in enumerate(part)
+        for num, den in (combine_rows([(v, x[t]) for t, v in parts[0][i].items()]),))
 
 
 # -- module-level predicates ------------------------------------------------------
@@ -468,14 +481,10 @@ def truncated_quotient_saturation(pf, ft, k, K):
     module vectors of weight height <= K.  Positive answers are exact."""
     mod = SingularityModule(pf, ft)
     rd = pf.rd
-    gens = []
-    for i in range(k, pf.depth):
-        for a in indices(pf.nu(i)):
-            vec = mod.apply_letter(("E", rd.neg[a], i), {(): One})
-            if vec:
-                gens.append(vec)
+    gens = [vec for i in range(k, pf.depth) for a in indices(pf.nu(i))
+            for vec in (mod.apply_letter(("E", rd.neg[a], i), {(): One}),) if vec]
+    span = []  # (vector, lead word), in echelon form: no lead occurs in a later vector
 
-    span = []  # list of dicts, kept in echelon form via word ordering
     def reduce(vec):
         vec = {w: c for w, c in vec.items() if len(w) <= K}
         for basis_vec, lead in span:
@@ -487,30 +496,19 @@ def truncated_quotient_saturation(pf, ft, k, K):
         return vec
 
     def insert(vec):
+        """Whether vec, cut at height K, leaves the span; if so, it joins it."""
         vec = reduce(vec)
-        if not vec:
-            return False
-        lead = sorted(vec)[0]
-        span.append((vec, lead))
-        return True
+        if vec:
+            span.append((vec, min(vec)))
+        return bool(vec)
 
-    frontier = []
-    for g in gens:
-        if insert(dict(g)):
-            frontier.append(dict(g))
     letters = all_letters(rd, pf.depth)
+    frontier = [g for g in gens if insert(g)]
     while frontier:
-        new_frontier = []
-        for vec in frontier:
-            for letter in letters:
-                img = mod.apply_letter(letter, vec)
-                img = {w: c for w, c in img.items() if len(w) <= K}
-                if img and insert(img):
-                    new_frontier.append(img)
-        frontier = new_frontier
-    # does the span contain the cyclic vector?
-    probe = reduce({(): One})
-    return not probe  # empty residue means w IS in the generated submodule
+        images = ({w: c for w, c in mod.apply_letter(letter, vec).items() if len(w) <= K}
+                  for vec in frontier for letter in letters)
+        frontier = [img for img in images if img and insert(img)]
+    return not reduce({(): One})  # an empty residue: w lies in the generated submodule
 
 
 def conjecture_probe(pf, ft, K):

@@ -26,7 +26,7 @@ from wildstrat import quant
 from wildstrat.linalg import CPoly, One, Zero, identity, inverse
 from wildstrat.parab import FormalType, ParabolicFiltration
 from wildstrat.rootdata import root_datum
-from wildstrat.singmod import SingularityModule, factorize_block
+from wildstrat.singmod import SingularityModule, factor_rows, factorize_block, reassemble
 from wildstrat.strat import mask_from_indices
 from wildstrat.uea import UEAContext, acc
 from conftest import gl_root_index
@@ -201,6 +201,23 @@ def oracle_factorize_block(block):
     return dmat, cmat, qt
 
 
+def oracle_reassemble(dmat, cmat, qt):
+    """D*C*Qtilde by CPoly arithmetic: entry (i, j) gathers D[i][i] C[i][k]
+    times the coefficients of Qtilde[k][j], each shifted up by the degree of
+    D[i][i].  singmod.reassemble checks the same identity on integer rows."""
+    n = len(dmat)
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for shift_by, d in dmat[i][i].c.items():
+            for k in range(n):
+                if cmat[i][k]:
+                    f = d * cmat[i][k]
+                    for j in range(n):
+                        for deg, v in qt[k][j].c.items():
+                            acc(out[i][j], deg + shift_by, f * v)
+    return [[CPoly(c) for c in row] for row in out]
+
+
 def oracle_invert_block(block, N):
     """Qtilde^{-1} C^{-1} D^{-1} by the Neumann series sum_k (-Q)^k of CPoly
     matrices, Q = Qtilde - Id, truncated at hbar^N after every product."""
@@ -371,10 +388,28 @@ def test_blocks_match_cpoly_oracles(label):
         assert block.matrix == oracle_dual_block(mod, mu, duals), mu
         assert block.matrix == cpoly_build_block(mod, mu, True, blocks), mu
         assert factorize_block(block) == oracle_factorize_block(block), mu
+        assert reassemble(*factor_rows(block)[2:]), mu
         finv = quant.invert_block(block, N)
         assert_inverse_matches_oracles(block, finv, N)
         degrees.update(-d for row in finv for entry in row for d in entry.c)
     assert max(degrees) == N
+
+
+@pytest.mark.parametrize("label", list(SURVEY_CASES))
+def test_integer_core_matches_oracles_on_survey_blocks(label):
+    """Every dual block of the survey's shapovalov configs, up to their height:
+    (D, C, Qtilde) against the CPoly oracle, whose product is the block, the
+    integer exactness check, and the inverse at hbar-order up to the height
+    against both inverse oracles."""
+    make, height = SURVEY_CASES[label]
+    mod = SingularityModule(*make(), dilated=True)
+    for mu in mod.weights_up_to(height):
+        block = mod.dual_block(mu)
+        factors = factorize_block(block)
+        assert factors == oracle_factorize_block(block), mu
+        assert oracle_reassemble(*factors) == block.matrix, mu
+        assert reassemble(*factor_rows(block)[2:]), mu
+        assert_inverse_matches_oracles(block, quant.invert_block(block, height), height)
 
 
 def _dilated_module_with_blocks(label):

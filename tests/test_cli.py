@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from wildstrat import orbit, parab, strat
+from wildstrat import orbit, parab, singmod, strat
 from wildstrat.cli import main
 from wildstrat.rootdata import parse_type
+from test_singmod import bump_first_numerator
 
 
 def run_cli(capsys, *argv):
@@ -593,6 +594,16 @@ def test_long_exact_output_exits_0(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
+_FACTOR_ROWS = singmod.factor_rows
+
+
+def _bumped_factor_rows(blk):
+    """singmod.factor_rows with the first numerator of the solved parts raised
+    by 1 (test_singmod.bump_first_numerator), where some X_k is nonzero."""
+    lengths, d, parts, xs = _FACTOR_ROWS(blk)
+    return lengths, d, parts, bump_first_numerator(xs) or xs
+
+
 @pytest.mark.parametrize("target, name, value, argv, config", [
     (orbit.BirkhoffNormalForm, "verify_round_trip", lambda self: False,
      ("classify", "--type", "sl2"), {"element": {"tuple": [["1"], ["0"]]}}),
@@ -610,7 +621,13 @@ def test_long_exact_output_exits_0(tmp_path, capsys):
     (orbit, "is_semisimple", lambda x: True,
      ("classify", "--type", "sl2"),
      {"element": {"depth": 1, "coeffs": [{"cartan": ["0"], "roots": {"0": "1"}}]}}),
-], ids=["round-trip", "stratum-membership", "dual-stratum", "out-freeness", "birkhoff-split"])
+    # one numerator of a solved X_k = A_0^{-1} A_k raised by 1 fails the
+    # factorisation check of shapovalov
+    (singmod, "factor_rows", _bumped_factor_rows,
+     ("shapovalov", "--type", "sl2", "--depth", "2", "--height", "3"),
+     {"formal_type": {"lambdas": [["5"], ["7"]]}}),
+], ids=["round-trip", "stratum-membership", "dual-stratum", "out-freeness", "birkhoff-split",
+        "factorisation"])
 def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch, target, name, value,
                                      argv, config):
     monkeypatch.setattr(target, name, value)

@@ -131,8 +131,12 @@ def test_only_listed_functions_walk_weyl_orbits(path):
 
 # The dilated engine runs on rationals; CPoly entries are built only here.
 CPOLY_EDGE = {"singmod.py": {"ShapovalovBlock.matrix", "SingularityModule._cyclic_coeff",
-                             "factorize_block", "reassemble"},
+                             "factorize_block"},
               "quant.py": {"invert_block"}}
+
+# The fraction-free core that factorize_block and quant.invert_block share:
+# integer rows in, integer rows over one den per row out.
+INTEGER_CORE = ("row_scaled_parts", "combine_rows", "lower_solve", "factor_rows", "reassemble")
 
 
 def test_uea_reads_no_cpoly():
@@ -161,6 +165,18 @@ def test_uea_stays_integral():
 def test_cpoly_only_at_the_api_edge(path):
     """Outside linalg, CPoly is read only by the API-edge functions."""
     assert name_reads(path.read_text(), "CPoly") <= CPOLY_EDGE.get(path.name, set()), path.name
+
+
+def test_factorisation_core_reads_no_fraction():
+    """The row-scaled parts, the forward substitution and the exactness check
+    stay on ints: none of them reads Fraction (nor One or Zero, which are
+    Fractions); only the CPoly edge builds rationals."""
+    reads = set().union(*(name_reads((SRC / "singmod.py").read_text(), name)
+                          for name in ("Fraction", "fractions", "One", "Zero")))
+    assert reads & set(INTEGER_CORE) == set()
+    defined = {node.name for node in ast.parse((SRC / "singmod.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_CORE) <= defined
 
 
 def hand_rolled_sums(source):

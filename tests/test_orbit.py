@@ -194,6 +194,31 @@ def test_gl3_regular_leading(gl3):
     assert nf.verify_round_trip()
 
 
+def test_birkhoff_on_a_non_coordinate_centraliser(gl3):
+    """X_0 = diag(1, 1, 0) is Cartan; X_1 = E_12 + 2 E_21 is semisimple in X_0's
+    Levi but not Cartan, so the centraliser of X_0 and X_1 is no coordinate
+    subspace (it holds E_12 + 2 E_21, whose two entries differ); X_2 and X_3
+    are generic.  At r = 4 step 2 reads X_3 at the positions step 1 chose, so
+    a position that is not the kernel vector's free column shows.
+
+    The normal form keeps X_0 and X_1 and replaces X_2 by its part commuting
+    with both, the trace-form projection onto span(E_11 + E_22, E_33, X_1):
+    [[a, b, 0], [2b, a, 0], [0, 0, m_33]] with 2a = m_11 + m_22 and
+    4b = tr(X_2 X_1) = 2 m_12 + m_21; the new X_3 commutes with all three."""
+    g = lambda m: GElement.from_defining_matrix(gl3, [[Fraction(v) for v in row] for row in m])
+    m = [[3, -5, 7], [2, Fraction(1, 3), -4], [6, 11, Fraction(-2, 5)]]
+    x0, x1 = g([[1, 0, 0], [0, 1, 0], [0, 0, 0]]), g([[0, 1, 0], [2, 0, 0], [0, 0, 0]])
+    assert x0.is_cartan() and not x1.is_cartan() and is_semisimple(x1)
+    nf = birkhoff_normalize(TcElement(gl3, 4, [x0, x1, g(m), g([[1, 4, -2], [0, 5, 3], [-7, 1, 2]])]))
+    assert nf.strictness == 4
+    assert nf.verify_round_trip()
+    a, b = (m[0][0] + m[1][1]) / 2, (2 * m[0][1] + m[1][0]) / 4
+    want = g([[a, b, 0], [2 * b, a, 0], [0, 0, m[2][2]]])
+    irr = nf.irregular_type().coeffs
+    assert list(irr[:3]) == [x0, x1, want]
+    assert all(irr[3].bracket(y).is_zero() for y in irr[:3])
+
+
 def test_gauge_invariance(sl2, sl2_efh):
     """(s, tau_s) unchanged under random Birkhoff gauges."""
     E, F, H, _, _ = sl2_efh

@@ -10,13 +10,13 @@ from wildstrat.elements import GElement, TcElement
 from wildstrat.linalg import CPoly
 from wildstrat.parab import FormalType, InadmissibleCharacter, ParabolicFiltration
 from wildstrat.singmod import (FactorisationError, SingularityModule,
-                               conjecture_probe, factorize_block, reassemble,
+                               conjecture_probe, factor_rows, factorize_block, reassemble,
                                truncated_quotient_proper,
                                truncated_quotient_saturation)
 from wildstrat.strat import full_mask, mask_from_indices
 from bubble_sort_uea import BubbleSortUEA
 from conftest import gl_root_index
-from test_block_oracles import _b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3
+from test_block_oracles import _b2_borel_r2, _b2_tame, _gl3_chain, _sl2_r3, oracle_reassemble
 from test_parab import decompositions, gl3_ex_chain, gl3_ex_ft
 
 
@@ -287,7 +287,8 @@ def test_factorization_reproduces_blocks(sl2, gl3):
         for mu in m.weights_up_to(3):
             blk = m.dual_block(mu)
             d, c, q = factorize_block(blk)
-            assert reassemble(d, c, q) == blk.matrix
+            assert oracle_reassemble(d, c, q) == blk.matrix
+            assert reassemble(*factor_rows(blk)[2:])
             n = blk.dim()
             for i in range(n):
                 assert c[i][i] == 1
@@ -326,6 +327,37 @@ def test_factorisation_error_names_the_weight(sl2):
                                        ((1, 1), length, -2 * lead, "not a positive integer")]:
         with pytest.raises(FactorisationError, match=rf"mu = \(4\), entry \({i},{j}\): .*{reason}"):
             factorize_block(bumped(blk, i, j, deg, value))
+
+
+def bump_first_numerator(xs):
+    """A copy of the solved parts xs of factor_rows with the first numerator of
+    the first nonzero row of the first nonzero X_k raised by 1, or None when
+    every X_k is zero."""
+    for k, x in enumerate(xs):
+        for i, (num, den) in enumerate(x):
+            if num:
+                j = next(iter(num))
+                row = ({**num, j: num[j] + 1}, den)
+                return xs[:k] + [x[:i] + [row] + x[i + 1:]] + xs[k + 1:]
+    return None
+
+
+@pytest.mark.parametrize("label", ["sl2 r=3", "gl3 chain", "B2 tame"])
+def test_reassemble_rejects_a_tampered_factor(label):
+    """The integer exactness check holds on every dual block up to height 3
+    and fails once one X_k numerator is raised by 1, or the last X_k dropped."""
+    make = {"sl2 r=3": _sl2_r3, "gl3 chain": _gl3_chain, "B2 tame": _b2_tame}[label]
+    m = SingularityModule(*make(), dilated=True)
+    tampered = 0
+    for mu in m.weights_up_to(3):
+        _, _, parts, xs = factor_rows(m.dual_block(mu))
+        assert reassemble(parts, xs)
+        bumped_xs = bump_first_numerator(xs)
+        if bumped_xs is not None:
+            assert not reassemble(parts, bumped_xs), mu
+            assert not reassemble(parts, xs[:-1]), mu
+            tampered += 1
+    assert tampered
 
 
 def test_factorisation_and_inverse_share_the_checks(sl2):
