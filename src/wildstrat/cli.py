@@ -266,13 +266,8 @@ def cmd_shapovalov(args):
     rd, pf, ft = _module_inputs(args)
     mod = SingularityModule(pf, ft)
     weights = mod.weights_up_to(args.height)
-    # the zero-weight block is the line through the cyclic vector
-    blocks = [{
-        "weight": ["0"] * rd.dim_t,
-        "dim": 1, "rank": 1, "radical_dim": 0,
-        "determinant": "1", "matrix": [["1"]],
-    }]
-    for mu in weights:
+    blocks = []
+    for mu in [(0,) * rd.dim_t] + weights:  # weight zero: the line through the cyclic vector
         blk = mod.shapovalov_block(mu)
         rank = blk.rank()
         blocks.append({

@@ -50,15 +50,16 @@ class InverseShapovalov:
     second in U(u^+) (dual letters already expanded and normal-ordered).
     Both slots are V0 basis words, so the series is also B = (p x p)(F).
     module is the dilated singularity module the blocks came from and v0 the
-    V0 context that normal-ordered the dual letters.
+    V0 context that normal-ordered the dual letters.  The blocks and their
+    inverses are not kept: module.dual_block(mu) and invert_block(block, order)
+    over module.root_sums(order) give them again.
     """
 
-    def __init__(self, pf, ft, order, terms, per_weight, module, v0):
+    def __init__(self, pf, ft, order, terms, module, v0):
         self.pf = pf
         self.ft = ft
         self.order = order
         self.terms = terms
-        self.per_weight = per_weight
         self.module = module
         self.v0 = v0
 
@@ -78,8 +79,9 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
     """Blockwise formal inverse, truncated at hbar^N.
 
     Completeness: hbar-degrees <= N only receive contributions from weights
-    admitting a decomposition of size <= N, and exactly those are included -
-    so recomputation with any K >= N returns identical coefficients.
+    admitting a decomposition of size <= N, and exactly those are included.
+    The height bound K is only checked to be at least N; it changes no
+    coefficient, so every K >= N returns the same series.
     """
     _require_balanced(pf)
     require_admissible(pf, ft)
@@ -91,26 +93,24 @@ def inverse_shapovalov_series(pf: ParabolicFiltration, ft: FormalType, K, N):
     duals = mod.dual_letters()
     v0 = V0Context(pf)
     terms = {0: {((), ()): One}}
-    per_weight = {}
     for mu in mod.root_sums(N):
         block = mod.dual_block(mu)
         finv = invert_block(block, N)
-        per_weight[mu] = (block, finv)
         basis = block.basis
         for j in range(len(basis)):
             column = [(i, finv[i][j]) for i in range(len(basis)) if finv[i][j]]
             if not column:
                 continue
-            right = _expand_dual_mono(mod, v0, duals, basis[j]).items()
+            right = _expand_dual_word(mod, v0, duals, basis[j]).items()
             for i, series in column:
-                left = _neg_word(mod, basis[i])
+                left = mod.action.letters(basis[i])
                 for rword, rc in right:
                     for deg, cv in series.c.items():
                         acc(terms.setdefault(-deg, {}), (left, rword), cv * rc)
     for h in list(terms):
         if not terms[h]:
             del terms[h]
-    return InverseShapovalov(pf, ft, N, terms, per_weight, mod, v0)
+    return InverseShapovalov(pf, ft, N, terms, mod, v0)
 
 
 def invert_block(block, N):
@@ -140,28 +140,25 @@ def invert_block(block, N):
     return [[CPoly(e) for e in row] for row in out]
 
 
-def _neg_word(mod, mono):
-    return tuple(mod.gen_letter(mod.gens[g]) for g in mod.word_of(mono))
-
-
-def _expand_dual_mono(mod, v0, duals, mono):
-    """Y_{f,i} written in plain u^+ letters, normal-ordered: {word: coeff}.
+def _expand_dual_word(mod, v0, duals, word):
+    """Y_{f,i} for the generator word of X_{f,i}, written in plain u^+
+    letters, normal-ordered: {letter word: coeff}.
 
     On a balanced chain brackets of pos letters stay pos, so the dual
     letters acting on V0's cyclic vector give the normal form in U(u^+).  Each
     dual combination is scaled to ints; the result is divided by the scales once.
     """
     vec, den = {(): 1}, 1
-    for g in reversed(mod.word_of(mono)):
+    for g in reversed(word):
         d = math.lcm(*(Fraction(c).denominator for c, _ in duals[mod.gens[g]]))
         den *= d
         new = {}
         for c2, letter in duals[mod.gens[g]]:
             k = int(c2 * d)
-            for word, c in v0.ctx.apply(letter, vec).items():
-                acc(new, word, c * k)
+            for w, c in v0.ctx.apply(letter, vec).items():
+                acc(new, w, c * k)
         vec = new
-    return {v0.letters(word): Fraction(c, den) for word, c in vec.items()}
+    return {v0.ctx.letters(w): Fraction(c, den) for w, c in vec.items()}
 
 
 # -- Poisson bivector and the first-order check ----------------------------------
@@ -222,13 +219,9 @@ class V0Context:
                     raise ClaimViolation(f"letter E_{b} e^{i} escapes the triangular "
                                          f"classification of {pf!r}")
 
-    def letters(self, word):
-        """The letter word of a V0 word of basis positions."""
-        return tuple(map(self.ctx.basis.__getitem__, word))
-
     def project_word(self, word):
         """p of a single product of letters: {v0_word: int}, letter words."""
-        return {self.letters(w): c for w, c in self.ctx.normal_form(word).items()}
+        return {self.ctx.letters(w): c for w, c in self.ctx.normal_form(word).items()}
 
 
 def star_bidiff(series: InverseShapovalov):
@@ -284,7 +277,7 @@ def associativity_check(bid: InverseShapovalov, N=None, return_sides=False):
                     acc(out_r, (a, w2, w3), c1 * v)
     left, right = ({h: d for h, d in side.items() if d} for side in (left, right))
     if return_sides:
-        letters = bid.v0.letters
+        letters = bid.v0.ctx.letters
         left, right = ({h: {tuple(map(letters, k)): Fraction(v, den * den) for k, v in d.items()}
                         for h, d in side.items()} for side in (left, right))
         return left == right, left, right

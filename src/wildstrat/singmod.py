@@ -1,9 +1,12 @@
 """Finite generalised singularity modules and wild Shapovalov forms.
 
-The module M^psi_lambda is realized on its PBW basis: monomials in the
+The module M^psi_lambda is realized on its PBW basis: products of the
 generators X_{a,i} = E_{-a} e^i (a in nu_0, i < d_a) applied to the cyclic
-vector.  Bases, like blocks, come from recursion on the weight: a basis word
-of M[mu] is g.w' for a basis word w' of M[mu - alpha_g] (parab.weight_words).
+vector, each one a nondecreasing word of generator positions, the only form
+a basis element takes here (module vectors, word tables, block bases and
+block indices all use it).  Bases, like blocks, come from recursion on the
+weight: a basis word of M[mu] is g.w' for a basis word w' of M[mu - alpha_g]
+(parab.weight_words).
 The action is the straightening engine of uea over the generator letters:
 Cartan letters act on the cyclic vector through the character lambda, every
 other letter by 0.  The dilated module (character c lambda) runs the same
@@ -73,8 +76,8 @@ class SingularityModule:
         self.action = UEAContext(self.rd, self.depth, basis, scalar)
         self._letter_roots = [self.rd.roots[a] for a, _ in self.gens]
         self._nu0_roots = [self.rd.roots[a] for a in self.nu0]
-        self._word_table = {}  # mu -> generator words of weight mu
-        self._bases = {}     # mu -> (PBW basis, {word: position})
+        self._word_table = {}  # mu -> generator words of weight mu, the PBW basis
+        self._index = {}     # mu -> {word: position}
         self._blocks = {}    # (dual, mu) -> (den, rows) (no back reference, no cycle)
         self._duals = None
 
@@ -93,20 +96,7 @@ class SingularityModule:
         k = bisect_left(word, self.c_pos)
         return word[:k], len(word) - k
 
-    # -- monomials and weights ----------------------------------------------------
-
-    def word_of(self, mono):
-        """Exponent tuple -> nondecreasing generator word."""
-        out = []
-        for g, e in enumerate(mono):
-            out.extend([g] * e)
-        return tuple(out)
-
-    def mono_of(self, word):
-        exps = [0] * len(self.gens)
-        for g in word:
-            exps[g] += 1
-        return tuple(exps)
+    # -- words and weights ---------------------------------------------------------
 
     def weight_of_word(self, word):
         rd = self.rd
@@ -130,20 +120,15 @@ class SingularityModule:
         return sorted((mu for mu, k in last.items() if k <= K), key=lambda mu: (last[mu], mu))
 
     def weight_basis(self, mu):
-        """Ordered PBW basis of M[mu]: nonincreasing length, then lexicographic."""
-        return self._basis(mu)[0]
-
-    def _words(self, mu):
-        """The nondecreasing generator words of weight mu, longest first."""
+        """Ordered PBW basis of M[mu]: its nondecreasing generator words, by
+        nonincreasing length, then by word."""
         return parab.weight_words(self._letter_roots, mu, self.split.xi, self._word_table)
 
-    def _basis(self, mu):
-        """The basis of M[mu] and the position of each basis word, once per weight."""
-        hit = self._bases.get(mu)
+    def _positions(self, mu):
+        """{word: position} over the basis of M[mu], once per weight."""
+        hit = self._index.get(mu)
         if hit is None:
-            words = self._words(mu)
-            hit = self._bases[mu] = ([self.mono_of(w) for w in words],
-                                     {w: k for k, w in enumerate(words)})
+            hit = self._index[mu] = {w: k for k, w in enumerate(self.weight_basis(mu))}
         return hit
 
     # -- Shapovalov forms -----------------------------------------------------------
@@ -152,19 +137,20 @@ class SingularityModule:
         a, i = self.gens[gen_index]
         return ("E", a, i)
 
-    def _cyclic_coeff(self, letters, mono_x):
-        """The coefficient of w in the letters applied to X w, first to last: a
-        CPoly when dilated, gathered from the words c^d."""
-        vec = {self.word_of(mono_x): One}
+    def _cyclic_coeff(self, letters, x):
+        """The coefficient of w in the letters applied to X w (X the word x),
+        first to last: a CPoly when dilated, gathered from the words c^d."""
+        vec = {x: One}
         for letter in letters:
             vec = self.apply_letter(letter, vec)
         if self.dilated:
             return CPoly({len(w): v for w, v in vec.items() if not self.split_c(w)[0]})
         return vec.get((), Zero)
 
-    def shapovalov_entry(self, mono_y, mono_x):
-        """S(Y w, X w) = coefficient of w in (tY) . (X w), transpose variant."""
-        return self._cyclic_coeff([self.transpose_letter(g) for g in self.word_of(mono_y)], mono_x)
+    def shapovalov_entry(self, y, x):
+        """S(Y w, X w) = coefficient of w in (tY) . (X w) for the basis words y
+        and x of Y and X, transpose variant."""
+        return self._cyclic_coeff([self.transpose_letter(g) for g in y], x)
 
     def shapovalov_block(self, mu):
         """Matrix S(Y w, X w) over the PBW basis of M[mu], by the weight recursion."""
@@ -182,12 +168,13 @@ class SingularityModule:
 
     # -- nonsymmetric (antipode) variant ----------------------------------------------
 
-    def nonsymmetric_entry(self, plus_word, mono_x):
-        """S^iota(Y w^-, X w^+) for Y given as a word of u^+ letters.
+    def nonsymmetric_entry(self, plus_word, x):
+        """S^iota(Y w^-, X w^+) for Y given as a word of u^+ letters and the
+        basis word x of X.
 
         iota(Y_1...Y_k) = (-1)^k Y_k...Y_1 applied to X w^+ (rightmost first).
         """
-        val = self._cyclic_coeff(plus_word, mono_x)
+        val = self._cyclic_coeff(plus_word, x)
         return -val if len(plus_word) % 2 else val
 
     def dual_letters(self):
@@ -229,7 +216,7 @@ class SingularityModule:
                 nu = todo.pop()
                 if nu not in missing and (dual, nu) not in blocks:
                     missing.add(nu)
-                    for g in {w[0] for w in self._words(nu) if w}:
+                    for g in {w[0] for w in self.weight_basis(nu) if w}:
                         todo.append(tuple(m - r for m, r in zip(nu, self._letter_roots[g])))
             for nu in self._word_table:
                 if nu == mu:
@@ -243,7 +230,7 @@ class SingularityModule:
         """(den, rows) of the block at mu: rows[i] is the sparse row
         {j: {deg: int}} of the numerators over den of the coefficients of c^deg
         (degree 0 alone when scalar), reduced by their gcd."""
-        words = self._words(mu)
+        words = self.weight_basis(mu)
         if words == [()]:
             return 1, [{0: {0: 1}}]
         by_letter = {}
@@ -253,7 +240,7 @@ class SingularityModule:
         for g, members in by_letter.items():
             lower_mu = tuple(m - r for m, r in zip(mu, self._letter_roots[g]))
             lower_den, lower = self._blocks[(dual, lower_mu)]
-            index = self._basis(lower_mu)[1]
+            index = self._positions(lower_mu)
             img_den, images = self._letter_images(g, words, index, dual)
             groups.append((img_den * lower_den, members, images,
                            [lower[index[words[row][1:]]] for row in members]))
@@ -306,6 +293,7 @@ class SingularityModule:
 class ShapovalovBlock:
     """Per-weight Shapovalov matrix with its factorisation interface.
 
+    basis is the PBW basis of M[mu] as generator words (weight_basis), and
     rows[i] is {j: {deg: int}}: entry (i, j) is sum_deg rows[i][j][deg] c^deg / den
     (degree 0 alone when scalar).  matrix, built on first use, holds the
     entries as Fractions, or as CPolys when the module is dilated.
@@ -336,7 +324,7 @@ class ShapovalovBlock:
                 for row in self.rows]
 
     def lengths(self):
-        return [sum(m) for m in self.basis]
+        return list(map(len, self.basis))
 
     def dim(self):
         return len(self.basis)

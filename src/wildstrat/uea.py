@@ -12,9 +12,10 @@ rule a.(y.rest) = y.(a.rest) + [a, y].rest unless it is a basis letter that
 may stand in front of y.  The singularity module (basis: its generators, then
 c when dilated, so a word is a generator word followed by c^d; Cartan letters
 put lambda(H) w, or lambda(H) c w when dilated, on w) and V0 = U(g_r)/U(g_r) l
-(basis: the neg, then the pos letters) are its instances.  The unit is the
-int 1 and letter_bracket's structure constants are ints, so only scalars
-(lambda(H)) bring in rationals: V0 has none and stays integral.
+(basis: the neg, then the pos letters) are its instances, and letters()
+maps a word of either back to its letters.  The unit is the int 1 and
+letter_bracket's structure constants are ints, so only scalars (lambda(H))
+bring in rationals: V0 has none and stays integral.
 
 The coefficient accumulator (acc) lives in linalg and the bracket of two
 letters (letter_bracket) in rootdata, next to the tables it reads; both are
@@ -76,6 +77,10 @@ class UEAContext:
                     acc(result, w, c * coeff)
             memo[(letter, word)] = result
         return memo[key]
+
+    def letters(self, word):
+        """The letter word of a word of basis positions."""
+        return tuple(map(self.basis.__getitem__, word))
 
     def apply(self, letter, vec):
         """letter . vec for a module vector {word: coeff}."""

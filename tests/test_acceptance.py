@@ -314,10 +314,10 @@ def test_criterion_10_shapovalov_properties():
                         assert deg <= min(lens[i], lens[j])
                     if i != j and lens[i] == lens[j] and deg is not None:
                         assert deg <= lens[i] - 1
-                exps = md.word_of(dblk.basis[i])
+                word = dblk.basis[i]
                 lead = 1
-                for g in set(exps):
-                    lead *= math.factorial(exps.count(g))
+                for g in set(word):
+                    lead *= math.factorial(word.count(g))
                 assert dblk.matrix[i][i].coeff(lens[i]) == lead
             blocks_checked += 1
         # antitriangular shape on indecomposable roots
@@ -335,7 +335,7 @@ def test_criterion_10_shapovalov_properties():
                         assert blk.matrix[i][j] == 0
         # contragrediency on sampled pairs
         rng = random.Random(7)
-        monos = [mono for mu in weights[:4] for mono in m.weight_basis(mu)]
+        words = [w for mu in weights[:4] for w in m.weight_basis(mu)]
         letters = [("H", t, i) for t in range(rd.dim_t) for i in range(pf.depth)]
         letters += [("E", b, i) for b in range(rd.num_roots) for i in range(pf.depth)]
         t_of = lambda l: l if l[0] == "H" else ("E", rd.neg[l[1]], l[2])
@@ -344,13 +344,13 @@ def test_criterion_10_shapovalov_properties():
             out = Fraction(0)
             for w1, c1 in v1.items():
                 for w2, c2 in v2.items():
-                    out += c1 * c2 * m.shapovalov_entry(m.mono_of(w1), m.mono_of(w2))
+                    out += c1 * c2 * m.shapovalov_entry(w1, w2)
             return out
 
         for _ in range(25):
             g = rng.choice(letters)
-            v = {m.word_of(rng.choice(monos)): Fraction(1)}
-            u = {m.word_of(rng.choice(monos)): Fraction(1)}
+            v = {rng.choice(words): Fraction(1)}
+            u = {rng.choice(words): Fraction(1)}
             assert sform(m.apply_letter(t_of(g), v), u) == sform(v, m.apply_letter(g, u))
     elapsed = time.time() - t0
     report(10, f"Shapovalov properties on {blocks_checked} blocks, K = 4 "

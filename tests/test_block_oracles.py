@@ -102,7 +102,7 @@ def cpoly_build_block(mod, mu, dual, blocks):
     """The block matrix at mu by the weight recursion on CPoly (dilated) or
     Fraction entries.  blocks maps (dual, weight) to the matrices built so
     far; the missing lower blocks are built first, into it."""
-    words = mod._words(mu)
+    words = mod.weight_basis(mu)
     if words == [()]:
         return [[CPoly.const(1) if mod.dilated else One]]
     rows_by_letter = {}
@@ -115,7 +115,7 @@ def cpoly_build_block(mod, mu, dual, blocks):
         if (dual, lower_mu) not in blocks:
             blocks[(dual, lower_mu)] = cpoly_build_block(mod, lower_mu, dual, blocks)
         lower = blocks[(dual, lower_mu)]
-        index = mod._basis(lower_mu)[1]
+        index = mod._positions(lower_mu)
         images = [[(index[w], c) for w, c in cpoly_letter_image(mod, g, x, dual).items()]
                   for x in words]
         for row in rows:
@@ -160,12 +160,12 @@ def assert_blocks_match_cpoly(mod, weights):
 def oracle_dual_block(mod, mu, duals):
     """Each entry by its own chain of dual letters from the column vector."""
     basis = mod.weight_basis(mu)
-    return [[oracle_dual_entry(mod, mod.word_of(y), x, duals) for x in basis]
+    return [[oracle_dual_entry(mod, y, x, duals) for x in basis]
             for y in basis]
 
 
-def oracle_dual_entry(mod, y_gens, mono_x, duals):
-    vecs = {mod.word_of(mono_x): CPoly.const(1)}
+def oracle_dual_entry(mod, y_gens, x, duals):
+    vecs = {x: CPoly.const(1)}
     apply = reference_action(mod).apply
     for g in y_gens:
         a, i = mod.gens[g]
@@ -443,8 +443,7 @@ def first_letter_closure(mod, mu):
     seen, todo = {mu}, [mu]
     while todo:
         nu = todo.pop()
-        for mono in mod.weight_basis(nu):
-            word = mod.word_of(mono)
+        for word in mod.weight_basis(nu):
             if word:
                 lower = tuple(m - r for m, r in zip(nu, mod._letter_roots[word[0]]))
                 if lower not in seen:

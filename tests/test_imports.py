@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, only
 rootdata reads the structure-constant table and the full list of the Weyl
 group, only the listed functions walk W-orbits, no module brackets basis elements of g or g_r one at a time, CPoly is
-read only in linalg and at the API edge, and sparse sums and inner products
-are written out only in linalg."""
+read only in linalg and at the API edge, sparse sums and inner products
+are written out only in linalg, and every hypothesis test under tests/ draws
+the same examples on every run."""
 
 import ast
 from pathlib import Path
@@ -224,3 +225,31 @@ def test_sums_and_pairings_only_in_linalg(path):
     """Outside linalg, sparse sums go through linalg.acc and inner products
     through linalg.dot or linalg.mat_vec."""
     assert hand_rolled_sums(path.read_text()) == [], path.name
+
+
+def random_settings(source):
+    """Line numbers at which `source` calls settings(...) without derandomize=True."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id == "settings"
+                       or isinstance(node.func, ast.Attribute) and node.func.attr == "settings")
+                  and not any(k.arg == "derandomize" and isinstance(k.value, ast.Constant)
+                              and k.value.value is True for k in node.keywords))
+
+
+def test_random_settings_finds_a_missing_flag():
+    source = ("@settings(max_examples=5)\n"
+              "def f(x): pass\n"
+              "@settings(deadline=None, derandomize=True)\n"
+              "def g(x): pass\n"
+              "s = hypothesis.settings(derandomize=False)\n"
+              "t = settings(derandomize=flag)\n")
+    assert random_settings(source) == [1, 5, 6]
+
+
+def test_hypothesis_tests_are_derandomized():
+    """Every settings(...) call under tests/ passes derandomize=True, so each
+    run draws the same examples and none replays a local example database."""
+    found = {path.name: lines for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+             for lines in (random_settings(path.read_text()),) if lines}
+    assert found == {}
